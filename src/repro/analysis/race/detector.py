@@ -206,6 +206,9 @@ class RaceDetector:
         self.sync_edges = 0
         self.main = self._new_context("main", "main")
         self.current = self.main
+        # contexts suspended by a nested slice (a timer running its
+        # waiters inside its own queue entry), innermost last
+        self._suspended: List[ExecContext] = []
 
     # ------------------------------------------------------------------
     def install(self, sim: Any) -> None:
@@ -255,13 +258,14 @@ class RaceDetector:
             vc_join(ctx.vc, origin)
         for lock in ctx.held:                           # held regions re-sync
             vc_join(ctx.vc, lock.vc)
+        self._suspended.append(self.current)
         self.current = ctx
 
     def after_step(self, handle: Any) -> None:
         ctx = self.current
         for lock in ctx.held:
             vc_join(lock.vc, ctx.vc)
-        self.current = self.main
+        self.current = self._suspended.pop()
 
     # ------------------------------------------------------------------
     # Sync primitives and virtual lock regions

@@ -99,9 +99,7 @@ class NIC:
                 frame=frame.frame_id, dur=injection,
                 queued=start - self.sim.now,
             )
-        done = self.sim.event()
-        self.sim.at(self._tx_free_at, done.succeed, frame)
-        return done
+        return self.sim.timeout_at(self._tx_free_at, frame)
 
     def post_control(self, frame: Frame) -> None:
         """Send a small out-of-band control frame (ack/probe).

@@ -35,7 +35,7 @@ class MPIRequest:
     __slots__ = (
         "req_id", "kind", "peer", "tag", "size", "data",
         "completion", "nmad_req", "status_source", "status_tag",
-        "datatype", "_sync",
+        "datatype", "_sync", "_waiter",
     )
 
     def __init__(self, sim: Simulator, kind: str, peer: Any, tag: Any,
@@ -57,6 +57,9 @@ class MPIRequest:
         self.datatype: Any = None
         #: synchronous-send flag (MPI_Ssend semantics)
         self._sync = False
+        #: wake-up event of the thread parked on this request in
+        #: ``BaseStack.wait``/``waitany`` (None = nobody parked)
+        self._waiter: Optional[Event] = None
 
     @property
     def complete(self) -> bool:
@@ -75,6 +78,9 @@ class MPIRequest:
         if tag is not None:
             self.status_tag = tag
         self.completion.succeed(self)
+        waiter = self._waiter
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed()
 
     def __repr__(self) -> str:
         state = "done" if self.complete else "pending"

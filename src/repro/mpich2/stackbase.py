@@ -24,7 +24,7 @@ from typing import Any, Deque, Iterable, Optional, Union
 
 from repro.mpich2.request import MPIRequest
 from repro.pioman import PIOMan, ProgressEngine
-from repro.simulator import Simulator
+from repro.simulator import Event, Simulator
 from repro.threads.marcel import MarcelScheduler
 
 
@@ -36,6 +36,12 @@ class StackCosts:
     send_overhead: float = 0.15e-6
     #: per-recv-post CPU time, s
     recv_overhead: float = 0.15e-6
+
+
+def _fire(parked: Event) -> None:
+    """Wake the thread parked on ``parked`` unless something already did."""
+    if not parked.triggered:
+        parked.succeed()
 
 
 class BaseStack:
@@ -73,8 +79,8 @@ class BaseStack:
             self._wake()
 
     def _wake(self) -> None:
-        if self._signal is not None and not self._signal.triggered:
-            self._signal.succeed()
+        if self._signal is not None:
+            _fire(self._signal)
 
     def _progress_item(self, item: Any):
         with self.sim.sync_region(self._region, self._lbl_progress):
@@ -105,8 +111,10 @@ class BaseStack:
         yield from self._drain()
         while not req.complete:
             if not self.inbox:
-                self._signal = self.sim.event()
-                yield self.sim.any_of([req.completion, self._signal])
+                # park on one event of our own: the next arrival fires
+                # it through ``_signal``, the request through ``_waiter``
+                parked = req._waiter = self._signal = self.sim.event()
+                yield parked
             yield from self._drain()
         return req
 
@@ -129,8 +137,10 @@ class BaseStack:
         if self.pioman is not None:
             i = first_done()
             if i is None:
-                yield from self.pioman.semaphore_wait(
-                    self.sim.any_of([r.completion for r in reqs]))
+                parked = self.sim.event()
+                for r in reqs:
+                    r._waiter = parked
+                yield from self.pioman.semaphore_wait(parked)
                 i = first_done()
             return i
         yield from self._drain()
@@ -139,9 +149,10 @@ class BaseStack:
             if i is not None:
                 return i
             if not self.inbox:
-                self._signal = self.sim.event()
-                yield self.sim.any_of(
-                    [r.completion for r in reqs] + [self._signal])
+                parked = self._signal = self.sim.event()
+                for r in reqs:
+                    r._waiter = parked
+                yield parked
             yield from self._drain()
 
     def _drain(self):
@@ -179,18 +190,17 @@ class BaseStack:
     def probe(self, src: Any, tag: Any):
         """Blocking probe; generator returning (source, size)."""
         while True:
-            self._signal = self.sim.event()
+            parked = self._signal = self.sim.event()
             yield from self.progress_once()
             hit = self.probe_unexpected(src, tag)
             if hit is not None:
                 return hit
-            if self.pioman is None or not self.pioman.background:
-                # active mode / manual_poll: a new arrival re-enters the
-                # drain via the signal, nothing progresses without us
-                yield self._signal
-            else:
+            if self.pioman is not None and self.pioman.background:
                 # background progress: re-check shortly after any arrival
-                yield self.sim.any_of([self._signal, self.sim.timeout(2e-6)])
+                self.sim.schedule(2e-6, _fire, parked)
+            # else active mode / manual_poll: a new arrival re-enters the
+            # drain via the signal, nothing progresses without us
+            yield parked
 
     # ------------------------------------------------------------------
     # helpers

@@ -247,20 +247,21 @@ class NmadCore:
                 dur=self.costs.send_post
                 + (self.mem.copy_time(size) if eager else 0.0),
             )
-        yield self.sim.timeout(self.costs.send_post)
         dst_node = self.rank_to_node(dst_rank)
         # Submission is deferred to the next progress point (pump=False):
         # without a progress thread nothing moves while the application
         # computes; PIOMan offloads the pump to an idle core (Fig. 7).
         if eager:
             # eager: data is copied into the packet wrapper now
-            yield self.sim.timeout(self.mem.copy_time(size))
+            yield self.sim.charge(self.costs.send_post,
+                                  self.mem.copy_time(size))
             self.strategy.push(SendItem(
                 kind="eager", dst_rank=dst_rank, dst_node=dst_node,
                 size=size, src_rank=self.rank, tag=tag, seq=req.seq,
                 data=data, req=req,
             ), pump=False)
         else:
+            yield self.sim.timeout(self.costs.send_post)
             state = _RdvSend(req, remaining_inject=size)
             self.sim.race_write(self._rv_rdv)
             self._rdv_send[rdv_id] = state
@@ -456,8 +457,8 @@ class NmadCore:
                      + self.costs.upper_complete_cost),
             )
         # copy out of the packet wrapper into the user buffer
-        yield self.sim.timeout(self.mem.copy_time(entry.size))
-        yield self.sim.timeout(self.costs.upper_complete_cost)
+        yield self.sim.charge(self.mem.copy_time(entry.size),
+                              self.costs.upper_complete_cost)
         self.recv_messages += 1
         req._finish(self.sim, data=entry.data, size=entry.size)
 
@@ -679,9 +680,9 @@ class NmadCore:
                 residency=self.sim.now - ux.arrival, dur=dur,
             )
         if ux.kind == "eager":
-            yield self.sim.timeout(self.costs.match_cost
-                                   + self.costs.upper_complete_cost)
-            yield self.sim.timeout(self.mem.copy_time(ux.size))
+            yield self.sim.charge(
+                self.costs.match_cost + self.costs.upper_complete_cost,
+                self.mem.copy_time(ux.size))
             self.recv_messages += 1
             req._finish(self.sim, data=ux.data, size=ux.size)
         elif ux.kind == "rts":

@@ -281,21 +281,8 @@ class DedicatedThreadEngine(ProgressEngine):
                 yield from self._run_ltask(work, pending=self._pending)
             self.scheduler.release_core()
 
-    def semaphore_wait(self, event: Event) -> Generator:
-        """Identical blocking-wait model to the reference engine."""
-        if event.triggered:
-            return
-        if self.sim.tracing:
-            self.sim.record("pioman.sem_wait", node=self.scheduler.node_id)
-        self.scheduler.release_core()
-        blocked_at = self.sim.now
-        yield event
-        if self.sim.tracing:
-            self.sim.record("pioman.sem_wake", node=self.scheduler.node_id,
-                            waited=self.sim.now - blocked_at,
-                            dur=self.params.wakeup_cost)
-        yield self.sim.timeout(self.params.wakeup_cost)
-        yield self.scheduler.acquire_core()
+    #: the reference engine's blocking-wait model, shared not copied
+    semaphore_wait = PIOMan.semaphore_wait
 
     def teardown(self) -> None:
         self._stopped = True

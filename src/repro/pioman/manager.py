@@ -152,7 +152,8 @@ class PIOMan:
                             waited=self.sim.now - blocked_at,
                             dur=self.params.wakeup_cost)
         yield self.sim.timeout(self.params.wakeup_cost)
-        yield self.scheduler.acquire_core()
+        if not self.scheduler.try_acquire_core():
+            yield self.scheduler.acquire_core()
 
     # -- engine contract (see repro.pioman.engines) ------------------------
     def progress(self) -> Generator:

@@ -19,10 +19,11 @@ Two kinds of entries coexist in the queue:
 ``seq`` is unique, so entry comparisons never reach the third element of
 either tuple shape.
 
-Scheduler selection: ``Simulator(scheduler=...)`` takes ``"calendar"``
-(the default — a bucketed calendar queue draining whole same-timestamp
-batches per dispatch loop), ``"heap"`` (the reference binary heap), or
-a ready :class:`~repro.simulator.schedulers.EventScheduler` instance.
+Scheduler selection: ``Simulator(scheduler=...)`` takes ``"heap"`` (the
+default — the reference binary heap), ``"calendar"`` (a bucketed
+calendar queue draining whole same-timestamp batches per dispatch
+loop), or a ready :class:`~repro.simulator.schedulers.EventScheduler`
+instance.
 ``scheduler=None`` consults the ``REPRO_SCHEDULER`` environment knob.
 Both structures yield bit-identical execution orders — the differential
 harness in ``tests/simulator/`` enforces it — so results, traces and
@@ -117,7 +118,7 @@ class Simulator:
         provided, subsystems emit structured trace records through
         :meth:`record`.
     scheduler:
-        Event-queue structure: ``"calendar"`` (default), ``"heap"``, or
+        Event-queue structure: ``"heap"`` (default), ``"calendar"``, or
         an :class:`~repro.simulator.schedulers.EventScheduler` instance.
         ``None`` consults the ``REPRO_SCHEDULER`` environment variable.
         The choice affects throughput only, never results.
@@ -214,6 +215,23 @@ class Simulator:
         self._seq += 1
         self._push((self._now + delay, self._seq, fn, args))
 
+    def _run_slices(self, callbacks: Iterable[Callable], evt: "Event") -> None:
+        """Monitored inline wake-up: each waiter is its own nested slice.
+
+        The monitor sees what a queued wake-up would have shown it — a
+        fork edge from the running context, then the waiter's slice in
+        the waiter's own context — without a second queue entry.
+        """
+        monitor = self.monitor
+        for fn in callbacks:
+            handle = ScheduledCallback(self, self._now, fn, (evt,))
+            monitor.on_schedule(handle)
+            monitor.before_step(handle)
+            try:
+                fn(evt)
+            finally:
+                monitor.after_step(handle)
+
     def _compact(self) -> None:
         """Drop cancelled entries from the queue in one batched pass."""
         self._sched.remove_if(_entry_is_cancelled)
@@ -231,8 +249,30 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         evt = Event(self)
-        self._post(delay, evt.succeed, value)
+        self._post(delay, evt._expire, value)
         return evt
+
+    def timeout_at(self, time: float, value: Any = None) -> "Event":
+        """An event that succeeds at absolute simulated ``time``."""
+        evt = Event(self)
+        if self.monitor is not None or time < self._now:
+            self.at(time, evt._expire, value)   # monitored, or raises: past
+        else:
+            self._seq += 1
+            self._push((time, self._seq, evt._expire, (value,)))
+        return evt
+
+    def charge(self, first: float, second: float) -> "Event":
+        """Two back-to-back CPU charges as one timer.
+
+        Ends at ``(now + first) + second`` — bit-identical to yielding
+        ``timeout(first)`` then ``timeout(second)``.  Only for pairs with
+        nothing observable in between: no shared-state access, no trace
+        record, no branch on shared state.
+        """
+        if first < 0 or second < 0:
+            raise SimulationError(f"negative delay in {(first, second)!r}")
+        return self.timeout_at((self._now + first) + second)
 
     def all_of(self, events: Iterable["Event"]) -> "Event":
         from repro.simulator.events import AllOf
@@ -353,7 +393,9 @@ class Simulator:
                     if time is None:
                         break
                     if until is not None and time > until:
-                        self._now = until
+                        # never backwards: an earlier run may have
+                        # stopped at a later ``until``
+                        self._now = max(self._now, until)
                         self._raise_unobserved_failures()
                         return self._now
                     self.step()

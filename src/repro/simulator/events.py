@@ -3,7 +3,10 @@
 An :class:`Event` has three states: pending, succeeded, failed.  Tasks
 ``yield`` an event to block until it triggers.  Triggering is *scheduled*
 (at the current time) rather than executed inline, so wake-up order is
-the deterministic FIFO order of the engine queue.
+the deterministic FIFO order of the engine queue.  The one exception is
+a timer (:meth:`Simulator.timeout`): its queue entry *is* the wake-up,
+so :meth:`Event._expire` runs the waiters inside that entry instead of
+paying a second dispatch per sleeper.
 
 This module is on the engine's innermost dispatch path (every task
 switch triggers at least one event), so the hot methods trade a little
@@ -85,6 +88,26 @@ class Event:
             for fn in callbacks:
                 post(0.0, fn, self)
         return self
+
+    def _expire(self, value: Any = None) -> None:
+        """A timer's queue entry: succeed and run the waiters right here.
+
+        The waiters take the timer's own ``(time, seq)`` slot whatever is
+        attached to the engine, so bare, traced, ``until``-bounded and
+        monitored runs share one dispatch order.
+        """
+        if self._state != _PENDING:
+            raise SimulationError("event already triggered")
+        self._state = _SUCCEEDED
+        self._value = value
+        callbacks, self._callbacks = self._callbacks, None
+        if not callbacks:
+            return
+        if self.sim.monitor is not None:
+            self.sim._run_slices(callbacks, self)
+        else:
+            for fn in callbacks:
+                fn(self)
 
     # -- waiting -------------------------------------------------------
     def add_done_callback(self, fn: Callable[["Event"], None]) -> None:

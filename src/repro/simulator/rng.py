@@ -8,9 +8,10 @@ the stream of another (counter-based sub-seeding via SeedSequence).
 from __future__ import annotations
 
 import zlib
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Key = Union[str, int]
 
@@ -31,5 +32,9 @@ def rng_stream(root_seed: int, *key: Key) -> np.random.Generator:
     >>> float(a.random()) == float(b.random())
     True
     """
+    # imported here: only the fault injector and the Marcel jitter draw
+    # random numbers, and numpy is half of every other run's start-up
+    import numpy as np
+
     seq = np.random.SeedSequence([root_seed] + [_key_to_int(k) for k in key])
     return np.random.default_rng(seq)

@@ -8,13 +8,15 @@ environment knob):
 
 * :class:`HeapScheduler` — the reference binary heap.  O(log n) per
   operation, minimal constant factors, behaviourally identical to the
-  engine's original inline ``heapq`` loop.  Select with ``"heap"``.
+  engine's original inline ``heapq`` loop.  Select with ``"heap"`` —
+  the default: at ~10 dispatches per message the queues of every
+  measured workload are too shallow for batching to pay (DESIGN.md §7).
 * :class:`CalendarScheduler` — a bucketed calendar queue (Brown 1988)
   with adaptive bucket width.  Pushes are O(1) dict+append; the drain
   side extracts whole *batches* of same-timestamp entries in one call,
   which is what makes dense event floods (collective fan-outs posting
   thousands of events at one sim time, PIOMan poll ticks) cheap.
-  Select with ``"calendar"`` — the default.
+  Select with ``"calendar"``.
 
 Entry contract (owned by :mod:`repro.simulator.engine`): tuples of
 shape ``(time, seq, handle)`` or ``(time, seq, fn, args)``.  ``seq`` is
@@ -22,8 +24,8 @@ globally unique and allocated in push order, so tuple comparison never
 reaches the third element and ties in time resolve to FIFO.
 
 Equivalence contract — enforced by ``tests/simulator/``'s differential
-and property harnesses, and the reason the calendar queue is safe to
-default to:
+and property harnesses, and the reason the choice never shows in a
+result:
 
 * ``pop``/``pop_batch`` yield entries in strictly increasing
   ``(time, seq)`` order, bit-identical to the heap's order;
@@ -57,7 +59,7 @@ Entry = Tuple[Any, ...]
 #: environment knob consulted when ``Simulator(scheduler=None)``
 SCHEDULER_ENV = "REPRO_SCHEDULER"
 
-_DEFAULT_KIND = "calendar"
+_DEFAULT_KIND = "heap"
 
 
 class EventScheduler:
@@ -508,7 +510,7 @@ def make_scheduler(
     """Resolve a scheduler selection to an instance.
 
     ``None`` consults the ``REPRO_SCHEDULER`` environment variable and
-    falls back to the calendar queue; a string is looked up in
+    falls back to the binary heap; a string is looked up in
     :data:`SCHEDULER_KINDS`; an :class:`EventScheduler` instance passes
     through untouched.
     """

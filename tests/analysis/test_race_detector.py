@@ -119,6 +119,32 @@ def test_region_held_across_suspension_resyncs():
     assert det.report().clean
 
 
+def test_inline_timer_wakeup_carries_the_fork_edge():
+    # a timer runs its waiters inside its own queue entry (no second
+    # dispatch); the waiter must still inherit the arming context's
+    # clock, exactly as the queued wake-up did
+    sim, det = make_sim()
+    contexts = []
+
+    def waiter(_evt):
+        contexts.append(det.current)
+        sim.race_read("shared")
+
+    def arm():
+        contexts.append(det.current)
+        sim.race_write("shared")
+        sim.timeout(1e-6).add_done_callback(waiter)
+
+    sim.schedule(1e-6, arm)
+    sim.run()
+    assert sim.events_executed == 2            # arm + the timer, no hop
+    armer, woken = contexts
+    assert woken is not armer and woken.kind == "callback"
+    assert woken.vc[armer.cid] >= 1            # the fork edge
+    assert det.current is det.main             # nested slices unwound
+    assert det.report().clean
+
+
 def test_semaphore_handoff_orders_accesses():
     sim, det = make_sim()
     sem = Semaphore(sim, 0)

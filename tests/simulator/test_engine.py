@@ -82,6 +82,33 @@ def test_run_until_stops_clock():
     assert seen == ["a", "b"]
 
 
+def test_run_until_never_moves_the_clock_backwards():
+    sim = Simulator()
+    seen = []
+    sim.schedule(10.0, seen.append, "late")
+    assert sim.run(until=2.0) == 2.0
+    # an earlier bound with work still queued must not rewind the clock
+    assert sim.run(until=0.5) == 2.0
+    assert sim.now == 2.0
+    sim.schedule(0.0, seen.append, "now")       # would raise if now < 2.0
+    sim.run()
+    assert seen == ["now", "late"]
+
+
+def test_until_bounded_run_with_work_pending_is_not_a_deadlock():
+    sim = Simulator()
+
+    def sleeper():
+        yield sim.timeout(10.0)
+
+    task = sim.spawn(sleeper())
+    # the task is blocked, but on a timer that is still queued
+    assert sim.run(until=1.0, detect_deadlock=True) == 1.0
+    assert task.is_alive
+    assert sim.run(detect_deadlock=True) == 10.0
+    assert not task.is_alive
+
+
 def test_run_returns_final_time():
     sim = Simulator()
     sim.schedule(7.25, lambda: None)

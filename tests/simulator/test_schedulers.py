@@ -55,15 +55,17 @@ def sched(request):
 
 
 # -- factory -----------------------------------------------------------
-def test_make_scheduler_defaults_to_calendar(monkeypatch) -> None:
+def test_make_scheduler_default_kind(monkeypatch) -> None:
     monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-    assert isinstance(make_scheduler(None), CalendarScheduler)
+    assert isinstance(make_scheduler(None), HeapScheduler)
 
 
 def test_make_scheduler_honours_env(monkeypatch) -> None:
     monkeypatch.setenv(SCHEDULER_ENV, "heap")
     assert isinstance(make_scheduler(None), HeapScheduler)
     monkeypatch.setenv(SCHEDULER_ENV, "")
+    assert isinstance(make_scheduler(None), HeapScheduler)
+    monkeypatch.setenv(SCHEDULER_ENV, "calendar")
     assert isinstance(make_scheduler(None), CalendarScheduler)
 
 
