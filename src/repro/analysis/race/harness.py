@@ -28,8 +28,7 @@ from repro.workloads.netpipe import pingpong
 def run_race(spec: StackSpec, *, size: int = 65536, reps: int = 3,
              seed: int = 0, nprocs: int = 2,
              cluster: Optional[ClusterSpec] = None,
-             faults: Optional[Any] = None,
-             scheduler: Optional[Any] = None) -> RaceReport:
+             faults: Optional[Any] = None) -> RaceReport:
     """Run a ping-pong under the race detector; return its report.
 
     ``cluster`` defaults to the two-node point-to-point testbed; pass a
@@ -45,7 +44,7 @@ def run_race(spec: StackSpec, *, size: int = 65536, reps: int = 3,
     runtime = MPIRuntime(nprocs, spec,
                          cluster=cluster if cluster is not None
                          else config.xeon_pair(),
-                         seed=seed, faults=faults, scheduler=scheduler)
+                         seed=seed, faults=faults)
     detector.install(runtime.sim)
     runtime.run(pingpong(size, reps=reps, warmup=0))
     return detector.report()

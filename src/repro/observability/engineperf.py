@@ -13,8 +13,6 @@ Metrics fed:
 * ``engine.events`` — callbacks dispatched (counter)
 * ``engine.events_per_sec`` — dispatch throughput (gauge)
 * ``engine.queue_peak`` — high-water event-queue length (gauge)
-* ``engine.heap_peak`` — legacy alias of ``engine.queue_peak``, kept
-  for dashboards written before the queue became pluggable
 * ``engine.wall_seconds`` — host seconds inside ``run`` (counter)
 * ``process.peak_rss_kib`` — process high-water resident set (gauge)
 """
@@ -54,7 +52,6 @@ def record_engine_metrics(sim: Simulator,
     registry.counter("engine.events").inc(stats["events_executed"])
     registry.gauge("engine.events_per_sec").set(stats["events_per_sec"])
     registry.gauge("engine.queue_peak").set(stats["queue_peak"])
-    registry.gauge("engine.heap_peak").set(stats["queue_peak"])  # legacy
     registry.counter("engine.wall_seconds").inc(stats["wall_seconds"])
     registry.gauge("process.peak_rss_kib").set(stats["peak_rss_kib"])
     return stats
@@ -62,11 +59,9 @@ def record_engine_metrics(sim: Simulator,
 
 def format_engine_stats(stats: Dict[str, Any]) -> str:
     """One-paragraph rendering of :func:`record_engine_metrics` output."""
-    scheduler = stats.get("scheduler", "heap")
     return (
         f"engine: {int(stats['events_executed'])} events in "
         f"{stats['wall_seconds']:.3f}s wall "
         f"({stats['events_per_sec']:,.0f} events/s), "
-        f"scheduler {scheduler}, "
         f"queue peak {int(stats['queue_peak'])}, "
         f"process peak RSS {stats['peak_rss_kib'] / 1024:.1f} MiB")

@@ -26,12 +26,11 @@ pluggable :class:`ProgressEngine` contract and adds two of them:
     pays the same per-message synchronization as PIOMan (the queues are
     still shared with the application threads).
 
-Selection mirrors the scheduler layer (:mod:`repro.simulator.schedulers`):
-an explicit ``StackSpec.progress`` kind wins, else the ``REPRO_PROGRESS``
-environment variable, else the reference engine.  Campaign executors
-*pin* the engine into the point config (see ``campaign.executors``):
-campaign results are content-addressed by the point alone, so an ambient
-env knob must never change them.
+Selection: an explicit ``StackSpec.progress`` kind wins, else the
+``REPRO_PROGRESS`` environment variable, else the reference engine.
+Campaign executors *pin* the engine into the point config (see
+``campaign.executors``): campaign results are content-addressed by the
+point alone, so an ambient env knob must never change them.
 
 Engine contract (duck-typed; ``PIOMan`` is the reference implementation):
 
@@ -59,7 +58,7 @@ from repro.pioman.manager import PIOMan, PIOManParams
 from repro.simulator import Event, Simulator
 from repro.threads.marcel import MarcelScheduler
 
-#: environment knob mirroring ``REPRO_SCHEDULER``
+#: environment knob consulted when no progress kind is given
 PROGRESS_ENV = "REPRO_PROGRESS"
 
 _DEFAULT_KIND = "pioman"

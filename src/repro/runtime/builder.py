@@ -50,8 +50,7 @@ class MPIRuntime:
                  ranks_per_node: Optional[int] = None,
                  trace: Optional[Trace] = None,
                  seed: int = 0,
-                 faults: Optional[Any] = None,
-                 scheduler: Optional[Any] = None):
+                 faults: Optional[Any] = None):
         if nprocs < 1:
             raise ValueError("need at least one process")
         self.nprocs = nprocs
@@ -65,7 +64,7 @@ class MPIRuntime:
                              f"not present in cluster {cluster.rail_names()}")
 
         self.seed = seed
-        self.sim = Simulator(trace=trace, scheduler=scheduler)
+        self.sim = Simulator(trace=trace)
         self.cluster: Cluster = build_cluster(
             self.sim, cluster.n_nodes, cluster.node, list(cluster.rails),
             topology=cluster.topology, topo_rails=cluster.topo_rails)
@@ -265,8 +264,7 @@ def run_mpi(program: Callable, nprocs: int, stack: StackSpec,
             trace: Optional[Trace] = None,
             until: Optional[float] = None,
             seed: int = 0,
-            faults: Optional[Any] = None,
-            scheduler: Optional[Any] = None) -> RunResult:
+            faults: Optional[Any] = None) -> RunResult:
     """Build a runtime and execute one program (the main entry point).
 
     Example
@@ -284,5 +282,5 @@ def run_mpi(program: Callable, nprocs: int, stack: StackSpec,
     """
     runtime = MPIRuntime(nprocs, stack, cluster=cluster,
                          ranks_per_node=ranks_per_node, trace=trace,
-                         seed=seed, faults=faults, scheduler=scheduler)
+                         seed=seed, faults=faults)
     return runtime.run(program, until=until)

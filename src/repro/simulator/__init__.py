@@ -23,9 +23,6 @@ streams seeded explicitly.
 """
 
 from repro.simulator.engine import Simulator, ScheduledCallback
-from repro.simulator.schedulers import (EventScheduler, HeapScheduler,
-                                        CalendarScheduler, SCHEDULER_ENV,
-                                        SCHEDULER_KINDS, make_scheduler)
 from repro.simulator.events import Event, AllOf, AnyOf
 from repro.simulator.process import Task
 from repro.simulator.resources import Semaphore, Mutex, Channel
@@ -38,12 +35,6 @@ from repro.simulator.rng import rng_stream
 __all__ = [
     "Simulator",
     "ScheduledCallback",
-    "EventScheduler",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "SCHEDULER_ENV",
-    "SCHEDULER_KINDS",
-    "make_scheduler",
     "Event",
     "AllOf",
     "AnyOf",

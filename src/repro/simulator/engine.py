@@ -1,7 +1,7 @@
 """The simulation event loop.
 
-Time is a ``float`` in **seconds**.  The engine keeps pending work in a
-pluggable :class:`~repro.simulator.schedulers.EventScheduler` ordered by
+Time is a ``float`` in **seconds**.  The engine keeps pending work in
+one binary heap (a plain list driven by :mod:`heapq`) ordered by
 ``(time, seq)``; ``seq`` is a global monotonically increasing counter so
 that callbacks scheduled for the same instant run in FIFO order, which
 makes every simulation fully deterministic.
@@ -19,16 +19,6 @@ Two kinds of entries coexist in the queue:
 ``seq`` is unique, so entry comparisons never reach the third element of
 either tuple shape.
 
-Scheduler selection: ``Simulator(scheduler=...)`` takes ``"heap"`` (the
-default — the reference binary heap), ``"calendar"`` (a bucketed
-calendar queue draining whole same-timestamp batches per dispatch
-loop), or a ready :class:`~repro.simulator.schedulers.EventScheduler`
-instance.
-``scheduler=None`` consults the ``REPRO_SCHEDULER`` environment knob.
-Both structures yield bit-identical execution orders — the differential
-harness in ``tests/simulator/`` enforces it — so results, traces and
-race reports never depend on the choice; only throughput does.
-
 Cancellation is O(1) lazy deletion: the handle is flagged and skipped
 when dispatched.  Long-lived simulations that cancel many far-future
 timers (e.g. per-frame retransmission timeouts) would otherwise
@@ -38,12 +28,12 @@ batched pass when cancelled entries outnumber live ones.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.simulator.errors import DeadlockError, SimulationError
 from repro.simulator.events import Event
 from repro.simulator.hostclock import host_clock
-from repro.simulator.schedulers import EventScheduler, make_scheduler
 from repro.simulator.tracing import Trace
 
 __all__ = ["ScheduledCallback", "Simulator"]
@@ -83,14 +73,8 @@ class ScheduledCallback:
         sim = self.sim
         sim._cancelled += 1
         if (sim._cancelled >= _COMPACT_MIN_CANCELLED
-                and sim._cancelled * 2 >= len(sim._sched)):
+                and sim._cancelled * 2 >= len(sim._queue)):
             sim._compact()
-
-
-def _entry_is_cancelled(entry: _HeapEntry) -> bool:
-    """Compaction predicate: a flagged cancellable handle entry."""
-    item = entry[2]
-    return type(item) is ScheduledCallback and item.cancelled
 
 
 class _NullRegion:
@@ -117,11 +101,6 @@ class Simulator:
         Optional :class:`~repro.simulator.tracing.Trace` recorder.  When
         provided, subsystems emit structured trace records through
         :meth:`record`.
-    scheduler:
-        Event-queue structure: ``"heap"`` (default), ``"calendar"``, or
-        an :class:`~repro.simulator.schedulers.EventScheduler` instance.
-        ``None`` consults the ``REPRO_SCHEDULER`` environment variable.
-        The choice affects throughput only, never results.
 
     Example
     -------
@@ -136,10 +115,9 @@ class Simulator:
     'done'
     """
 
-    def __init__(self, trace: Optional[Trace] = None,
-                 scheduler: Union[EventScheduler, str, None] = None):
-        self._sched: EventScheduler = make_scheduler(scheduler)
-        self._push = self._sched.push
+    def __init__(self, trace: Optional[Trace] = None):
+        #: pending entries, a binary heap ordered by ``(time, seq)``
+        self._queue: List[_HeapEntry] = []
         self._seq = 0
         self._now = 0.0
         self._cancelled = 0          # cancelled handles still queued
@@ -152,8 +130,9 @@ class Simulator:
         self.tracing = False
         self.trace = trace
         #: perf telemetry (host-side, never fed back into simulation):
-        #: callbacks dispatched, high-water queue length, dispatch
-        #: batches, wall seconds inside :meth:`run` — see :meth:`perf_stats`
+        #: callbacks dispatched, high-water queue length, distinct
+        #: timestamps dispatched, wall seconds inside :meth:`run` — see
+        #: :meth:`perf_stats`
         self.events_executed = 0
         self.queue_peak = 0
         self.batches_executed = 0
@@ -171,11 +150,6 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def heap_peak(self) -> int:
-        """Deprecated alias of :attr:`queue_peak` (pre-scheduler name)."""
-        return self.queue_peak
-
     def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCallback:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if delay < 0:
@@ -185,7 +159,7 @@ class Simulator:
         if self.monitor is not None:
             self.monitor.on_schedule(handle)
         self._seq += 1
-        self._push((time, self._seq, handle))
+        heappush(self._queue, (time, self._seq, handle))
         return handle
 
     def at(self, time: float, fn: Callable, *args: Any) -> ScheduledCallback:
@@ -198,7 +172,7 @@ class Simulator:
         if self.monitor is not None:
             self.monitor.on_schedule(handle)
         self._seq += 1
-        self._push((time, self._seq, handle))
+        heappush(self._queue, (time, self._seq, handle))
         return handle
 
     def _post(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -213,7 +187,7 @@ class Simulator:
             self.at(self._now + delay, fn, *args)
             return
         self._seq += 1
-        self._push((self._now + delay, self._seq, fn, args))
+        heappush(self._queue, (self._now + delay, self._seq, fn, args))
 
     def _run_slices(self, callbacks: Iterable[Callable], evt: "Event") -> None:
         """Monitored inline wake-up: each waiter is its own nested slice.
@@ -233,8 +207,15 @@ class Simulator:
                 monitor.after_step(handle)
 
     def _compact(self) -> None:
-        """Drop cancelled entries from the queue in one batched pass."""
-        self._sched.remove_if(_entry_is_cancelled)
+        """Drop cancelled entries from the queue in one batched pass.
+
+        In place: a running :meth:`run` loop holds the same list.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if not (type(entry[2]) is ScheduledCallback
+                            and entry[2].cancelled)]
+        heapify(queue)
         self._cancelled = 0
 
     # ------------------------------------------------------------------
@@ -259,7 +240,7 @@ class Simulator:
             self.at(time, evt._expire, value)   # monitored, or raises: past
         else:
             self._seq += 1
-            self._push((time, self._seq, evt._expire, (value,)))
+            heappush(self._queue, (time, self._seq, evt._expire, (value,)))
         return evt
 
     def charge(self, first: float, second: float) -> "Event":
@@ -295,15 +276,14 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending callback.  Returns False when empty."""
-        sched = self._sched
+        queue = self._queue
         while True:
-            pending = len(sched)
+            pending = len(queue)
             if pending == 0:
                 return False
             if pending > self.queue_peak:
                 self.queue_peak = pending
-            entry = sched.pop()
-            assert entry is not None
+            entry = heappop(queue)
             item = entry[2]
             if type(item) is ScheduledCallback:
                 if item.cancelled:
@@ -336,51 +316,37 @@ class Simulator:
         a :class:`DeadlockError` is raised if live tasks remain when the
         queue drains (tasks blocked on events nobody will trigger).
         """
-        sched = self._sched
+        queue = self._queue
         wall_start = host_clock()
         if until is None and self.monitor is None:
-            # hot path: drain whole same-timestamp batches per dispatch
-            # loop, so the clock write, the peak sample and the loop
-            # bookkeeping are paid once per *batch* of an event flood,
-            # not once per event.  Telemetry stays in locals and is
-            # flushed once on exit.  The queue peak is sampled between
-            # batches (documented in perf_stats).
-            pop_batch = sched.pop_batch
-            end_batch = sched.end_batch
-            qlen = sched.__len__
+            # hot path: one entry per lap; the clock is written only when
+            # the timestamp changes, and each change counts as a batch.
+            # Telemetry stays in locals and is flushed once on exit.  An
+            # exception out of a callback leaves every later entry queued.
             executed = 0
             batches = 0
             peak = self.queue_peak
+            now = -1.0                       # below every entry's time
             try:
-                while True:
-                    pending = qlen()
+                while queue:
+                    pending = len(queue)
                     if pending > peak:
                         peak = pending
-                    batch = pop_batch()
-                    if batch is None:
-                        break
-                    batches += 1
-                    self._now = batch[0][0]
-                    done = 0
-                    try:
-                        # len() re-checked each lap: a zero-delay push
-                        # from inside the batch appends to it live
-                        while done < len(batch):
-                            entry = batch[done]
-                            done += 1
-                            item = entry[2]
-                            if type(item) is ScheduledCallback:
-                                if item.cancelled:
-                                    if self._cancelled > 0:
-                                        self._cancelled -= 1
-                                    continue
-                                executed += 1
-                                item.fn(*item.args)
-                            else:
-                                executed += 1
-                                item(*entry[3])
-                    finally:
-                        end_batch(batch, done)
+                    entry = heappop(queue)
+                    if entry[0] != now:  # repro-lint: allow[RPR004]
+                        now = self._now = entry[0]
+                        batches += 1
+                    item = entry[2]
+                    if type(item) is ScheduledCallback:
+                        if item.cancelled:
+                            if self._cancelled > 0:
+                                self._cancelled -= 1
+                            continue
+                        executed += 1
+                        item.fn(*item.args)
+                    else:
+                        executed += 1
+                        item(*entry[3])
             finally:
                 self.events_executed += executed
                 self.batches_executed += batches
@@ -388,10 +354,8 @@ class Simulator:
                 self.run_wall_seconds += host_clock() - wall_start
         else:
             try:
-                while True:
-                    time = sched.peek_time()
-                    if time is None:
-                        break
+                while queue:
+                    time = queue[0][0]
                     if until is not None and time > until:
                         # never backwards: an earlier run may have
                         # stopped at a later ``until``
@@ -427,16 +391,13 @@ class Simulator:
 
         ``events_executed`` counts dispatched callbacks (cancelled
         entries skipped at dispatch are not events), ``queue_peak`` is
-        the high-water pending-entry count (``heap_peak`` is kept as a
-        deprecated alias; on the batched fast path the peak is sampled
-        once per dispatch batch), ``batches_executed`` the number of
-        same-timestamp dispatch batches the fast path drained,
-        ``wall_seconds`` the host time spent inside :meth:`run`, and
-        ``events_per_sec`` their ratio.  ``scheduler`` names the active
-        event-queue structure and ``scheduler_stats`` carries its
-        structure-specific counters (bucket width, resizes, ... for the
-        calendar queue).  Wall time is the one host-dependent quantity
-        in the engine; it feeds telemetry only, never simulation.
+        the high-water pending-entry count (sampled before every pop),
+        ``batches_executed`` the number of times the unbounded run loop
+        moved the clock to a new timestamp, ``wall_seconds`` the host
+        time spent inside :meth:`run`, and ``events_per_sec`` their
+        ratio.  ``scheduler`` names the event-queue structure, always
+        ``"heap"``.  Wall time is the one host-dependent quantity in the
+        engine; it feeds telemetry only, never simulation.
         """
         wall = self.run_wall_seconds
         executed = self.events_executed
@@ -444,13 +405,11 @@ class Simulator:
         return {
             "events_executed": float(executed),
             "queue_peak": float(self.queue_peak),
-            "heap_peak": float(self.queue_peak),     # deprecated alias
             "batches_executed": float(batches),
             "events_per_batch": (executed / batches if batches else 0.0),
             "wall_seconds": wall,
             "events_per_sec": (executed / wall if wall > 0 else 0.0),
-            "scheduler": self._sched.kind,
-            "scheduler_stats": self._sched.stats(),
+            "scheduler": "heap",
         }
 
     # ------------------------------------------------------------------

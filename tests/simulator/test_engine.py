@@ -155,3 +155,25 @@ def test_no_deadlock_when_tasks_finish():
 def test_step_returns_false_when_empty():
     sim = Simulator()
     assert sim.step() is False
+
+
+def test_raising_callback_leaves_the_rest_queued():
+    sim = Simulator()
+    seen = []
+
+    def boom():
+        seen.append("boom")
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, seen.append, "a")
+    sim.schedule(1.0, boom)
+    sim.schedule(1.0, seen.append, "b")          # same timestamp, later seq
+    sim.schedule(2.0, seen.append, "d")
+    sim.schedule(1.0, seen.append, "c")
+    with pytest.raises(RuntimeError, match="callback failed"):
+        sim.run()
+    assert seen == ["a", "boom"]
+    assert sim.now == 1.0
+    assert len(sim._queue) == 3
+    assert sim.run() == 2.0
+    assert seen == ["a", "boom", "b", "c", "d"]

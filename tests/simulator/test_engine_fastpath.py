@@ -9,26 +9,16 @@ These pin the behaviours the benchmark-driven rewrites introduced:
 * with a monitor installed ``_post`` degrades to a monitored handle so
   happens-before edges survive;
 * ``record`` is a no-op without a trace and appends with one.
-
-Everything here must hold under *any* event-queue scheduler, so the
-module is parametrized over the registry.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.simulator import SCHEDULER_KINDS, Simulator, Trace
+from repro.simulator import Simulator, Trace
 from repro.simulator.engine import _COMPACT_MIN_CANCELLED, ScheduledCallback
 
 
-@pytest.fixture(params=sorted(SCHEDULER_KINDS))
-def sched_kind(request) -> str:
-    return request.param
-
-
-def test_post_and_schedule_interleave_fifo(sched_kind) -> None:
-    sim = Simulator(scheduler=sched_kind)
+def test_post_and_schedule_interleave_fifo() -> None:
+    sim = Simulator()
     seen = []
     sim.schedule(1.0, seen.append, "handle-a")
     sim._post(1.0, seen.append, "slim-b")
@@ -38,8 +28,8 @@ def test_post_and_schedule_interleave_fifo(sched_kind) -> None:
     assert seen == ["slim-first", "handle-a", "slim-b", "handle-c"]
 
 
-def test_timeout_uses_slim_entries_and_fires(sched_kind) -> None:
-    sim = Simulator(scheduler=sched_kind)
+def test_timeout_uses_slim_entries_and_fires() -> None:
+    sim = Simulator()
 
     def prog():
         value = yield sim.timeout(2.5, value="v")
@@ -49,11 +39,11 @@ def test_timeout_uses_slim_entries_and_fires(sched_kind) -> None:
     assert sim.run() == 2.5
     assert task.value == "v"
     assert not any(type(e[2]) is ScheduledCallback
-                   for e in sim._sched.entries())
+                   for e in sim._queue)
 
 
-def test_cancel_is_lazy_and_batched_compaction_kicks_in(sched_kind) -> None:
-    sim = Simulator(scheduler=sched_kind)
+def test_cancel_is_lazy_and_batched_compaction_kicks_in() -> None:
+    sim = Simulator()
     fired = []
     total = 4 * _COMPACT_MIN_CANCELLED
     handles = [sim.schedule(10.0, fired.append, i) for i in range(total)]
@@ -62,14 +52,14 @@ def test_cancel_is_lazy_and_batched_compaction_kicks_in(sched_kind) -> None:
         if handle not in live:
             handle.cancel()
     # 3/4 cancelled -> the batched pass must have compacted the queue
-    assert len(sim._sched) < total
+    assert len(sim._queue) < total
     assert sim._cancelled < _COMPACT_MIN_CANCELLED
     sim.run()
     assert fired == [i for i in range(total) if i % 4 == 0]
 
 
-def test_cancel_is_idempotent_in_the_counter(sched_kind) -> None:
-    sim = Simulator(scheduler=sched_kind)
+def test_cancel_is_idempotent_in_the_counter() -> None:
+    sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
@@ -78,8 +68,8 @@ def test_cancel_is_idempotent_in_the_counter(sched_kind) -> None:
     assert sim._cancelled == 0
 
 
-def test_run_until_sees_slim_entries(sched_kind) -> None:
-    sim = Simulator(scheduler=sched_kind)
+def test_run_until_sees_slim_entries() -> None:
+    sim = Simulator()
     seen = []
     sim._post(1.0, seen.append, "early")
     sim._post(5.0, seen.append, "late")
@@ -104,8 +94,8 @@ class _RecordingMonitor:
         pass
 
 
-def test_post_degrades_to_handles_under_a_monitor(sched_kind) -> None:
-    sim = Simulator(scheduler=sched_kind)
+def test_post_degrades_to_handles_under_a_monitor() -> None:
+    sim = Simulator()
     monitor = _RecordingMonitor()
     sim.monitor = monitor
     sim.timeout(1.0)          # goes through _post -> at()
@@ -116,7 +106,7 @@ def test_post_degrades_to_handles_under_a_monitor(sched_kind) -> None:
     assert len(monitor.steps) == 2
 
 
-def test_monitored_and_bare_runs_order_identically(sched_kind) -> None:
+def test_monitored_and_bare_runs_order_identically() -> None:
     def drive(sim):
         seen = []
 
@@ -131,8 +121,8 @@ def test_monitored_and_bare_runs_order_identically(sched_kind) -> None:
         sim.run()
         return seen
 
-    bare = drive(Simulator(scheduler=sched_kind))
-    monitored_sim = Simulator(scheduler=sched_kind)
+    bare = drive(Simulator())
+    monitored_sim = Simulator()
     monitored_sim.monitor = _RecordingMonitor()
     assert drive(monitored_sim) == bare
 

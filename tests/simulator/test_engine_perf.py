@@ -2,7 +2,7 @@
 
 from repro.observability import (format_engine_stats, peak_rss_kib,
                                  record_engine_metrics)
-from repro.simulator import SCHEDULER_KINDS, Simulator
+from repro.simulator import Simulator
 
 
 def _burst(sim, n):
@@ -19,34 +19,36 @@ def test_perf_stats_count_events_and_queue_peak():
     stats = sim.perf_stats()
     assert stats["events_executed"] == 50
     assert stats["queue_peak"] == 50      # all scheduled before running
-    assert stats["heap_peak"] == 50       # legacy alias, kept in sync
-    assert sim.heap_peak == sim.queue_peak
     assert stats["wall_seconds"] >= 0.0
     assert stats["events_per_sec"] >= 0.0
 
 
 def test_perf_stats_name_the_scheduler():
-    for kind in sorted(SCHEDULER_KINDS):
-        sim = Simulator(scheduler=kind)
-        _burst(sim, 10)
-        sim.run()
-        stats = sim.perf_stats()
-        assert stats["scheduler"] == kind
-        assert isinstance(stats["scheduler_stats"], dict)
-        assert stats["batches_executed"] >= 1
-        assert stats["events_per_batch"] >= 1.0
-
-
-def test_calendar_batches_same_time_floods():
-    sim = Simulator(scheduler="calendar")
-    hit = [0]
-    for _ in range(100):                  # one timestamp, one batch
-        sim.schedule(1e-6, lambda: hit.__setitem__(0, hit[0] + 1))
+    sim = Simulator()
+    _burst(sim, 10)
     sim.run()
     stats = sim.perf_stats()
-    assert hit[0] == 100
+    assert stats["scheduler"] == "heap"
+    assert stats["batches_executed"] == 10    # ten distinct timestamps
+    assert stats["events_per_batch"] == 1.0
+
+
+def test_same_time_floods_count_one_batch():
+    sim = Simulator()
+    hit = [0]
+
+    def bump():
+        hit[0] += 1
+        if hit[0] == 1:                   # a zero-delay post joins the batch
+            sim.schedule(0.0, bump)
+
+    for _ in range(100):                  # one timestamp, one batch
+        sim.schedule(1e-6, bump)
+    sim.run()
+    stats = sim.perf_stats()
+    assert hit[0] == 101
     assert stats["batches_executed"] == 1
-    assert stats["scheduler_stats"]["max_batch"] == 100
+    assert stats["events_per_batch"] == 101
 
 
 def test_perf_stats_accumulate_across_runs():
@@ -90,13 +92,11 @@ def test_record_engine_metrics_feeds_registry():
     snap = registry.snapshot()
     assert snap["engine.events"]["value"] == 5
     assert snap["engine.queue_peak"]["value"] == 5
-    assert snap["engine.heap_peak"]["value"] == 5    # legacy alias
     assert snap["process.peak_rss_kib"]["value"] == stats["peak_rss_kib"]
     assert stats["peak_rss_kib"] > 0
     text = format_engine_stats(stats)
     assert "5 events" in text
     assert "queue peak 5" in text
-    assert f"scheduler {stats['scheduler']}" in text
 
 
 def test_peak_rss_positive():

@@ -4,8 +4,7 @@ A timer runs its waiters inside its own queue entry, so the order of
 same-timestamp entries is the sharpest thing that could now depend on
 *how* a simulation is driven.  It must not: a bare run, a traced run, a
 run chopped into ``run(until=)`` windows and single ``step()`` calls,
-and a run under the race detector have to dispatch identically, under
-the heap and the calendar queue alike.
+and a run under the race detector have to dispatch identically.
 
 Two zoom levels:
 
@@ -28,15 +27,12 @@ from repro import config
 from repro.analysis.race import RaceDetector
 from repro.faults.determinism import fresh_id_space
 from repro.runtime import MPIRuntime
-from repro.simulator import SCHEDULER_KINDS, Semaphore, Simulator, Trace
+from repro.simulator import Semaphore, Simulator, Trace
 from repro.workloads.netpipe import pingpong
 
-_KINDS = sorted(SCHEDULER_KINDS)
-#: how a run is driven: (name, traced, sliced, monitored) ...
+#: how a run is driven: (name, traced, sliced, monitored)
 _DRIVES = [("bare", False, False, False), ("traced", True, False, False),
            ("sliced", True, True, False), ("monitored", True, False, True)]
-#: ... under each queue: (kind, name, traced, sliced, monitored)
-_MODES = [(kind,) + drive for kind in _KINDS for drive in _DRIVES]
 
 
 def _slice_runs(sim: Simulator, window: float) -> None:
@@ -83,10 +79,10 @@ _PROGRAMS = st.lists(st.lists(_OP, min_size=1, max_size=8),
                      min_size=2, max_size=5)
 
 
-def _run_toy(programs, kind: str, traced: bool, sliced: bool,
+def _run_toy(programs, traced: bool, sliced: bool,
              monitored: bool) -> Tuple[List[Any], Optional[Trace], int]:
     trace = Trace() if traced else None
-    sim = Simulator(trace=trace, scheduler=kind)
+    sim = Simulator(trace=trace)
     _attach(sim, sliced, monitored, window=1.5 * _UNIT)
     log: List[Any] = []
     sem = Semaphore(sim, 1)
@@ -136,18 +132,17 @@ def _run_toy(programs, kind: str, traced: bool, sliced: bool,
 @settings(max_examples=60, deadline=None)
 @given(programs=_PROGRAMS)
 def test_toy_programs_dispatch_identically_however_driven(programs) -> None:
-    ref_log, _, ref_events = _run_toy(programs, "heap", False, False, False)
+    ref_log, _, ref_events = _run_toy(programs, False, False, False)
     ref_trace = None
-    for kind, name, traced, sliced, monitored in _MODES:
-        log, trace, events = _run_toy(programs, kind, traced, sliced,
-                                      monitored)
-        assert log == ref_log, f"{kind}/{name} reordered a dispatch"
-        assert events == ref_events, f"{kind}/{name} dispatch count moved"
+    for name, traced, sliced, monitored in _DRIVES:
+        log, trace, events = _run_toy(programs, traced, sliced, monitored)
+        assert log == ref_log, f"{name} reordered a dispatch"
+        assert events == ref_events, f"{name} dispatch count moved"
         if trace is not None:
             if ref_trace is None:
                 ref_trace = trace
             assert ref_trace.first_divergence(trace) is None, \
-                f"{kind}/{name} trace diverges"
+                f"{name} trace diverges"
 
 
 # ----------------------------------------------------------------------
@@ -161,12 +156,12 @@ _PRESETS: dict = {
 }
 
 
-def _run_preset(make_spec: Callable, size: int, kind: str, traced: bool,
+def _run_preset(make_spec: Callable, size: int, traced: bool,
                 sliced: bool, monitored: bool):
     fresh_id_space()     # frame/pw/rdv ids are process-global counters
     trace = Trace() if traced else None
     runtime = MPIRuntime(2, make_spec(), cluster=config.xeon_pair(),
-                         trace=trace, scheduler=kind)
+                         trace=trace)
     _attach(runtime.sim, sliced, monitored, window=0.7e-6)
     result = runtime.run(pingpong(size, reps=3, warmup=1))
     return result, trace, runtime.sim.events_executed
@@ -177,13 +172,12 @@ def _run_preset(make_spec: Callable, size: int, kind: str, traced: bool,
 def test_presets_dispatch_identically_however_driven(preset: str,
                                                      size: int) -> None:
     make_spec = _PRESETS[preset]
-    ref, _, ref_events = _run_preset(make_spec, size, "heap",
-                                     False, False, False)
+    ref, _, ref_events = _run_preset(make_spec, size, False, False, False)
     ref_trace = None
-    for kind, name, traced, sliced, monitored in _MODES:
-        result, trace, events = _run_preset(make_spec, size, kind, traced,
+    for name, traced, sliced, monitored in _DRIVES:
+        result, trace, events = _run_preset(make_spec, size, traced,
                                             sliced, monitored)
-        where = f"{preset}/{size}/{kind}/{name}"
+        where = f"{preset}/{size}/{name}"
         assert result.rank_times == ref.rank_times, where
         assert result.rank_results == ref.rank_results, where
         assert events == ref_events, where

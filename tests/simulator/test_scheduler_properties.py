@@ -1,15 +1,14 @@
-"""Property tests: the calendar queue is extensionally a binary heap.
+"""Property tests: the event queue's dispatch order and lazy deletion.
 
-Hypothesis drives randomized operation sequences against the
-:class:`CalendarScheduler` and the :class:`HeapScheduler` side by side;
-any observable divergence (pop order, batch contents, lengths, survivor
-sets after a purge) is a bug in the calendar's bucket machinery.  Tiny
-initial widths are included on purpose so shrink/widen rehashes fire
-mid-sequence — the resizes must be invisible.
+Hypothesis drives randomized programs through the full
+:class:`Simulator` API:
 
-The last property goes through the full :class:`Simulator` API
-(post/cancel/repost from inside running callbacks) rather than the raw
-scheduler contract, pinning the engine-level dispatch order itself.
+* post/cancel/repost from inside running callbacks — dispatches are
+  non-decreasing in time, FIFO by posting order at equal times, every
+  callback fires at its scheduled time, and no cancelled handle fires;
+* random cancels before and during a run — exactly the live handles
+  fire, in ``(time, seq)`` order, and after every ``cancel()`` the
+  cancelled entries still queued stay within the compaction rule.
 """
 
 from __future__ import annotations
@@ -19,123 +18,10 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import Simulator
-from repro.simulator.schedulers import CalendarScheduler, HeapScheduler
+from repro.simulator import ScheduledCallback, Simulator
+from repro.simulator.engine import _COMPACT_MIN_CANCELLED
 
-#: sim times that collide hard (exact ties) and span many magnitudes
-_TIMES = st.sampled_from(
-    [0.0, 1e-9, 2e-9, 5e-9, 1e-7, 1.5e-7, 1e-6, 3e-6, 2.5e-4, 1e-2, 1.0])
-#: widths from "everything in one bucket" to "every entry alone"
-_WIDTHS = st.sampled_from([1e-9, 1e-7, 1e-3, 1.0, 100.0])
-
-#: an operation program: push(time) / pop / batch, weighted toward push
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), _TIMES),
-        st.tuples(st.just("push"), _TIMES),
-        st.tuples(st.just("pop"), st.none()),
-        st.tuples(st.just("batch"), st.none()),
-    ),
-    min_size=1, max_size=200)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops=_OPS, width=_WIDTHS)
-def test_op_sequences_match_the_heap(ops, width) -> None:
-    cal = CalendarScheduler(width=width)
-    heap = HeapScheduler()
-    seq = itertools.count()
-    out_cal, out_heap = [], []
-    for op, time in ops:
-        if op == "push":
-            entry = (time, next(seq), "h")
-            cal.push(entry)
-            heap.push(entry)
-        elif op == "pop":
-            out_cal.append(cal.pop())
-            out_heap.append(heap.pop())
-        else:
-            batch_cal = cal.pop_batch()
-            batch_heap = heap.pop_batch()
-            assert (batch_cal is None) == (batch_heap is None)
-            if batch_cal is not None:
-                assert batch_cal == batch_heap
-                cal.end_batch(batch_cal, len(batch_cal))
-                heap.end_batch(batch_heap, len(batch_heap))
-                out_cal.extend(batch_cal)
-                out_heap.extend(batch_heap)
-        assert len(cal) == len(heap)
-    assert out_cal == out_heap
-    # drain both: the leftovers agree too, in (time, seq) order
-    tail = []
-    while True:
-        a, b = cal.pop(), heap.pop()
-        assert a == b
-        if a is None:
-            break
-        tail.append(a)
-    assert tail == sorted(tail)
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops=_OPS, width=_WIDTHS,
-       drop_mod=st.integers(min_value=2, max_value=5))
-def test_lazy_deletion_survives_resizes(ops, width, drop_mod) -> None:
-    """remove_if mid-sequence drops the same survivors as the heap."""
-    cal = CalendarScheduler(width=width)
-    heap = HeapScheduler()
-    seq = itertools.count()
-    pred = lambda e: e[1] % drop_mod == 0        # noqa: E731
-    for i, (op, time) in enumerate(ops):
-        if op == "push":
-            entry = (time, next(seq), "h")
-            cal.push(entry)
-            heap.push(entry)
-        elif op == "pop":
-            assert cal.pop() == heap.pop()
-        else:                                    # purge instead of batch
-            assert cal.remove_if(pred) == heap.remove_if(pred)
-        assert len(cal) == len(heap)
-    assert sorted(cal.entries()) == sorted(heap.entries())
-    while True:
-        a, b = cal.pop(), heap.pop()
-        assert a == b
-        if a is None:
-            break
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops=_OPS, width=_WIDTHS,
-       crash_after=st.integers(min_value=0, max_value=3))
-def test_partial_end_batch_requeues_identically(ops, width,
-                                                crash_after) -> None:
-    """Abandoning a batch after N entries resumes identically."""
-    cal = CalendarScheduler(width=width)
-    heap = HeapScheduler()
-    seq = itertools.count()
-    for op, time in ops:
-        if op == "push":
-            entry = (time, next(seq), "h")
-            cal.push(entry)
-            heap.push(entry)
-        else:                                    # pop or batch: crash it
-            batch_cal = cal.pop_batch()
-            batch_heap = heap.pop_batch()
-            assert batch_cal == batch_heap
-            if batch_cal is None:
-                continue
-            done = min(crash_after, len(batch_cal))
-            cal.end_batch(batch_cal, done)
-            heap.end_batch(batch_heap, done)
-        assert len(cal) == len(heap)
-    while True:
-        a, b = cal.pop(), heap.pop()
-        assert a == b
-        if a is None:
-            break
-
-
-#: per-callback actions for the engine-level property
+#: per-callback actions for the post/cancel/repost program
 _ACTIONS = st.lists(
     st.tuples(
         st.sampled_from(["spawn", "cancelchild", "repost"]),
@@ -145,33 +31,104 @@ _ACTIONS = st.lists(
     min_size=1, max_size=40)
 
 
-def _drive(scheduler, actions):
-    """One deterministic run: callbacks post/cancel/repost more work."""
-    sim = Simulator(scheduler=scheduler)
-    order = []
-    handles = []
+def _drive(actions):
+    """One run where callbacks post, cancel and repost more work.
 
-    def fire(tag, depth, todo):
-        order.append((sim.now, tag))
+    Returns the dispatch log ``[(time, post index)]``, the scheduled
+    time of every post, and the post indices cancelled.
+    """
+    sim = Simulator()
+    fired = []
+    due = {}
+    cancelled = set()
+    handles = []
+    posts = itertools.count()
+
+    def post(delay, fn, *args):
+        idx = next(posts)
+        due[idx] = sim.now + delay
+        handles.append((idx, sim.schedule(delay, fn, idx, *args)))
+
+    def note(idx):
+        assert idx not in cancelled, f"cancelled post {idx} fired"
+        assert sim.now == due[idx]
+        fired.append((sim.now, idx))
+
+    def fire(idx, depth, todo):
+        note(idx)
         if depth >= 2:
             return
-        for i, (what, delay, arg) in enumerate(todo):
+        for what, delay, arg in todo:
             if what == "spawn":
-                handles.append(sim.schedule(
-                    delay, fire, f"{tag}.{i}", depth + 1, todo[arg:]))
+                post(delay, fire, depth + 1, todo[arg:])
             elif what == "cancelchild":
-                if handles:
-                    handles[arg % len(handles)].cancel()
+                victim, handle = handles[arg % len(handles)]
+                handle.cancel()
+                cancelled.add(victim)
             else:                                # repost at the same time
-                sim.schedule(0.0, order.append, (sim.now, f"{tag}.r{i}"))
+                post(0.0, note)
 
-    for i, (_, delay, _) in enumerate(actions):
-        sim.schedule(delay, fire, f"root{i}", 0, actions)
+    for _, delay, _ in actions:
+        post(delay, fire, 0, actions)
     sim.run()
-    return order
+    assert not sim._queue
+    return fired, due, cancelled
 
 
 @settings(max_examples=25, deadline=None)
 @given(actions=_ACTIONS)
-def test_engine_dispatch_order_is_scheduler_invariant(actions) -> None:
-    assert _drive("calendar", actions) == _drive("heap", actions)
+def test_dispatch_order_is_time_then_posting_order(actions) -> None:
+    fired, due, cancelled = _drive(actions)
+    # strictly increasing (time, post index): time never goes backwards
+    # and equal times dispatch in posting (seq) order
+    assert all(a < b for a, b in zip(fired, fired[1:]))
+    # every post fired exactly once unless cancelled before its turn
+    fired_ids = [idx for _, idx in fired]
+    assert len(fired_ids) == len(set(fired_ids))
+    assert set(fired_ids) | cancelled == set(due)
+
+
+#: handle times: exact ties plus several magnitudes (all after t=0)
+_TIMES = [1e-9, 2e-9, 5e-9, 1e-6, 2.5e-4, 1.0]
+
+
+def _queued_cancelled(sim: Simulator) -> int:
+    return sum(1 for entry in sim._queue
+               if type(entry[2]) is ScheduledCallback and entry[2].cancelled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=400),
+       doomed_share=st.floats(min_value=0.0, max_value=1.0),
+       early_share=st.floats(min_value=0.0, max_value=1.0),
+       rng=st.randoms(use_true_random=False))
+def test_lazy_deletion_fires_exactly_the_live_handles(
+        n, doomed_share, early_share, rng) -> None:
+    """Enough handles and cancels that compaction fires, before the run
+    and from inside the run loop."""
+    sim = Simulator()
+    fired = []
+    times = [rng.choice(_TIMES) for _ in range(n)]
+    handles = [sim.schedule(t, fired.append, i) for i, t in enumerate(times)]
+    doomed = rng.sample(range(n), int(n * doomed_share))
+    early = int(len(doomed) * early_share)
+
+    def cancel(i):
+        handles[i].cancel()
+        stale = _queued_cancelled(sim)
+        live = len(sim._queue) - stale
+        assert stale <= max(_COMPACT_MIN_CANCELLED - 1, live)
+
+    for i in doomed[:early]:                     # before the run
+        cancel(i)
+
+    def cancel_rest():                           # inside the run loop
+        for i in doomed[early:]:
+            cancel(i)
+
+    sim.schedule(0.0, cancel_rest)
+    sim.run()
+    live = sorted(set(range(len(times))) - set(doomed),
+                  key=lambda i: (times[i], i))
+    assert fired == live
+    assert not sim._queue

@@ -94,18 +94,3 @@ def test_history_appends_regression_names(guard, tmp_path):
                        "--history", str(history)]) == 1
     (entry,) = [json.loads(line) for line in history.read_text().splitlines()]
     assert entry["regressions"] == ["b::t_a"]
-
-def test_history_per_scheduler_head_to_head(guard, tmp_path, capsys):
-    base = _bench_json(tmp_path / "base.json",
-                       {"b::t_q[heap]": 0.010, "b::t_q[calendar]": 0.010})
-    cur = _bench_json(tmp_path / "cur.json",
-                      {"b::t_q[heap]": 0.010, "b::t_q[calendar]": 0.009})
-    history = tmp_path / "hist.jsonl"
-    assert guard.main([cur, "--baseline", base,
-                       "--history", str(history)]) == 0
-    (entry,) = [json.loads(line) for line in history.read_text().splitlines()]
-    assert entry["per_scheduler"] == {"heap": {"b::t_q": 0.010},
-                                      "calendar": {"b::t_q": 0.009}}
-    out = capsys.readouterr().out
-    assert "head-to-head" in out
-    assert "1.11x vs heap" in out
