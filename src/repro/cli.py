@@ -12,8 +12,8 @@ Commands
 ``profile``       sim-time span profiler: run a workload under the
                   SpanProfiler and emit a top-N table, a folded-stack
                   flame graph and an enriched Perfetto trace
-``perf``          render the perf-telemetry trajectory: benchmark
-                  history + campaign run telemetry across runs
+``perf``          render the campaign run-telemetry trajectory
+                  (points, cache hits, wall time) across runs
 ``faults``        chaos run: a streaming workload under a named fault
                   plan, with goodput-degradation and recovery report
 ``lint``          determinism lint: AST rules RPR001.. over the package
@@ -71,6 +71,13 @@ def _parse_size(text: str) -> int:
     elif text.endswith("M"):
         mult, text = 1 << 20, text[:-1]
     return int(text) * mult
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _stack(name: str):
@@ -318,75 +325,32 @@ def cmd_perf(args) -> int:
     import json
     import os
 
-    def read_jsonl(path):
-        rows = []
-        if not os.path.exists(path):
-            return rows
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    try:
-                        rows.append(json.loads(line))
-                    except ValueError:
-                        continue   # tolerate a torn tail line
-        return rows
-
-    bench_runs = read_jsonl(args.history)
     telemetry_path = os.path.join(args.cache_dir, "telemetry.jsonl")
-    campaign_runs = read_jsonl(telemetry_path)
-    if not bench_runs and not campaign_runs:
-        print(f"no perf telemetry found ({args.history} and "
-              f"{telemetry_path} are both absent or empty);\n"
-              "run benchmarks/check_simulator_regression.py or a cached "
-              "`repro campaign` first")
+    campaign_runs = []
+    if os.path.exists(telemetry_path):
+        with open(telemetry_path) as fh:
+            for line in fh:
+                try:
+                    campaign_runs.append(json.loads(line))
+                except ValueError:
+                    continue   # a blank or torn tail line
+    if not campaign_runs:
+        print(f"no perf telemetry found ({telemetry_path} is absent or "
+              "empty); run a cached `repro campaign` first")
         return 1
 
-    if bench_runs:
-        runs = bench_runs[-args.last:]
-        print(f"== benchmark guard history ({len(runs)} of "
-              f"{len(bench_runs)} run(s), {args.history}) ==")
-        print(f"{'run':>4} {'benches':>8} {'worst_ratio':>12} "
-              f"{'best_ratio':>11} {'reg':>4} {'imp':>4} {'new':>4}")
-        for i, run in enumerate(runs, len(bench_runs) - len(runs) + 1):
-            ratios = [row.get("ratio") for row in
-                      run.get("benches", {}).values()
-                      if row.get("ratio") is not None]
-            worst = f"{min(ratios):.3f}" if ratios else "n/a"
-            best = f"{max(ratios):.3f}" if ratios else "n/a"
-            print(f"{i:>4} {len(run.get('benches', {})):>8} {worst:>12} "
-                  f"{best:>11} {len(run.get('regressions', [])):>4} "
-                  f"{len(run.get('improvements', [])):>4} "
-                  f"{len(run.get('new', [])):>4}")
-        latest = runs[-1].get("benches", {})
-        if latest:
-            print()
-            print("latest per-benchmark ratios (vs baseline, >1 = faster):")
-            for name in sorted(latest):
-                row = latest[name]
-                ratio = row.get("ratio")
-                mark = "  new" if ratio is None else f"{ratio:5.3f}"
-                mean = row.get("mean")
-                mean_text = f"{mean * 1e3:8.3f} ms" if mean is not None \
-                    else "  missing"
-                print(f"  {name.split('::')[-1]:<40} "
-                      f"mean {mean_text}  {mark}")
-
-    if campaign_runs:
-        if bench_runs:
-            print()
-        runs = campaign_runs[-args.last:]
-        print(f"== campaign telemetry ({len(runs)} of {len(campaign_runs)} "
-              f"run(s), {telemetry_path}) ==")
-        print(f"{'run':>4} {'points':>7} {'hits':>6} {'misses':>7} "
-              f"{'wall_s':>8} {'executed_s':>11} {'workers':>8}")
-        for i, run in enumerate(runs, len(campaign_runs) - len(runs) + 1):
-            print(f"{i:>4} {run.get('points', 0):>7} "
-                  f"{run.get('cache_hits', 0):>6} "
-                  f"{run.get('cache_misses', 0):>7} "
-                  f"{run.get('wall_seconds', 0.0):>8.2f} "
-                  f"{run.get('executed_seconds', 0.0):>11.2f} "
-                  f"{run.get('workers', 1):>8}")
+    runs = campaign_runs[-args.last:]
+    print(f"== campaign telemetry ({len(runs)} of {len(campaign_runs)} "
+          f"run(s), {telemetry_path}) ==")
+    print(f"{'run':>4} {'points':>7} {'hits':>6} {'misses':>7} "
+          f"{'wall_s':>8} {'executed_s':>11} {'workers':>8}")
+    for i, run in enumerate(runs, len(campaign_runs) - len(runs) + 1):
+        print(f"{i:>4} {run.get('points', 0):>7} "
+              f"{run.get('cache_hits', 0):>6} "
+              f"{run.get('cache_misses', 0):>7} "
+              f"{run.get('wall_seconds', 0.0):>8.2f} "
+              f"{run.get('executed_seconds', 0.0):>11.2f} "
+              f"{run.get('workers', 1):>8}")
     return 0
 
 
@@ -754,15 +718,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sink_options(p)
     p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("perf", help="render perf-telemetry trajectories: "
-                                    "benchmark history + campaign runs")
-    p.add_argument("--history", default="benchmarks/bench_history.jsonl",
-                   help="benchmark guard history JSONL")
+    p = sub.add_parser("perf", help="render the campaign run-telemetry "
+                                    "trajectory")
     p.add_argument("--cache-dir", default=".repro-cache",
                    help="campaign cache dir (telemetry.jsonl lives beside "
                         "the store)")
-    p.add_argument("--last", type=int, default=10,
-                   help="show at most the last N runs of each trajectory")
+    p.add_argument("--last", type=_positive_int, default=10,
+                   help="show at most the last N (>= 1) campaign runs")
     p.set_defaults(fn=cmd_perf)
 
     p = sub.add_parser("faults", help="chaos run under a named fault plan")

@@ -29,15 +29,26 @@ def test_fig4_fast_shape():
             < lat["MPICH2:Nem:Nmad:IB"][i]
             < lat["MPICH2:Nem:Nmad:IB w/AS"][i])
     assert len(data["bandwidth"]) == 3
+    # the ANY_SOURCE gap stays constant as the size grows
+    gaps = [a - b for a, b in zip(lat["MPICH2:Nem:Nmad:IB w/AS"],
+                                  lat["MPICH2:Nem:Nmad:IB"])]
+    assert gaps[-1] == pytest.approx(gaps[0], rel=0.2)
 
 
 def test_fig5_fast_shape():
     data = fig5_multirail.run(fast=True)
     multi = data["latency"]["MPICH2:Nmad:Multi-MX-IB"]
     ib = data["latency"]["MPICH2:Nmad:IB"]
-    assert multi[0] == pytest.approx(ib[0], rel=0.01)
-    bw = data["bandwidth"]
-    assert bw["MPICH2:Nmad:Multi-MX-IB"][-1] > bw["MPICH2:Nmad:IB"][-1]
+    mx = data["latency"]["MPICH2:Nmad:MX"]
+    for i in range(len(data["lat_sizes"])):
+        # small messages ride the fastest rail
+        assert multi[i] == pytest.approx(ib[i], rel=0.01)
+        assert multi[i] < mx[i]
+    bw = {name: curve[-1] for name, curve in data["bandwidth"].items()}
+    assert bw["MPICH2:Nmad:Multi-MX-IB"] > bw["MPICH2:Nmad:IB"] \
+        > bw["MPICH2:Nmad:MX"]
+    assert bw["MPICH2:Nmad:Multi-MX-IB"] \
+        > 0.85 * (bw["MPICH2:Nmad:IB"] + bw["MPICH2:Nmad:MX"])
 
 
 def test_fig6_fast_shape():
@@ -47,6 +58,12 @@ def test_fig6_fast_shape():
         < shm["MPICH2:Nemesis:PIOMan"][0]
     mx = data["mx"]
     assert mx["MPICH2:Nem:Nmad:PIOM:MX"][0] > mx["MPICH2:Nem:Nmad:MX"][0]
+    # PIOMan's overhead is constant in size on both paths
+    for curves, with_pioman, without, spread in (
+            (shm, "MPICH2:Nemesis:PIOMan", "MPICH2:Nemesis", 0.1e-6),
+            (mx, "MPICH2:Nem:Nmad:PIOM:MX", "MPICH2:Nem:Nmad:MX", 0.2e-6)):
+        gaps = [a - b for a, b in zip(curves[with_pioman], curves[without])]
+        assert max(gaps) - min(gaps) < spread
 
 
 def test_fig7_fast_shape():
@@ -67,7 +84,19 @@ def test_fig8_fast_shape():
         ompi = tables[p]["Open_MPI"]
         for i, kernel in enumerate(data["kernels"]):
             assert nmad[i] is not None and nmad[i] > 0
-            assert ompi[i] > nmad[i]
+            assert ompi[i] > nmad[i] * 1.02
+            # on par with the network-tailored MVAPICH2
+            assert nmad[i] == pytest.approx(tables[p]["MVAPICH2"][i],
+                                            rel=0.05)
+    for i, kernel in enumerate(data["kernels"]):
+        assert (tables[16]["MPICH2-NMad_NO_PIOMan"][i]
+                < tables[8]["MPICH2-NMad_NO_PIOMan"][i])
+    # PIOMan costs under 3 % where it runs
+    for kernel in ("cg", "ft", "sp"):
+        i = data["kernels"].index(kernel)
+        base = tables[16]["MPICH2-NMad_NO_PIOMan"][i]
+        assert tables[16]["MPICH2-NMad_with_PIOMan"][i] \
+            == pytest.approx(base, rel=0.03)
     # PIOMan unavailable for MG/LU, as in the paper
     piom = tables[8]["MPICH2-NMad_with_PIOMan"]
     mg_i = data["kernels"].index("mg")

@@ -5,6 +5,7 @@ import pytest
 from repro import config
 from repro.mpi import ANY_TAG
 from repro.simulator import Trace
+from repro.workloads.netpipe import run_netpipe
 
 from tests.mpich2.conftest import run2, run_intra
 
@@ -70,6 +71,22 @@ def test_netmod_extra_copies_slow_medium_messages():
         return run2(exchange(16 << 10), spec=spec).elapsed
 
     assert timed(config.mpich2_nmad_netmod()) > timed(config.mpich2_nmad())
+
+
+def test_bypass_wins_at_every_size():
+    """Section 3.1: no cell copies for eager, no nested handshake for
+    rendezvous — the direct path wins from 4 B to 16 MiB."""
+    sizes = [4, 4 << 10, 64 << 10, 1 << 20, 16 << 20]
+    direct, netmod = (
+        run_netpipe(spec, config.xeon_pair(), sizes, reps=4).latencies
+        for spec in (config.mpich2_nmad(), config.mpich2_nmad_netmod()))
+    assert all(d < n for d, n in zip(direct, netmod))
+    # the nested handshake costs an extra round trip at 1 MiB
+    i = sizes.index(1 << 20)
+    assert netmod[i] - direct[i] > 3e-6
+    # the cell copies hurt medium eager messages proportionally more
+    i = sizes.index(4 << 10)
+    assert netmod[i] / direct[i] > 1.3
 
 
 def test_bidirectional_exchange(ch3_spec):

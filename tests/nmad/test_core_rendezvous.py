@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import config
 from repro.nmad import NmadCosts
 from repro.simulator import Trace
+from repro.workloads.netpipe import run_netpipe
 
 from tests.nmad.conftest import NmadWorld
 from tests.nmad.test_core_eager import run_transfer
@@ -136,3 +138,23 @@ def test_rendezvous_faster_than_eager_above_crossover(world):
     _, _, t_eager = run_transfer(w_eager, 256 * 1024)
     _, _, t_rdv = run_transfer(w_rdv, 256 * 1024)
     assert t_rdv < t_eager
+
+
+def test_default_threshold_is_optimal_or_tied():
+    """Full-stack sweep: forced rendezvous (1 KiB), the 16 KiB default
+    and forced eager (256 KiB), probed at 4, 16 and 64 KiB."""
+    def latency(threshold, size):
+        costs = NmadCosts(eager_threshold=threshold,
+                          max_pw_size=max(32 << 10, threshold))
+        spec = config.mpich2_nmad().with_(nmad_costs=costs)
+        return run_netpipe(spec, config.xeon_pair(), [size],
+                           reps=4).latencies[0]
+
+    thresholds = [1 << 10, 16 << 10, 256 << 10]
+    sizes = [4 << 10, 16 << 10, 64 << 10]
+    lat = {(t, s): latency(t, s) for t in thresholds for s in sizes}
+    assert lat[(16 << 10, 4 << 10)] < lat[(1 << 10, 4 << 10)]
+    assert lat[(16 << 10, 64 << 10)] < lat[(256 << 10, 64 << 10)]
+    for s in sizes:
+        assert lat[(16 << 10, s)] <= 1.02 * min(lat[(t, s)]
+                                                for t in thresholds)

@@ -7,7 +7,8 @@ import pytest
 from repro import config
 from repro.hardware import presets as hw
 from repro.hardware.netgraph import BackgroundTraffic, ring
-from repro.nmad.strategies import SplitContentionStrategy, make_strategy
+from repro.nmad.strategies import (NetworkSampler, SplitContentionStrategy,
+                                   make_strategy)
 from repro.runtime.builder import MPIRuntime
 from repro.simulator import Trace
 
@@ -74,9 +75,34 @@ def test_static_split_ignores_contention():
     assert shares[-1] == pytest.approx(shares[0])
 
 
-def test_sampler_split_contended_shifts_with_delay():
-    from repro.nmad.strategies import NetworkSampler
+def test_adaptive_split_beats_fifty_fifty():
+    """On asymmetric rails (IB 1.5 vs MX 1.2 GB/s) an even split ends
+    when the slower rail does; the sampled ratio balances them."""
+    class EvenSampler(NetworkSampler):
+        def sampled_bandwidth(self, driver):
+            return 1.0
 
+    def one_way(sampler=None):
+        runtime = MPIRuntime(2, config.mpich2_nmad(rails=("ib", "mx")),
+                             cluster=config.xeon_pair())
+        if sampler is not None:
+            for stack in runtime.stacks:
+                stack.core.sampler = sampler
+
+        def program(comm):
+            start = comm.sim.now
+            if comm.rank == 0:
+                yield from comm.send(1, tag=0, size=32 << 20)
+            else:
+                yield from comm.recv(src=0, tag=0)
+            return comm.sim.now - start
+        return runtime.run(program).result(1)
+
+    # about the serialization imbalance: 50 % on the slow rail, not 44 %
+    assert one_way(EvenSampler()) / one_way() > 1.02
+
+
+def test_sampler_split_contended_shifts_with_delay():
     class FakeNIC:
         def __init__(self, params):
             self.params = params

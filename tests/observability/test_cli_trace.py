@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.observability import LAYERS
 
@@ -111,32 +113,33 @@ def test_cli_profile_collbench_ring(tmp_path, capsys):
 
 
 def test_cli_profile_rejects_bad_args(tmp_path):
-    import pytest
-
     with pytest.raises(SystemExit):
         main(["profile", "mpich2_nmad", "collbench", "--coll", "nosuch"])
     with pytest.raises(SystemExit):
         main(["profile", "nosuchstack", "pingpong"])
 
 
-def test_cli_perf_renders_history(tmp_path, capsys, monkeypatch):
-    history = tmp_path / "hist.jsonl"
-    entry = {"datetime": "2026-01-01T00:00:00", "threshold": 0.15,
-             "benches": {"bench.py::test_a": {"mean": 0.01,
-                                              "base_mean": 0.012,
-                                              "ratio": 1.2}},
-             "regressions": [], "improvements": ["bench.py::test_a"],
-             "new": []}
-    history.write_text(json.dumps(entry) + "\n")
-    assert main(["perf", "--history", str(history),
-                 "--cache-dir", str(tmp_path / "nocache")]) == 0
+def test_cli_perf_renders_campaign_telemetry(tmp_path, capsys):
+    rows = [{"points": 276, "cache_hits": 0, "cache_misses": 276,
+             "wall_seconds": 61.5, "executed_seconds": 118.25, "workers": 2},
+            {"points": 276, "cache_hits": 276, "cache_misses": 0,
+             "wall_seconds": 0.75, "executed_seconds": 0.0, "workers": 2}]
+    (tmp_path / "telemetry.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in rows) + "{torn")
+    assert main(["perf", "--cache-dir", str(tmp_path), "--last", "1"]) == 0
     text = capsys.readouterr().out
-    assert "benchmark guard history" in text
-    assert "test_a" in text
-    assert "1.200" in text
+    assert "campaign telemetry (1 of 2 run(s)" in text
+    (last,) = [line.split() for line in text.splitlines()
+               if line.lstrip().startswith("2 ")]
+    assert last == ["2", "276", "276", "0", "0.75", "0.00", "2"]
+
+
+def test_cli_perf_rejects_last_below_one(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["perf", "--cache-dir", str(tmp_path), "--last", "0"])
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_perf_no_data_fails(tmp_path, capsys):
-    assert main(["perf", "--history", str(tmp_path / "none.jsonl"),
-                 "--cache-dir", str(tmp_path / "nocache")]) == 1
+    assert main(["perf", "--cache-dir", str(tmp_path / "nocache")]) == 1
     assert "no perf telemetry" in capsys.readouterr().out

@@ -83,7 +83,7 @@ def test_named_paths_and_modules_exist(doc: str) -> None:
 
 def test_the_scan_sees_paths_and_modules() -> None:
     spans = _spans("DESIGN.md")
-    assert "tests/integration/test_dispatch_budget.py" in \
+    assert "tests/integration/test_work_budget.py" in \
         [p for span in spans for p in _repo_paths(span)]
     assert "repro.simulator" in \
         [m for span in spans for m in _MODULE.findall(span)]

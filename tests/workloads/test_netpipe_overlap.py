@@ -50,37 +50,64 @@ def test_overlap_reference_tracks_message_size():
     assert res.at(256 << 10) > res.at(16 << 10)
 
 
+RDV_SIZES = [16 << 10, 64 << 10, 256 << 10, 1 << 20]
+
+
+def _overlap(spec, sizes, compute, reps=2):
+    """(reference, loaded): the same stack without and with compute."""
+    return tuple(run_overlap(spec, config.xeon_pair(), sizes=sizes,
+                             compute=c, reps=reps) for c in (0.0, compute))
+
+
 def test_overlap_non_pioman_is_additive():
     compute = 400e-6
-    ref = run_overlap(config.mpich2_nmad(), config.xeon_pair(),
-                      sizes=[256 << 10], compute=0.0, reps=2)
-    res = run_overlap(config.mpich2_nmad(), config.xeon_pair(),
-                      sizes=[256 << 10], compute=compute, reps=2)
-    expected = ref.at(256 << 10) + compute
-    assert res.at(256 << 10) == pytest.approx(expected, rel=0.05)
+    ref, res = _overlap(config.mpich2_nmad(), RDV_SIZES, compute)
+    for size in RDV_SIZES:
+        expected = ref.at(size) + compute
+        assert res.at(size) == pytest.approx(expected, rel=0.05)
 
 
 def test_overlap_pioman_approaches_max():
     compute = 400e-6
-    size = 256 << 10
     # reference engine pinned: this documents the 2009 threaded design
     spec = config.mpich2_nmad_pioman(progress="pioman")
-    ref = run_overlap(spec, config.xeon_pair(),
-                      sizes=[size], compute=0.0, reps=2)
-    res = run_overlap(spec, config.xeon_pair(),
-                      sizes=[size], compute=compute, reps=2)
-    ideal = max(ref.at(size), compute)
-    assert res.at(size) < ideal * 1.10
+    ref, res = _overlap(spec, RDV_SIZES, compute)
+    for size in RDV_SIZES:
+        ideal = max(ref.at(size), compute)
+        assert res.at(size) < ideal * 1.10
     # and decisively better than the non-overlapping sum
+    size = 256 << 10
     assert res.at(size) < ref.at(size) + compute * 0.75
+    nmad = run_overlap(config.mpich2_nmad(), config.xeon_pair(),
+                       sizes=[size], compute=compute, reps=2)
+    assert nmad.at(size) > 1.4 * res.at(size)
 
 
 def test_overlap_comparators_do_not_overlap():
     compute = 400e-6
-    size = 256 << 10
     for spec in (config.mvapich2(), config.openmpi_ib()):
-        ref = run_overlap(spec, config.xeon_pair(), sizes=[size],
-                          compute=0.0, reps=2)
-        res = run_overlap(spec, config.xeon_pair(), sizes=[size],
-                          compute=compute, reps=2)
-        assert res.at(size) > ref.at(size) + compute * 0.9
+        ref, res = _overlap(spec, RDV_SIZES, compute)
+        for size in RDV_SIZES:
+            assert res.at(size) > ref.at(size) + compute * 0.85
+        assert res.at(256 << 10) > ref.at(256 << 10) + compute * 0.9
+
+
+def test_eager_overlap_needs_pioman():
+    """Fig. 7(a): 20 us of compute hides behind an eager send over MX
+    only when PIOMan progresses it in the background."""
+    compute, sizes = 20e-6, [4 << 10, 16 << 10]
+    mx = ("mx",)
+    loaded = {}
+    for name, spec in (
+            ("nmad", config.mpich2_nmad(rails=mx)),
+            ("pml", config.openmpi_pml_mx()),
+            ("btl", config.openmpi_btl_mx())):
+        ref, loaded[name] = _overlap(spec, sizes, compute, reps=3)
+        for size in sizes:
+            assert loaded[name].at(size) > ref.at(size) + 0.75 * compute
+    ref, pioman = _overlap(
+        config.mpich2_nmad_pioman(rails=mx, progress="pioman"), sizes,
+        compute, reps=3)
+    size = 16 << 10
+    assert pioman.at(size) < ref.at(size) + 0.5 * compute
+    assert pioman.at(size) < loaded["nmad"].at(size)
