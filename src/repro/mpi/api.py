@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.mpi import collectives as _coll
 from repro.mpi.datatypes import CONTIGUOUS, Datatype
@@ -36,23 +36,19 @@ class Communicator:
         self.group = list(group) if group is not None else list(
             range(runtime.nprocs))
         self.context = context
-        self.rank = self.group.index(rank)
+        #: world rank -> communicator-local rank
+        self._rank_of = {world: local for local, world in enumerate(self.group)}
+        self.rank = self._rank_of[rank]
         self.size = len(self.group)
         self.stack = runtime.stacks[rank]
         self.scheduler = runtime.scheduler_of(rank)
         self.sim = runtime.sim
         self._coll_seq = 0
         self._split_seq = 0
-        # self-message matching (sends to one's own rank)
+        # self-message matching (sends to one's own rank): messages not
+        # yet received, and receives not yet matched, both oldest first
         self._self_pending: List[Tuple[Any, int, Any]] = []
-        self._self_waiting: Dict[Any, List[MPIRequest]] = {}
-
-    def _world(self, rank: int) -> int:
-        """Translate a communicator-local rank to a world rank."""
-        return self.group[rank]
-
-    def _local(self, world_rank: int) -> int:
-        return self.group.index(world_rank)
+        self._self_waiting: List[MPIRequest] = []
 
     def _wrap_tag(self, tag: Any):
         """Isolate this communicator's traffic from every other's."""
@@ -66,14 +62,18 @@ class Communicator:
     def isend(self, dst: int, tag: Any = 0, size: int = 0, data: Any = None,
               datatype: Datatype = CONTIGUOUS, sync: bool = False):
         """Nonblocking send; returns an :class:`MPIRequest`."""
-        self._check_rank(dst)
+        if not 0 <= dst < self.size:
+            raise ValueError(f"rank {dst} out of range for size {self.size}")
         if dst == self.rank:
             return self._self_send(tag, size, data)
-        pack = datatype.pack_cost(self.stack.node.mem, size)
-        if pack:
-            yield self.sim.timeout(pack)
-        req = yield from self.stack.isend(self._world(dst), self._wrap_tag(tag),
-                                          size, data, sync=sync)
+        if not datatype.contiguous:
+            pack = datatype.pack_cost(self.stack.node.mem, size)
+            if pack:
+                yield self.sim.timeout(pack)
+        req = yield from self.stack.isend(
+            self.group[dst],
+            ContextAnyTag(self.context) if tag is ANY_TAG else (self.context, tag),
+            size, data, sync=sync)
         return req
 
     def issend(self, dst: int, tag: Any = 0, size: int = 0, data: Any = None,
@@ -91,60 +91,63 @@ class Communicator:
 
     def irecv(self, src: Any = ANY_SOURCE, tag: Any = 0,
               datatype: Datatype = CONTIGUOUS):
-        """Nonblocking receive; returns an :class:`MPIRequest`."""
-        if src is not ANY_SOURCE:
-            self._check_rank(src)
+        """Nonblocking receive; returns an :class:`MPIRequest`.
+
+        An ``ANY_SOURCE`` receive matches a message this rank sends to
+        itself only if the send came first."""
+        if src is ANY_SOURCE:
+            req = self._self_recv(tag, wildcard=True) if self._self_pending else None
+            if req is not None:
+                return req
+        else:
+            if not 0 <= src < self.size:
+                raise ValueError(f"rank {src} out of range for size {self.size}")
             if src == self.rank:
                 return self._self_recv(tag)
-            src = self._world(src)
-        req = yield from self.stack.irecv(src, self._wrap_tag(tag))
+            src = self.group[src]
+        req = yield from self.stack.irecv(
+            src,
+            ContextAnyTag(self.context) if tag is ANY_TAG else (self.context, tag))
         req.datatype = datatype
         return req
 
-    def _op_begin(self, op: str, **extra):
-        """Open an ``mpich2.op`` span (span-profiler food); returns the
-        start time, or None when tracing is off."""
+    def _op_begin(self, op: str, **extra) -> float:
+        """Open an ``mpich2.op`` span (span-profiler food; tracing on
+        only); returns the start time."""
         sim = self.sim
-        if not sim.tracing:
-            return None
         sim.record("mpich2.op.begin", op=op, rank=self._world_rank, **extra)
         return sim.now
 
-    def _op_end(self, op: str, started) -> None:
-        if started is not None:
-            self.sim.record("mpich2.op.end", op=op, rank=self._world_rank,
-                            dur=self.sim.now - started)
+    def _op_end(self, op: str, started: float) -> None:
+        self.sim.record("mpich2.op.end", op=op, rank=self._world_rank,
+                        dur=self.sim.now - started)
 
     def wait(self, req):
         """Block until ``req`` completes; returns a :class:`Message`.
 
         Accepts plain requests and active persistent handles.
         """
-        started = self._op_begin("wait")
-        msg = yield from self._wait_impl(req)
-        self._op_end("wait", started)
-        return msg
-
-    def _wait_impl(self, req):
+        started = self._op_begin("wait") if self.sim.tracing else None
         if isinstance(req, PersistentRequest):
             msg = yield from req.wait()
-            return msg
-        yield from self.stack.wait(req)
-        if req.kind == "recv" and req.datatype is not None:
-            # unpack into the strided user layout (size known post-match)
-            unpack = req.datatype.pack_cost(self.stack.node.mem, req.size)
-            if unpack:
-                yield self.sim.timeout(unpack)
-        source = (req.status_source if req.status_source is not None
-                  else (req.peer if req.kind == "recv" else
-                        self._world(self.rank)))
-        if isinstance(source, int) and source in self.group:
-            source = self._local(source)
-        tag = req.status_tag if req.status_tag is not None else req.tag
-        if (isinstance(tag, tuple) and len(tag) == 2
-                and tag[0] == self.context):
-            tag = tag[1]
-        return Message(source=source, tag=tag, size=req.size, data=req.data)
+        else:
+            yield from self.stack.wait(req)
+            if req.datatype is not None and not req.datatype.contiguous:
+                # unpack into the strided user layout (size known post-match)
+                unpack = req.datatype.pack_cost(self.stack.node.mem, req.size)
+                if unpack:
+                    yield self.sim.timeout(unpack)
+            source = req.status_source
+            if source is None:
+                source = req.peer if req.kind == "recv" else self._world_rank
+            tag = req.status_tag if req.status_tag is not None else req.tag
+            if (type(tag) is tuple and len(tag) == 2
+                    and tag[0] == self.context):
+                tag = tag[1]
+            msg = Message(self._rank_of.get(source, source), tag, req.size, req.data)
+        if started is not None:
+            self._op_end("wait", started)
+        return msg
 
     def waitall(self, reqs):
         """Wait on every request; returns the list of messages."""
@@ -155,8 +158,12 @@ class Communicator:
         return out
 
     def waitany(self, reqs):
-        """Block until one request completes; returns (index, Message)."""
-        index = yield from self.stack.waitany(list(reqs))
+        """Block until one request (or active persistent handle)
+        completes; returns (index, Message)."""
+        reqs = list(reqs)
+        index = yield from self.stack.waitany(
+            [r._current() if isinstance(r, PersistentRequest) else r
+             for r in reqs])
         msg = yield from self.wait(reqs[index])
         return index, msg
 
@@ -167,32 +174,36 @@ class Communicator:
     def send(self, dst: int, tag: Any = 0, size: int = 0, data: Any = None,
              datatype: Datatype = CONTIGUOUS):
         """Blocking send (complete when the buffer is reusable)."""
-        started = self._op_begin("send", peer=dst, size=size)
+        started = (self._op_begin("send", peer=dst, size=size)
+                   if self.sim.tracing else None)
         req = yield from self.isend(dst, tag, size, data, datatype)
         yield from self.wait(req)
-        self._op_end("send", started)
+        if started is not None:
+            self._op_end("send", started)
 
     def recv(self, src: Any = ANY_SOURCE, tag: Any = 0,
              datatype: Datatype = CONTIGUOUS):
         """Blocking receive; returns the :class:`Message`."""
-        started = self._op_begin(
-            "recv", peer="ANY" if src is ANY_SOURCE else src)
+        started = (self._op_begin("recv",
+                                  peer="ANY" if src is ANY_SOURCE else src)
+                   if self.sim.tracing else None)
         req = yield from self.irecv(src, tag, datatype)
         msg = yield from self.wait(req)
-        self._op_end("recv", started)
+        if started is not None:
+            self._op_end("recv", started)
         return msg
 
     def iprobe(self, src: Any = ANY_SOURCE, tag: Any = 0):
         """Nonblocking probe: (source, size) of a matching pending
         message, or None.  Does not consume the message."""
-        wsrc = src if src is ANY_SOURCE else self._world(src)
+        wsrc = src if src is ANY_SOURCE else self.group[src]
         hit = yield from self.stack.iprobe(wsrc, self._wrap_tag(tag))
         return self._localize_hit(hit)
 
     def probe(self, src: Any = ANY_SOURCE, tag: Any = 0):
         """Blocking probe: waits until a matching message is available
         and returns (source, size) without consuming it."""
-        wsrc = src if src is ANY_SOURCE else self._world(src)
+        wsrc = src if src is ANY_SOURCE else self.group[src]
         hit = yield from self.stack.probe(wsrc, self._wrap_tag(tag))
         return self._localize_hit(hit)
 
@@ -200,19 +211,19 @@ class Communicator:
         if hit is None:
             return None
         source, size = hit
-        if isinstance(source, int) and source in self.group:
-            source = self._local(source)
-        return (source, size)
+        return (self._rank_of.get(source, source), size)
 
     def sendrecv(self, dst: int, src: Any, tag: Any = 0, size: int = 0,
                  data: Any = None, recv_tag: Any = None):
         """Simultaneous send+receive (deadlock-free exchange)."""
-        started = self._op_begin("sendrecv", peer=dst, size=size)
+        started = (self._op_begin("sendrecv", peer=dst, size=size)
+                   if self.sim.tracing else None)
         rreq = yield from self.irecv(src, tag if recv_tag is None else recv_tag)
         sreq = yield from self.isend(dst, tag, size, data)
         yield from self.stack.wait(sreq)
         msg = yield from self.wait(rreq)
-        self._op_end("sendrecv", started)
+        if started is not None:
+            self._op_end("sendrecv", started)
         return msg
 
     # ------------------------------------------------------------------
@@ -234,7 +245,7 @@ class Communicator:
         mine = sorted(
             ((k, r) for c, k, r in members if c == color),
             key=lambda kr: kr)
-        group = [self._world(r) for _k, r in mine]
+        group = [self.group[r] for _k, r in mine]
         return Communicator(self._runtime, self._world_rank,
                             group=group, context=(ctx, color))
 
@@ -390,31 +401,35 @@ class Communicator:
     # ------------------------------------------------------------------
     def _self_send(self, tag: Any, size: int, data: Any) -> MPIRequest:
         req = MPIRequest(self.sim, "send", self.rank, tag, size, data)
-        waiting = self._self_waiting.get(tag)
-        if waiting:
-            rreq = waiting.pop(0)
-            rreq._finish(self.sim, data=data, size=size, source=self.rank, tag=tag)
+        for i, rreq in enumerate(self._self_waiting):
+            if rreq.tag is ANY_TAG or rreq.tag == tag:
+                del self._self_waiting[i]
+                rreq._finish(self.sim, data=data, size=size,
+                             source=self._world_rank, tag=tag)
+                break
         else:
             self._self_pending.append((tag, size, data))
         req._finish(self.sim)
         return req
 
-    def _self_recv(self, tag: Any) -> MPIRequest:
-        req = MPIRequest(self.sim, "recv", self.rank, tag)
+    def _self_recv(self, tag: Any,
+                   wildcard: bool = False) -> Optional[MPIRequest]:
+        """Take the oldest pending self-message matching ``tag``; with
+        none, queue the receive, or return None if ``wildcard``."""
         for i, (t, size, data) in enumerate(self._self_pending):
-            if t == tag:
-                self._self_pending.pop(i)
+            if tag is ANY_TAG or t == tag:
+                del self._self_pending[i]
+                req = MPIRequest(self.sim, "recv", self.rank, tag)
                 req._finish(self.sim, data=data, size=size,
-                            source=self.rank, tag=tag)
+                            source=self._world_rank, tag=t)
                 return req
-        self._self_waiting.setdefault(tag, []).append(req)
+        if wildcard:
+            return None
+        req = MPIRequest(self.sim, "recv", self.rank, tag)
+        self._self_waiting.append(req)
         return req
 
     # ------------------------------------------------------------------
-    def _check_rank(self, rank: int) -> None:
-        if not (0 <= rank < self.size):
-            raise ValueError(f"rank {rank} out of range for size {self.size}")
-
     def __repr__(self) -> str:
         return f"Communicator(rank={self.rank}, size={self.size})"
 
@@ -455,10 +470,14 @@ class PersistentRequest:
             self.active = yield from self.comm.irecv(
                 self.peer, self.tag, datatype=self.datatype)
 
-    def wait(self):
-        """Generator: complete the active operation; handle stays usable."""
+    def _current(self) -> MPIRequest:
+        """The active operation's request."""
         if self.active is None:
             raise RuntimeError("persistent request waited before start")
-        msg = yield from self.comm.wait(self.active)
+        return self.active
+
+    def wait(self):
+        """Generator: complete the active operation; handle stays usable."""
+        msg = yield from self.comm.wait(self._current())
         self.active = None
         return msg

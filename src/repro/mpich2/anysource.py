@@ -35,7 +35,8 @@ class AnySourceBook:
     # -- bookkeeping -----------------------------------------------------
     def has_pending(self, tag: Any) -> bool:
         """True when an ANY_SOURCE entry exists for ``tag``."""
-        self.stack.sim.race_read(self._rv)
+        if self.stack.sim.monitor is not None:
+            self.stack.sim.race_read(self._rv)
         sub = self._lists.get(tag)
         return bool(sub) and any(kind == _AS for kind, _ in sub)
 
@@ -49,9 +50,6 @@ class AnySourceBook:
             raise RuntimeError("defer_regular without a pending ANY_SOURCE")
         self.stack.sim.race_write(self._rv)
         self._lists[tag].append((_REGULAR, req))
-
-    def pending_tags(self):
-        return list(self._lists)
 
     # -- resolution --------------------------------------------------------
     def poll(self):
@@ -70,7 +68,7 @@ class AnySourceBook:
                 sub.popleft()
                 yield from self.stack._post_remote_recv(req)
                 continue
-            hit = self.stack.core.probe(self.stack._nm_tag(tag))
+            hit = self.stack.core.probe(("mpi", tag))
             if self.stack.sim.tracing:
                 self.stack.sim.record(
                     "mpich2.anysource_scan", rank=self.stack.rank, tag=tag,

@@ -126,9 +126,6 @@ class CH3Stack(BaseStack):
             # repro-check: allow[RPC004] build-time wiring, sim not running
             self.vcs[peer] = vc
 
-    def _nm_tag(self, tag: Any):
-        return ("mpi", tag)
-
     def _pioman_sync(self, shm: bool) -> float:
         if self.pioman is None:
             return 0.0
@@ -195,7 +192,8 @@ class CH3Stack(BaseStack):
                     self.sim.race_write(self._rv_posted)
                     self.posted.post(req)
         else:
-            yield from self.cpu(self.costs.recv_overhead)
+            if self.costs.recv_overhead > 0.0:
+                yield self.sim.timeout(self.costs.recv_overhead)
             with self.sim.sync_region(self._region, self._lbl_irecv):
                 if self.book.has_pending(tag):
                     # preserve matching order behind pending ANY_SOURCE
@@ -211,7 +209,7 @@ class CH3Stack(BaseStack):
         yield from self.cpu(self.costs.shm_send_overhead + self._pioman_sync(shm=True))
         env = Envelope(src=self.rank, tag=req.tag, size=req.size, data=req.data,
                        arrival=self.sim.now)
-        if getattr(req, "_sync", False):
+        if req._sync:
             env.sync_req = req        # completes when the receiver matches
             yield from self.shm.send(self.rank, req.peer, env, req.size)
         else:
@@ -220,12 +218,13 @@ class CH3Stack(BaseStack):
             req._finish(self.sim)
 
     def _send_direct(self, req: MPIRequest):
-        yield from self.cpu(self.costs.send_overhead + self._pioman_sync(shm=False))
-        nm = yield from self.core.isend(req.peer, self._nm_tag(req.tag),
+        overhead = self.costs.send_overhead + self._pioman_sync(shm=False)
+        if overhead > 0.0:
+            yield self.sim.timeout(overhead)
+        nm = yield from self.core.isend(req.peer, ("mpi", req.tag),
                                         req.size, req.data,
-                                        sync=getattr(req, "_sync", False))
+                                        sync=req._sync)
         req.nmad_req = nm
-        nm.upper = req
         if nm.complete:
             req._finish(self.sim)
         else:
@@ -234,7 +233,7 @@ class CH3Stack(BaseStack):
 
     def _send_netmod(self, req: MPIRequest):
         yield from self.cpu(self.costs.send_overhead + self._pioman_sync(shm=False))
-        if req.size <= self.costs.ch3_eager_threshold and not getattr(req, "_sync", False):
+        if req.size <= self.costs.ch3_eager_threshold and not req._sync:
             # CH3 eager: copy into a Nemesis queue cell (paper 2.1.3),
             # then ship the cell through the network module.
             if self.sim.tracing:
@@ -276,9 +275,8 @@ class CH3Stack(BaseStack):
     # ------------------------------------------------------------------
     def _post_remote_recv(self, req: MPIRequest):
         """Hand a known-source remote receive to NewMadeleine."""
-        nm = yield from self.core.irecv(req.peer, self._nm_tag(req.tag))
+        nm = yield from self.core.irecv(req.peer, ("mpi", req.tag))
         req.nmad_req = nm
-        nm.upper = req
         src = req.peer
         if nm.complete:
             req._finish(self.sim, data=nm.data, size=nm.size, source=src, tag=req.tag)
@@ -315,9 +313,8 @@ class CH3Stack(BaseStack):
         yield from self.cpu(self.costs.anysource_complete)
         self.sim.race_write(self._rv_posted)
         self.posted.remove(req)
-        nm = yield from self.core.irecv(src, self._nm_tag(req.tag))
+        nm = yield from self.core.irecv(src, ("mpi", req.tag))
         req.nmad_req = nm
-        nm.upper = req
         tag = req.tag
         if nm.complete:
             req._finish(self.sim, data=nm.data, size=nm.size, source=src, tag=tag)
@@ -357,7 +354,7 @@ class CH3Stack(BaseStack):
                 return (env.src, env.size)
             if self.mode == "direct":
                 nm_src = NM_ANY if src is ANY_SOURCE else src
-                hit = self.core.probe(self._nm_tag(tag), src=nm_src)
+                hit = self.core.probe(("mpi", tag), src=nm_src)
                 if hit is not None:
                     return hit
             return None
@@ -368,14 +365,16 @@ class CH3Stack(BaseStack):
     def _handle_item(self, item):
         kind, payload = item
         if kind == "net":
-            yield from self.cpu(self._pioman_sync(shm=False))
+            if self.pioman is not None:
+                yield from self.cpu(self._pioman_sync(shm=False))
             if self.mode == "netmod":
                 # the Nemesis progress engine calls the module's poll
                 yield from self.netmod.net_module_poll(payload)
             else:
                 yield from self.core.handle_pw(payload.payload, payload.rail)
         elif kind == "shm":
-            yield from self.cpu(self._pioman_sync(shm=True))
+            if self.pioman is not None:
+                yield from self.cpu(self._pioman_sync(shm=True))
             yield from self._handle_shm(payload)
         elif kind == "ch3pkt":
             yield from self._handle_ch3_packet(payload)
@@ -385,7 +384,7 @@ class CH3Stack(BaseStack):
     def _progress_hook(self):
         # submit whatever accumulated in the strategy while computing
         self.core.strategy.pump()
-        if self.mode == "direct" and self.book.pending_tags():
+        if self.mode == "direct" and self.book._lists:
             yield from self.book.poll()
 
     def _offload_pump(self, size: int = 0) -> None:

@@ -6,6 +6,7 @@ import itertools
 from typing import Any, Optional
 
 from repro.simulator import Event, Simulator
+from repro.simulator.events import _PENDING
 
 
 class _Wildcard:
@@ -24,17 +25,18 @@ ANY_TAG = _Wildcard("MPI_ANY_TAG")
 _req_ids = itertools.count()
 
 
-class MPIRequest:
+class MPIRequest(Event):
     """One MPI communication operation tracked by the stack.
 
-    The ``nmad_req`` field is the request-association mechanism of paper
-    Section 3.1.1: a pointer from the MPICH2 request to the
-    corresponding NewMadeleine request.
+    The request is its own completion event: it succeeds, with itself as
+    value, when the operation completes.  The ``nmad_req`` field is the
+    request-association mechanism of paper Section 3.1.1: a pointer from
+    the MPICH2 request to the corresponding NewMadeleine request.
     """
 
     __slots__ = (
         "req_id", "kind", "peer", "tag", "size", "data",
-        "completion", "nmad_req", "status_source", "status_tag",
+        "nmad_req", "status_source", "status_tag",
         "datatype", "_sync", "_waiter",
     )
 
@@ -42,13 +44,13 @@ class MPIRequest:
                  size: int = 0, data: Any = None):
         if kind not in ("send", "recv"):
             raise ValueError(f"bad MPI request kind {kind!r}")
+        Event.__init__(self, sim)
         self.req_id = next(_req_ids)
         self.kind = kind
         self.peer = peer
         self.tag = tag
         self.size = size
         self.data = data
-        self.completion: Event = sim.event()
         self.nmad_req: Any = None
         # resolved matching info (meaningful after completion of a recv)
         self.status_source: Optional[int] = None
@@ -63,11 +65,11 @@ class MPIRequest:
 
     @property
     def complete(self) -> bool:
-        return self.completion.triggered
+        return self._state != _PENDING
 
     def _finish(self, sim: Simulator, *, data: Any = None, size: Optional[int] = None,
                 source: Optional[int] = None, tag: Any = None) -> None:
-        if self.complete:
+        if self._state != _PENDING:
             raise RuntimeError(f"MPI request {self.req_id} completed twice")
         if data is not None:
             self.data = data
@@ -77,9 +79,9 @@ class MPIRequest:
             self.status_source = source
         if tag is not None:
             self.status_tag = tag
-        self.completion.succeed(self)
+        self.succeed(self)
         waiter = self._waiter
-        if waiter is not None and not waiter.triggered:
+        if waiter is not None and waiter._state == _PENDING:
             waiter.succeed()
 
     def __repr__(self) -> str:

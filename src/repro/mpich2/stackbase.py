@@ -25,6 +25,7 @@ from typing import Any, Deque, Iterable, Optional, Union
 from repro.mpich2.request import MPIRequest
 from repro.pioman import PIOMan, ProgressEngine
 from repro.simulator import Event, Simulator
+from repro.simulator.events import _PENDING
 from repro.threads.marcel import MarcelScheduler
 
 
@@ -40,7 +41,7 @@ class StackCosts:
 
 def _fire(parked: Event) -> None:
     """Wake the thread parked on ``parked`` unless something already did."""
-    if not parked.triggered:
+    if parked._state == _PENDING:
         parked.succeed()
 
 
@@ -59,6 +60,7 @@ class BaseStack:
         # virtual progress-lock region of this stack's node (race detector)
         self._region = ("node", node.node_id)
         self._lbl_progress = f"mpich2.progress@r{rank}"
+        self._rv_inbox = f"mpich2.inbox@r{rank}"
         # stats
         self.messages_sent = 0
         self.messages_received = 0
@@ -72,14 +74,11 @@ class BaseStack:
         if self.pioman is not None:
             self.pioman.submit(lambda: self._progress_item(item),
                                rank=self.rank)
-            self._wake()  # probe loops listen for arrivals too
         else:
-            self.sim.race_write(f"mpich2.inbox@r{self.rank}", "deliver")
+            if self.sim.monitor is not None:
+                self.sim.race_write(self._rv_inbox, "deliver")
             self.inbox.append(item)
-            self._wake()
-
-    def _wake(self) -> None:
-        if self._signal is not None:
+        if self._signal is not None:   # probe loops listen for arrivals too
             _fire(self._signal)
 
     def _progress_item(self, item: Any):
@@ -105,11 +104,11 @@ class BaseStack:
     def wait(self, req: MPIRequest):
         """Block until ``req`` completes, making progress as needed."""
         if self.pioman is not None:
-            if not req.complete:
-                yield from self.pioman.semaphore_wait(req.completion)
+            if req._state == _PENDING:
+                yield from self.pioman.semaphore_wait(req)
             return req
         yield from self._drain()
-        while not req.complete:
+        while req._state == _PENDING:
             if not self.inbox:
                 # park on one event of our own: the next arrival fires
                 # it through ``_signal``, the request through ``_waiter``

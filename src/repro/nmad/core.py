@@ -165,10 +165,6 @@ class NmadCore:
         self._send_seq: Dict[Tuple[int, Any], int] = {}
         self._recv_seq: Dict[Tuple[int, Any], int] = {}
 
-        # stats
-        self.sent_messages = 0
-        self.recv_messages = 0
-
         # race-detector names of the shared protocol state, and the
         # node's virtual progress-lock region for timer callbacks
         self._region = ("node", node_id)
@@ -215,9 +211,6 @@ class NmadCore:
                 return d
         raise KeyError(f"no driver for rail {rail!r}")
 
-    def post_pw(self, driver: NmadDriver, pw: PacketWrapper) -> None:
-        driver.post(pw)
-
     # ------------------------------------------------------------------
     # sending (generator: caller charges its CPU)
     # ------------------------------------------------------------------
@@ -232,10 +225,10 @@ class NmadCore:
         """
         req = NmadRequest(self.sim, "send", dst_rank, tag, size, data)
         key = (dst_rank, tag)
-        self.sim.race_write(self._rv_seq)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_seq)
         req.seq = self._send_seq.get(key, 0)
         self._send_seq[key] = req.seq + 1
-        self.sent_messages += 1
 
         eager = size <= self.costs.eager_threshold and not sync
         rdv_id = 0 if eager else next_rdv_id()
@@ -263,7 +256,8 @@ class NmadCore:
         else:
             yield self.sim.timeout(self.costs.send_post)
             state = _RdvSend(req, remaining_inject=size)
-            self.sim.race_write(self._rv_rdv)
+            if self.sim.monitor is not None:
+                self.sim.race_write(self._rv_rdv)
             self._rdv_send[rdv_id] = state
             self.strategy.push(SendItem(
                 kind="rts", dst_rank=dst_rank, dst_node=dst_node,
@@ -351,13 +345,14 @@ class NmadCore:
             self.sim.record("nmad.recv_post", rank=self.rank, src=src_rank,
                             tag=tag, dur=self.costs.recv_post)
         yield self.sim.timeout(self.costs.recv_post)
-        self.sim.race_read(self._rv_unexpected)
         idx = self._find_unexpected(src_rank, tag)
+        if self.sim.monitor is not None:
+            self.sim.race_read(self._rv_unexpected)
+            self.sim.race_write(self._rv_unexpected if idx is not None
+                                else self._rv_posted)
         if idx is None:
-            self.sim.race_write(self._rv_posted)
             self.posted.append(req)
             return req
-        self.sim.race_write(self._rv_unexpected)
         ux = self.unexpected.pop(idx)
         yield from self._consume_unexpected(req, ux)
         return req
@@ -383,7 +378,10 @@ class NmadCore:
         for entry in pw.entries:
             if entry.dst_rank != self.rank:
                 continue
-            yield from self.handle_entry(entry, rail)
+            if self.reliability is None:
+                yield from self._HANDLERS[type(entry)](self, entry, rail)
+            else:
+                yield from self.handle_entry(entry, rail)
 
     def handle_entry(self, entry, rail: str):
         if self.reliability is not None and isinstance(
@@ -418,21 +416,16 @@ class NmadCore:
         yield from self._dispatch_entry(entry, rail)
 
     def _dispatch_entry(self, entry, rail: str):
-        if isinstance(entry, EagerEntry):
-            yield from self._handle_eager(entry)
-        elif isinstance(entry, RtsEntry):
-            yield from self._handle_rts(entry)
-        elif isinstance(entry, CtsEntry):
-            yield from self._handle_cts(entry)
-        elif isinstance(entry, DataEntry):
-            yield from self._handle_data(entry, rail)
-        else:
+        handler = self._HANDLERS.get(type(entry))
+        if handler is None:
             raise ProtocolError(f"unknown entry {entry!r}")
+        return handler(self, entry, rail)
 
     # -- eager ------------------------------------------------------------
-    def _handle_eager(self, entry: EagerEntry):
+    def _handle_eager(self, entry: EagerEntry, rail: str):
         yield self.sim.timeout(self.costs.match_cost)
-        self.sim.race_write(self._rv_posted)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_posted)
         req = self._match_posted(entry.src_rank, entry.tag)
         if req is None:
             if self.sim.tracing:
@@ -441,7 +434,8 @@ class NmadCore:
                     dst=self.rank, tag=entry.tag, seq=entry.seq,
                     size=entry.size, depth=len(self.unexpected) + 1,
                 )
-            self.sim.race_write(self._rv_unexpected)
+            if self.sim.monitor is not None:
+                self.sim.race_write(self._rv_unexpected)
             self.unexpected.append(_Unexpected(
                 kind="eager", src_rank=entry.src_rank, tag=entry.tag,
                 seq=entry.seq, size=entry.size, data=entry.data,
@@ -459,19 +453,19 @@ class NmadCore:
         # copy out of the packet wrapper into the user buffer
         yield self.sim.charge(self.mem.copy_time(entry.size),
                               self.costs.upper_complete_cost)
-        self.recv_messages += 1
         req._finish(self.sim, data=entry.data, size=entry.size)
 
     # -- rendezvous ---------------------------------------------------------
-    def _handle_rts(self, entry: RtsEntry):
+    def _handle_rts(self, entry: RtsEntry, rail: str):
         yield self.sim.timeout(self.costs.rdv_handshake_cost)
         if self.reliability is not None and self._rts_duplicate(entry):
             return
         # synchronous (no yield between check and add): a retried copy
         # arriving during any later yield point is recognized above
-        self.sim.race_write(self._rv_rdv)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_rdv)
+            self.sim.race_write(self._rv_posted)
         self._rts_accepted.add(entry.rdv_id)
-        self.sim.race_write(self._rv_posted)
         req = self._match_posted(entry.src_rank, entry.tag)
         if req is None:
             if self.sim.tracing:
@@ -480,7 +474,8 @@ class NmadCore:
                     dst=self.rank, tag=entry.tag, seq=entry.seq,
                     size=entry.size, depth=len(self.unexpected) + 1,
                 )
-            self.sim.race_write(self._rv_unexpected)
+            if self.sim.monitor is not None:
+                self.sim.race_write(self._rv_unexpected)
             self.unexpected.append(_Unexpected(
                 kind="rts", src_rank=entry.src_rank, tag=entry.tag,
                 seq=entry.seq, size=entry.size, rdv_id=entry.rdv_id,
@@ -543,7 +538,8 @@ class NmadCore:
                             dst=self.rank, size=size, dur=reg_cost)
         yield self.sim.timeout(reg_cost)
         state = _RdvRecv(req, remaining=size, src_rank=src_rank)
-        self.sim.race_write(self._rv_rdv)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_rdv)
         self._rdv_recv[rdv_id] = state
         self.strategy.push(SendItem(
             kind="cts", dst_rank=src_rank, dst_node=self.rank_to_node(src_rank),
@@ -553,9 +549,10 @@ class NmadCore:
             state.timer = self.sim.schedule(
                 self.reliability.rdv_timeout, self._cts_check, rdv_id)
 
-    def _handle_cts(self, entry: CtsEntry):
+    def _handle_cts(self, entry: CtsEntry, rail: str):
         yield self.sim.timeout(self.costs.rdv_handshake_cost)
-        self.sim.race_write(self._rv_rdv)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_rdv)
         state = self._rdv_send.get(entry.rdv_id)
         if state is None:
             if self.reliability is not None:
@@ -595,7 +592,8 @@ class NmadCore:
         driver = self.driver_for_rail(rail)
         if not driver.rdma:
             yield self.sim.timeout(self.costs.data_chunk_cost)
-        self.sim.race_write(self._rv_rdv)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_rdv)
         state = self._rdv_recv.get(entry.rdv_id)
         if state is None:
             if self.reliability is not None and entry.rdv_id in self._done_rdv:
@@ -627,14 +625,19 @@ class NmadCore:
                                    + self.costs.upper_complete_cost)
             del self._rdv_recv[entry.rdv_id]
             self._done_rdv.add(entry.rdv_id)
-            self.recv_messages += 1
             state.req._finish(self.sim, data=state.data)
+
+    #: entry type -> handler, every one called as ``handler(core, entry,
+    #: rail)``
+    _HANDLERS = {EagerEntry: _handle_eager, RtsEntry: _handle_rts,
+                 CtsEntry: _handle_cts, DataEntry: _handle_data}
 
     # ------------------------------------------------------------------
     # injection completions (callback context: no CPU charged)
     # ------------------------------------------------------------------
     def _on_pw_injected(self, pw: PacketWrapper, driver: NmadDriver) -> None:
-        self.sim.race_write(self._rv_rdv)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_rdv)
         for entry in pw.entries:
             if isinstance(entry, EagerEntry):
                 if entry.req is not None and not entry.req.complete:
@@ -683,7 +686,6 @@ class NmadCore:
             yield self.sim.charge(
                 self.costs.match_cost + self.costs.upper_complete_cost,
                 self.mem.copy_time(ux.size))
-            self.recv_messages += 1
             req._finish(self.sim, data=ux.data, size=ux.size)
         elif ux.kind == "rts":
             yield from self._grant_rdv(req, ux.src_rank, ux.size, ux.rdv_id)
@@ -694,7 +696,8 @@ class NmadCore:
         if not self.check_ordering:
             return
         key = (src_rank, tag)
-        self.sim.race_write(self._rv_seq)
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_seq)
         expected = self._recv_seq.get(key, 0)
         if self.sim.tracing:
             self.sim.record("nmad.seq_check", rank=self.rank, src=src_rank,

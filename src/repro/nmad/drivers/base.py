@@ -62,7 +62,8 @@ class NmadDriver:
         return self.nic.params.name
 
     def window_free(self) -> bool:
-        self.nic.sim.race_read(self.race_name)
+        if self.nic.sim.monitor is not None:
+            self.nic.sim.race_read(self.race_name)
         return self.alive and not self._backlog and self.inflight < self.window
 
     def small_latency(self) -> float:
@@ -80,7 +81,8 @@ class NmadDriver:
         self._do_post(pw)
 
     def _do_post(self, pw: PacketWrapper) -> None:
-        self.nic.sim.race_write(self.race_name)
+        if self.nic.sim.monitor is not None:
+            self.nic.sim.race_write(self.race_name)
         self.inflight += 1
         self.pws_posted += 1
         self.last_dst = pw.dst_node
@@ -97,7 +99,8 @@ class NmadDriver:
         # injection completions fire from the NIC's timeline; they touch
         # the window/backlog under the node's virtual progress lock
         with self.nic.sim.sync_region(self._region, "nmad.injected"):
-            self.nic.sim.race_write(self.race_name)
+            if self.nic.sim.monitor is not None:
+                self.nic.sim.race_write(self.race_name)
             self.inflight -= 1
             # failover backlog outranks fresh strategy output for the window
             while self._backlog and self.inflight < self.window:

@@ -51,7 +51,7 @@ class SendRecvInterface:
     def nm_sr_rwait(self, req: NmadRequest):
         """Generator: block until the request completes."""
         if not req.complete:
-            yield req.completion
+            yield req
 
     def nm_sr_rtest(self, req: NmadRequest) -> bool:
         return req.complete

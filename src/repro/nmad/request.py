@@ -13,44 +13,37 @@ import itertools
 from typing import Any, Callable, Optional
 
 from repro.simulator import Event, Simulator
+from repro.simulator.events import _PENDING
 
 _req_ids = itertools.count()
 
 
-class NmadRequest:
-    """One pending send or receive operation inside NewMadeleine.
-
-    Attributes
-    ----------
-    upper:
-        Back-pointer to the upper-layer (CH3) request, the association
-        mechanism of paper Section 3.1.1.
-    """
+class NmadRequest(Event):
+    """One pending send or receive operation inside NewMadeleine; the
+    request is its own completion event (its value is itself)."""
 
     __slots__ = (
         "req_id", "kind", "peer", "tag", "size", "data",
-        "completion", "completed_at", "upper", "on_complete", "seq",
+        "on_complete", "seq",
     )
 
     def __init__(self, sim: Simulator, kind: str, peer: int, tag: Any,
                  size: int, data: Any = None):
         if kind not in ("send", "recv"):
             raise ValueError(f"bad request kind {kind!r}")
+        Event.__init__(self, sim)
         self.req_id = next(_req_ids)
         self.kind = kind
         self.peer = peer              # peer process rank (the "gate")
         self.tag = tag
         self.size = size
         self.data = data
-        self.completion: Event = sim.event()
-        self.completed_at: Optional[float] = None
-        self.upper: Any = None
         self.on_complete: Optional[Callable[["NmadRequest"], None]] = None
         self.seq: Optional[int] = None
 
     @property
     def complete(self) -> bool:
-        return self.completion.triggered
+        return self._state != _PENDING
 
     def cancel(self) -> None:
         """NewMadeleine does not support cancellation (Section 2.2.1)."""
@@ -59,14 +52,13 @@ class NmadRequest:
         )
 
     def _finish(self, sim: Simulator, data: Any = None, size: Optional[int] = None) -> None:
-        if self.complete:
+        if self._state != _PENDING:
             raise RuntimeError(f"request {self.req_id} completed twice")
         if data is not None:
             self.data = data
         if size is not None:
             self.size = size
-        self.completed_at = sim.now
-        self.completion.succeed(self)
+        self.succeed(self)
         if self.on_complete is not None:
             self.on_complete(self)
 

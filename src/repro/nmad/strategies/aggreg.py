@@ -28,7 +28,6 @@ class AggregStrategy(DefaultStrategy):
             return None
         head = self.queue.popleft()
         pw = self._new_pw(head)
-        pw.append(self._to_entry(head))
         if head.kind == "data":
             return pw  # rendezvous payloads never aggregate
         max_pw = self.core.costs.max_pw_size

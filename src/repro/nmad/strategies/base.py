@@ -61,7 +61,6 @@ class DefaultStrategy:
     def __init__(self, core):
         self.core = core
         self.queue: Deque[SendItem] = deque()
-        self.pws_built = 0
         # race-detector name of the shared optimization window
         # (tests build strategies with core=None to inspect them)
         self._rv_queue = f"nmad.strategy@r{core.rank if core else '?'}"
@@ -75,7 +74,8 @@ class DefaultStrategy:
         — how a library without a progress thread behaves when the
         application is about to leave for a compute phase (Fig. 7).
         """
-        self.core.sim.race_write(self._rv_queue)
+        if self.core.sim.monitor is not None:
+            self.core.sim.race_write(self._rv_queue)
         if priority:
             self.queue.appendleft(item)
         else:
@@ -95,7 +95,8 @@ class DefaultStrategy:
     # -- draining ----------------------------------------------------------
     def pump(self) -> None:
         """Feed idle drivers until windows are full or the queue drains."""
-        self.core.sim.race_write(self._rv_queue)
+        if self.core.sim.monitor is not None:
+            self.core.sim.race_write(self._rv_queue)
         progressed = True
         while progressed and self.queue:
             progressed = False
@@ -118,7 +119,6 @@ class DefaultStrategy:
         pw = self._build_pw(driver)
         if pw is None:
             return False
-        self.pws_built += 1
         if self.core.sim.tracing:
             self.core.sim.record(
                 "strategy.pw_built", strategy=self.name, rail=driver.name,
@@ -126,21 +126,21 @@ class DefaultStrategy:
                 entries=len(pw.entries), wire_size=pw.wire_size,
                 msgs=[entry_summary(e) for e in pw.entries],
             )
-        self.core.post_pw(driver, pw)
+        driver.post(pw)
         return True
 
     def _build_pw(self, driver: NmadDriver) -> Optional[PacketWrapper]:
         if not self.queue:
             return None
-        self.core.sim.race_write(self._rv_queue)
-        item = self.queue.popleft()
-        pw = self._new_pw(item)
-        pw.append(self._to_entry(item))
-        return pw
+        if self.core.sim.monitor is not None:
+            self.core.sim.race_write(self._rv_queue)
+        return self._new_pw(self.queue.popleft())
 
     # -- helpers -----------------------------------------------------------
     def _new_pw(self, item: SendItem) -> PacketWrapper:
-        return PacketWrapper(dst_node=item.dst_node, src_node=self.core.node_id)
+        """A packet wrapper holding ``item``'s entry."""
+        return PacketWrapper(dst_node=item.dst_node, src_node=self.core.node_id,
+                             entries=[self._to_entry(item)])
 
     @staticmethod
     def _to_entry(item: SendItem):

@@ -67,7 +67,6 @@ class SplitBalanceStrategy(AggregStrategy):
                 size=chunk,
                 data=item.data if i == carrier else None,
             ))
-            self.pws_built += 1
             if self.core.sim.tracing:
                 self.core.sim.record(
                     "strategy.pw_built", strategy=self.name, rail=drv.name,
@@ -75,5 +74,5 @@ class SplitBalanceStrategy(AggregStrategy):
                     wire_size=pw.wire_size,
                     msgs=[entry_summary(pw.entries[0])],
                 )
-            self.core.post_pw(drv, pw)
+            drv.post(pw)
         return True

@@ -80,6 +80,7 @@ class ProgressEngine:
         self.scheduler = scheduler
         self.params = params
         self.ltasks_run = 0
+        self._rv_queue = f"pioman.queue@n{scheduler.node_id}"
 
     # -- contract --------------------------------------------------------
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
@@ -146,8 +147,7 @@ class ManualPollEngine(ProgressEngine):
         self._torn_down = False
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
-        self.sim.race_write(f"pioman.queue@n{self.scheduler.node_id}",
-                            "submit")
+        self.sim.race_write(self._rv_queue, "submit")
         if self._torn_down:
             return
         self._queue.append(work)
@@ -221,8 +221,7 @@ class DedicatedThreadEngine(ProgressEngine):
         self.steals = 0
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
-        self.sim.race_write(f"pioman.queue@n{self.scheduler.node_id}",
-                            "submit")
+        self.sim.race_write(self._rv_queue, "submit")
         if self._stopped:
             return
         queue = self._queues.get(rank)

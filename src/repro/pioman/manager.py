@@ -72,6 +72,7 @@ class PIOMan:
         self._queue: Deque[Callable[[], Generator]] = deque()
         self._worker_running = False
         self.ltasks_run = 0
+        self._rv_queue = f"pioman.queue@n{scheduler.node_id}"
 
     # -- background work -------------------------------------------------
     def submit(self, work: Callable[[], Generator],
@@ -83,8 +84,7 @@ class PIOMan:
         ``rank`` is accepted for engine-contract compatibility and
         ignored: the reference engine keeps one shared per-node queue.
         """
-        self.sim.race_write(f"pioman.queue@n{self.scheduler.node_id}",
-                            "submit")
+        self.sim.race_write(self._rv_queue, "submit")
         self._queue.append(work)
         if not self._worker_running:
             self._worker_running = True

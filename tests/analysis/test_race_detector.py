@@ -221,6 +221,27 @@ def test_presets_are_race_free(preset):
     assert report.clean, report.format_text()
 
 
+#: (spec, run_race overrides, accesses the detector must see)
+_ACCESS_COUNTS = {
+    "mpich2_nmad": (config.mpich2_nmad, {}, 264),
+    "mpich2_nmad_256B": (config.mpich2_nmad, {"size": 256}, 114),
+    "mpich2_nmad_reliable": (config.mpich2_nmad_reliable, {}, 312),
+    "mpich2_nmad_pioman_ib_mx": (
+        lambda: config.mpich2_nmad_pioman(rails=("ib", "mx"),
+                                          progress="pioman"), {}, 252),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ACCESS_COUNTS))
+def test_guarded_hooks_still_report_every_access(case):
+    """Hot paths call the race hooks only under a monitor; a guard that
+    drops a hook shows up here as a lower access count."""
+    make_spec, overrides, accesses = _ACCESS_COUNTS[case]
+    report = run_race(make_spec(), **overrides)
+    assert report.clean, report.format_text()
+    assert report.accesses == accesses
+
+
 def test_racy_demo_is_flagged():
     report = run_racy_demo()
     assert report.races, "seeded racy scenario was not detected"

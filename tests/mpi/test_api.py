@@ -3,6 +3,7 @@
 import pytest
 
 from repro import config
+from repro.mpi import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import CONTIGUOUS, vector
 from repro.runtime import run_mpi
 
@@ -66,6 +67,55 @@ def test_self_messages_match_by_tag():
 
     r = run1(program)
     assert r.result(0) == ("A", "B")
+
+
+def _on(nprocs, program):
+    return run_mpi(program, nprocs, config.mpich2_nmad(),
+                   cluster=config.ClusterSpec(n_nodes=nprocs))
+
+
+@pytest.mark.parametrize("nprocs", [1, 2])
+def test_wildcard_receives_take_the_oldest_matching_self_message(nprocs):
+    def program(comm):
+        me = comm.rank
+        for tag, data in (("t", "first t"), ("u", "only u"), ("t", "second t")):
+            yield from comm.isend(me, tag=tag, size=4, data=data)
+        by_tag = yield from comm.recv(src=ANY_SOURCE, tag="t")
+        any_tag = yield from comm.recv(src=me, tag=ANY_TAG)
+        both = yield from comm.recv(src=ANY_SOURCE, tag=ANY_TAG)
+        return [(m.source, m.tag, m.data) for m in (by_tag, any_tag, both)]
+
+    r = _on(nprocs, program)
+    for rank in range(nprocs):
+        assert r.result(rank) == [(rank, "t", "first t"), (rank, "u", "only u"),
+                                  (rank, "t", "second t")]
+
+
+@pytest.mark.parametrize("nprocs", [1, 2])
+def test_self_receives_posted_first_match_in_post_order(nprocs):
+    def program(comm):
+        me = comm.rank
+        first = yield from comm.irecv(src=me, tag=ANY_TAG)
+        second = yield from comm.irecv(src=me, tag="x")
+        yield from comm.send(me, tag="x", size=1, data=1)
+        yield from comm.send(me, tag="x", size=1, data=2)
+        m1 = yield from comm.wait(first)
+        m2 = yield from comm.wait(second)
+        return (m1.tag, m1.data, m2.tag, m2.data)
+
+    r = _on(nprocs, program)
+    assert r.rank_results == [("x", 1, "x", 2)] * nprocs
+
+
+def test_self_message_source_is_communicator_local():
+    def program(comm):
+        rev = yield from comm.split(color=0, key=-comm.rank)
+        yield from rev.send(rev.rank, tag="me", size=1)
+        msg = yield from rev.recv(src=ANY_SOURCE, tag="me")
+        return (rev.rank, msg.source)
+
+    r = _on(2, program)
+    assert r.rank_results == [(1, 1), (0, 0)]
 
 
 def test_compute_advances_clock():

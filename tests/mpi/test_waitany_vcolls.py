@@ -49,6 +49,32 @@ def test_waitany_under_pioman():
     assert r.result(0) == "b-data"
 
 
+def test_waitany_accepts_persistent_handles():
+    def program(comm):
+        if comm.rank == 0:
+            handle = comm.recv_init(src=1, tag="p")
+            got = []
+            for _ in range(2):
+                plain = yield from comm.irecv(src=1, tag="never-first")
+                yield from comm.start(handle)
+                index, msg = yield from comm.waitany([plain, handle])
+                got.append((index, msg.data, handle.active))
+                yield from comm.wait(plain)
+            return got
+        send = comm.send_init(0, tag="p", size=8, data="persistent")
+        for _ in range(2):
+            yield from comm.start(send)
+            index, _msg = yield from comm.waitany([send])
+            assert index == 0 and send.active is None   # reusable
+            yield from comm.compute(50e-6)
+            yield from comm.send(0, tag="never-first", size=8)
+        return send.starts
+
+    r = run_p(program, 2)
+    assert r.result(0) == [(1, "persistent", None)] * 2
+    assert r.result(1) == 2
+
+
 def test_waitany_empty_rejected():
     def program(comm):
         yield from comm.waitany([])
