@@ -94,7 +94,8 @@ def _make_sink(args):
     ``full`` retains every record in memory, ``ring`` keeps a bounded
     window (``--ring-capacity``), ``jsonl`` spills each record to disk
     (``--jsonl``).  ``--sample`` / ``--sample-entities`` attach a
-    deterministic :class:`~repro.simulator.tracing.TraceSampler`.
+    deterministic :class:`~repro.simulator.tracing.TraceSampler`.  A bad
+    value ends the command with a one-line message, never a traceback.
     """
     from repro.simulator import JsonlTrace, RingTrace, Trace, TraceSampler
 
@@ -108,15 +109,29 @@ def _make_sink(args):
             strides[name] = int(n)
         except ValueError:
             raise SystemExit(f"bad --sample stride {n!r}; expected an int")
+        if strides[name] < 1:
+            raise SystemExit(f"bad --sample {item!r}; the stride must be >= 1")
     entities = None
     if getattr(args, "sample_entities", None):
-        entities = [int(e) for e in args.sample_entities.split(",")]
+        try:
+            entities = [int(e) for e in args.sample_entities.split(",")]
+        except ValueError:
+            raise SystemExit(f"bad --sample-entities "
+                             f"{args.sample_entities!r}; expected a comma "
+                             "list of rank/node ids")
     sampler = TraceSampler(strides=strides or None, entities=entities) \
         if (strides or entities is not None) else None
     if args.sink == "ring":
+        if args.ring_capacity < 1:
+            raise SystemExit(f"bad --ring-capacity {args.ring_capacity}; "
+                             "must be >= 1")
         return RingTrace(args.ring_capacity, sampler=sampler)
     if args.sink == "jsonl":
-        return JsonlTrace(args.jsonl, sampler=sampler)
+        try:
+            return JsonlTrace(args.jsonl, sampler=sampler)
+        except OSError as exc:
+            raise SystemExit(f"cannot write --jsonl {args.jsonl!r}: "
+                             f"{exc.strerror or exc}")
     return Trace(sampler=sampler)
 
 
@@ -231,14 +246,17 @@ def cmd_trace(args) -> int:
         program = overlap_program(size, compute=400e-6, reps=args.reps,
                                   warmup=0)
 
-    result = run_mpi(program, 2, spec, cluster=config.xeon_pair(),
-                     trace=trace)
+    try:
+        result = run_mpi(program, 2, spec, cluster=config.xeon_pair(),
+                         trace=trace)
+    finally:
+        if isinstance(trace, JsonlTrace):
+            trace.close()
     sink_line = _sink_summary(trace)
     partial = ""
     if isinstance(trace, JsonlTrace):
         # round-trip through the spill file: the reloaded trace is the
         # full record stream, so breakdown/export work as with a full sink
-        trace.close()
         trace = load_trace_jsonl(trace.path)
     elif args.sink == "ring" and trace.evicted:
         partial = (f" (ring window: oldest {trace.evicted} record(s) "
@@ -272,9 +290,6 @@ def cmd_profile(args) -> int:
         raise SystemExit("--reps must be >= 1")
     spec = _stack(args.stack)
     size = _parse_size(args.size)
-    trace = _make_sink(args)
-    metrics = attach_metrics(trace)
-    prof = SpanProfiler().attach(trace)
 
     if args.workload == "pingpong":
         from repro.workloads.netpipe import pingpong
@@ -293,15 +308,20 @@ def cmd_profile(args) -> int:
         nprocs, cluster = args.np, None   # one rank per node by default
         program = collbench(args.coll, size, reps=args.reps, warmup=1)
 
-    runtime = MPIRuntime(nprocs, spec, cluster=cluster, trace=trace)
-    result = runtime.run(program)
+    trace = _make_sink(args)
+    metrics = attach_metrics(trace)
+    prof = SpanProfiler().attach(trace)
+    try:
+        runtime = MPIRuntime(nprocs, spec, cluster=cluster, trace=trace)
+        result = runtime.run(program)
+    finally:
+        if isinstance(trace, JsonlTrace):
+            trace.close()
     prof.finalize(runtime.sim.now)
     stats = record_engine_metrics(runtime.sim, metrics.registry)
 
     folded_path = prof.write_folded(args.folded)
     write_perfetto(trace, args.perfetto, spans=prof.all_spans())
-    if isinstance(trace, JsonlTrace):
-        trace.close()
 
     workload = args.workload if args.workload != "collbench" \
         else f"collbench/{args.coll} p={nprocs}"

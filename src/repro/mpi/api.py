@@ -116,18 +116,25 @@ class Communicator:
         only); returns the start time."""
         sim = self.sim
         sim.record("mpich2.op.begin", op=op, rank=self._world_rank, **extra)
-        return sim.now
+        return sim._now
 
     def _op_end(self, op: str, started: float) -> None:
-        self.sim.record("mpich2.op.end", op=op, rank=self._world_rank,
-                        dur=self.sim.now - started)
+        sim = self.sim
+        sim.record("mpich2.op.end", op=op, rank=self._world_rank,
+                   dur=sim._now - started)
 
     def wait(self, req):
         """Block until ``req`` completes; returns a :class:`Message`.
 
         Accepts plain requests and active persistent handles.
         """
-        started = self._op_begin("wait") if self.sim.tracing else None
+        sim = self.sim
+        if sim.tracing:
+            # the span is opened and closed inline: two waits per message
+            started = sim._now
+            sim.record("mpich2.op.begin", op="wait", rank=self._world_rank)
+        else:
+            started = None
         if isinstance(req, PersistentRequest):
             msg = yield from req.wait()
         else:
@@ -136,7 +143,7 @@ class Communicator:
                 # unpack into the strided user layout (size known post-match)
                 unpack = req.datatype.pack_cost(self.stack.node.mem, req.size)
                 if unpack:
-                    yield self.sim.timeout(unpack)
+                    yield sim.timeout(unpack)
             source = req.status_source
             if source is None:
                 source = req.peer if req.kind == "recv" else self._world_rank
@@ -146,7 +153,8 @@ class Communicator:
                 tag = tag[1]
             msg = Message(self._rank_of.get(source, source), tag, req.size, req.data)
         if started is not None:
-            self._op_end("wait", started)
+            sim.record("mpich2.op.end", op="wait", rank=self._world_rank,
+                       dur=sim._now - started)
         return msg
 
     def waitall(self, reqs):

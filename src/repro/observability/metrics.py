@@ -19,7 +19,7 @@ Usage::
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simulator.tracing import Trace, TraceRecord
 
@@ -152,6 +152,22 @@ def _fmt(v: float) -> str:
     return f"{v:.3g}"
 
 
+class _Instruments(dict):
+    """``(name, label)`` -> one kind of instrument, made through the
+    registry on first use, so a hit skips the key f-string and the
+    type check."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[str, Optional[str]], Any]):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: Tuple[str, Optional[str]]) -> Any:
+        instrument = self[key] = self._make(*key)
+        return instrument
+
+
 class TraceMetrics:
     """The standard stack metrics, maintained live from a trace feed.
 
@@ -187,163 +203,174 @@ class TraceMetrics:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.t_first: Optional[float] = None
-        self.t_last: float = 0.0
+        self._counters = _Instruments(self.registry.counter)
+        self._gauges = _Instruments(self.registry.gauge)
+        self._histograms = _Instruments(self.registry.histogram)
+        self._sinks: List[Trace] = []
         # open rail outages: rail -> (down_since, bandwidth share)
         self._rails_down: Dict[str, Tuple[float, float]] = {}
         self._degraded_area = 0.0  # sum of share x downtime, closed downs
 
     # -- wiring ----------------------------------------------------------
     def attach(self, trace: Trace) -> "TraceMetrics":
-        trace.subscribe(self.on_record)
+        """Subscribe to the categories a metric is kept for; the others
+        never reach :meth:`on_record`."""
+        trace.subscribe(self.on_record, categories=self._HANDLERS.keys())
+        self._sinks.append(trace)
         return self
+
+    @property
+    def t_first(self) -> Optional[float]:
+        """Time of the first record the attached sinks admitted, of any
+        category (None before any)."""
+        firsts = [s.t_first for s in self._sinks if s.t_first is not None]
+        return min(firsts) if firsts else None
+
+    @property
+    def t_last(self) -> float:
+        """Latest time of a record the attached sinks admitted."""
+        return max((s.t_last for s in self._sinks), default=0.0)
 
     # -- feed ------------------------------------------------------------
     def on_record(self, rec: TraceRecord) -> None:
-        if self.t_first is None:
-            self.t_first = rec.time
-        if rec.time > self.t_last:
-            self.t_last = rec.time
-        handler = self._HANDLERS.get(rec.category)
-        if handler is not None:
-            handler(self, rec)
+        self._HANDLERS[rec.category](self, rec)
 
     def _on_link_xmit(self, rec: TraceRecord) -> None:
-        r = self.registry
-        link = f"{rec.data.get('rail', '?')}/{rec.data.get('link', '?')}"
-        r.counter("link.frames", link).inc()
-        r.counter("link.bytes", link).inc(rec.data.get("size", 0))
-        r.counter("link.busy_time", link).inc(rec.data.get("dur", 0.0))
-        r.histogram("link.queue_delay", link).observe(
-            rec.data.get("queued", 0.0))
-        r.gauge("link.queue_depth", link).set(rec.data.get("depth", 0))
+        data = rec.data
+        link = f"{data.get('rail', '?')}/{data.get('link', '?')}"
+        counters = self._counters
+        counters["link.frames", link].inc()
+        counters["link.bytes", link].inc(data.get("size", 0))
+        counters["link.busy_time", link].inc(data.get("dur", 0.0))
+        self._histograms["link.queue_delay", link].observe(
+            data.get("queued", 0.0))
+        self._gauges["link.queue_depth", link].set(data.get("depth", 0))
 
     def _on_nic_tx(self, rec: TraceRecord) -> None:
-        r = self.registry
-        rail = rec.data["rail"]
-        r.counter("nic.tx_frames", rail).inc()
-        r.counter("nic.tx_bytes", rail).inc(rec.data["size"])
-        r.counter("nic.busy_time", rail).inc(rec.data.get("dur", 0.0))
+        data = rec.data
+        rail = data["rail"]
+        counters = self._counters
+        counters["nic.tx_frames", rail].inc()
+        counters["nic.tx_bytes", rail].inc(data["size"])
+        counters["nic.busy_time", rail].inc(data.get("dur", 0.0))
 
     def _on_send_post(self, rec: TraceRecord) -> None:
-        self.registry.counter("nmad.messages_sent").inc()
+        self._counters["nmad.messages_sent", None].inc()
 
     def _on_recv_done(self, rec: TraceRecord) -> None:
-        self.registry.counter("nmad.messages_received").inc()
+        self._counters["nmad.messages_received", None].inc()
 
     def _on_unexpected(self, rec: TraceRecord) -> None:
-        self.registry.counter("nmad.unexpected").inc()
-        self.registry.gauge("nmad.unexpected_depth").set(
+        self._counters["nmad.unexpected", None].inc()
+        self._gauges["nmad.unexpected_depth", None].set(
             rec.data.get("depth", 0))
 
     def _on_unexpected_match(self, rec: TraceRecord) -> None:
-        self.registry.histogram("nmad.unexpected_residency").observe(
+        self._histograms["nmad.unexpected_residency", None].observe(
             rec.data.get("residency", 0.0))
         if rec.data.get("kind") == "eager":
-            self.registry.counter("nmad.messages_received").inc()
+            self._counters["nmad.messages_received", None].inc()
 
     def _on_push(self, rec: TraceRecord) -> None:
-        self.registry.gauge("strategy.window_depth").set(
+        self._gauges["strategy.window_depth", None].set(
             rec.data.get("pending", 0))
 
     def _on_pw_built(self, rec: TraceRecord) -> None:
-        r = self.registry
-        r.histogram("strategy.pw_entries").observe(rec.data.get("entries", 1))
-        r.histogram("strategy.pw_wire_bytes").observe(
-            rec.data.get("wire_size", 0))
+        data = rec.data
+        histograms = self._histograms
+        histograms["strategy.pw_entries", None].observe(data.get("entries", 1))
+        histograms["strategy.pw_wire_bytes", None].observe(
+            data.get("wire_size", 0))
 
     def _on_poll(self, rec: TraceRecord) -> None:
-        self.registry.counter("pioman.polls").inc()
+        self._counters["pioman.polls", None].inc()
 
     def _on_ltask(self, rec: TraceRecord) -> None:
-        self.registry.counter("pioman.ltasks").inc()
+        self._counters["pioman.ltasks", None].inc()
 
     def _on_engine_poll(self, rec: TraceRecord) -> None:
-        self.registry.counter("pioman.engine.polls",
-                              rec.data.get("engine", "?")).inc()
+        self._counters["pioman.engine.polls",
+                       rec.data.get("engine", "?")].inc()
 
     def _on_engine_ltask(self, rec: TraceRecord) -> None:
-        self.registry.counter("pioman.engine.ltasks",
-                              rec.data.get("engine", "?")).inc()
+        self._counters["pioman.engine.ltasks",
+                       rec.data.get("engine", "?")].inc()
 
     def _on_engine_steal(self, rec: TraceRecord) -> None:
-        self.registry.counter("pioman.engine.steals").inc()
+        self._counters["pioman.engine.steals", None].inc()
 
     def _on_reg_cache(self, rec: TraceRecord) -> None:
-        hit = rec.data.get("hit", False)
-        self.registry.counter(
-            "nmad.reg_hits" if hit else "nmad.reg_misses").inc()
-        evicted = rec.data.get("evicted", 0)
+        data = rec.data
+        hit = data.get("hit", False)
+        self._counters["nmad.reg_hits" if hit else "nmad.reg_misses",
+                       None].inc()
+        evicted = data.get("evicted", 0)
         if evicted:
-            self.registry.counter("nmad.reg_evicted_bytes").inc(evicted)
-        self.registry.gauge("nmad.reg_pinned_bytes").set(
-            rec.data.get("pinned", 0))
+            self._counters["nmad.reg_evicted_bytes", None].inc(evicted)
+        self._gauges["nmad.reg_pinned_bytes", None].set(data.get("pinned", 0))
 
     def _on_sem_wait(self, rec: TraceRecord) -> None:
-        self.registry.counter("pioman.sem_waits").inc()
+        self._counters["pioman.sem_waits", None].inc()
 
     def _on_sem_wake(self, rec: TraceRecord) -> None:
-        self.registry.histogram("pioman.sem_wait_time").observe(
+        self._histograms["pioman.sem_wait_time", None].observe(
             rec.data.get("waited", 0.0))
 
     def _on_mpi_send(self, rec: TraceRecord) -> None:
-        self.registry.counter("mpich2.sends", rec.data.get("path", "?")).inc()
+        self._counters["mpich2.sends", rec.data.get("path", "?")].inc()
 
     def _on_mpi_recv(self, rec: TraceRecord) -> None:
-        self.registry.counter("mpich2.recv_posts").inc()
+        self._counters["mpich2.recv_posts", None].inc()
 
     def _on_as_scan(self, rec: TraceRecord) -> None:
-        self.registry.counter("mpich2.anysource_scans").inc()
+        self._counters["mpich2.anysource_scans", None].inc()
         if rec.data.get("hit"):
-            self.registry.counter("mpich2.anysource_hits").inc()
+            self._counters["mpich2.anysource_hits", None].inc()
 
     def _on_cell_copy(self, rec: TraceRecord) -> None:
-        self.registry.counter("mpich2.cell_copy_bytes").inc(
+        self._counters["mpich2.cell_copy_bytes", None].inc(
             rec.data.get("size", 0))
 
     def _on_shm_send(self, rec: TraceRecord) -> None:
-        self.registry.counter("mpich2.shm_messages").inc()
+        self._counters["mpich2.shm_messages", None].inc()
 
     # -- collective dispatch ----------------------------------------------
     def _on_coll_end(self, rec: TraceRecord) -> None:
         label = f"{rec.data.get('coll', '?')}/{rec.data.get('algo', '?')}"
-        self.registry.counter("coll.calls", label).inc()
-        self.registry.histogram("coll.time", label).observe(
-            rec.data.get("dur", 0.0))
+        self._counters["coll.calls", label].inc()
+        self._histograms["coll.time", label].observe(rec.data.get("dur", 0.0))
 
     # -- fault / reliability ---------------------------------------------
     def _on_fault_drop(self, rec: TraceRecord) -> None:
-        r = self.registry
         rail = rec.data.get("rail", "?")
-        r.counter("fault.drops", rail).inc()
-        r.counter("fault.dropped_bytes", rail).inc(rec.data.get("size", 0))
+        self._counters["fault.drops", rail].inc()
+        self._counters["fault.dropped_bytes", rail].inc(
+            rec.data.get("size", 0))
 
     def _on_fault_corrupt(self, rec: TraceRecord) -> None:
-        self.registry.counter("fault.corrupts", rec.data.get("rail", "?")).inc()
+        self._counters["fault.corrupts", rec.data.get("rail", "?")].inc()
 
     def _on_fault_stall(self, rec: TraceRecord) -> None:
-        self.registry.counter("fault.stall_time",
-                              rec.data.get("rail", "?")).inc(
+        self._counters["fault.stall_time", rec.data.get("rail", "?")].inc(
             rec.data.get("dur", 0.0))
 
     def _on_reliab_timeout(self, rec: TraceRecord) -> None:
-        self.registry.counter("reliab.timeouts", rec.data.get("rail", "?")).inc()
+        self._counters["reliab.timeouts", rec.data.get("rail", "?")].inc()
 
     def _on_reliab_retransmit(self, rec: TraceRecord) -> None:
-        r = self.registry
         rail = rec.data.get("rail", "?")
-        r.counter("reliab.retransmits", rail).inc()
-        r.counter("reliab.retransmitted_bytes", rail).inc(
+        self._counters["reliab.retransmits", rail].inc()
+        self._counters["reliab.retransmitted_bytes", rail].inc(
             rec.data.get("size", 0))
 
     def _on_reliab_duplicate(self, rec: TraceRecord) -> None:
-        self.registry.counter("reliab.duplicates").inc()
+        self._counters["reliab.duplicates", None].inc()
 
     def _on_reliab_rdv_timeout(self, rec: TraceRecord) -> None:
-        self.registry.counter("reliab.rdv_timeouts").inc()
+        self._counters["reliab.rdv_timeouts", None].inc()
 
     def _on_rail_down(self, rec: TraceRecord) -> None:
-        self.registry.counter("reliab.rail_downs").inc()
+        self._counters["reliab.rail_downs", None].inc()
         self._rails_down[rec.data.get("rail", "?")] = (
             rec.time, rec.data.get("share", 0.0))
 
@@ -352,11 +379,11 @@ class TraceMetrics:
         down = self._rails_down.pop(rail, None)
         if down is not None:
             self._degraded_area += down[1] * (rec.time - down[0])
-        self.registry.histogram("reliab.recovery_time").observe(
+        self._histograms["reliab.recovery_time", None].observe(
             rec.data.get("downtime", 0.0))
 
     def _on_failover(self, rec: TraceRecord) -> None:
-        self.registry.counter("reliab.failovers").inc()
+        self._counters["reliab.failovers", None].inc()
 
     _HANDLERS = {
         "link.xmit": _on_link_xmit,

@@ -100,7 +100,7 @@ class Simulator:
     trace:
         Optional :class:`~repro.simulator.tracing.Trace` recorder.  When
         provided, subsystems emit structured trace records through
-        :meth:`record`.
+        :attr:`record`.
 
     Example
     -------
@@ -124,11 +124,10 @@ class Simulator:
         self._running_tasks = 0
         self._failed_tasks: list = []
         self._trace: Optional[Trace] = None
-        self._trace_append: Optional[Callable[..., None]] = None
         #: truthy fast-path flag: hot call sites check this before even
-        #: building the kwargs dict for :meth:`record`
+        #: building the kwargs dict for :attr:`record`
         self.tracing = False
-        self.trace = trace
+        self.trace = trace           # also sets :attr:`record`
         #: perf telemetry (host-side, never fed back into simulation):
         #: callbacks dispatched, high-water queue length, distinct
         #: timestamps dispatched, wall seconds inside :meth:`run` — see
@@ -453,12 +452,14 @@ class Simulator:
     def trace(self, trace: Optional[Trace]) -> None:
         self._trace = trace
         self.tracing = trace is not None
-        #: bound append, so the no-trace path in :meth:`record` is a
-        #: single attribute test and the traced path skips a lookup
-        self._trace_append = trace.append if trace is not None else None
+        #: ``record(category, **data)``: emit a record stamped with the
+        #: current time — the sink's recorder, bound once here, or a
+        #: no-op.  Assigned on every path and never deleted: deleting an
+        #: instance attribute de-specialises every attribute load on
+        #: the simulator, untraced runs included.
+        self.record: Callable[..., None] = (
+            trace.recorder(self) if trace is not None else _record_nothing)
 
-    def record(self, category: str, **data: Any) -> None:
-        """Emit a trace record if tracing is enabled (cheap no-op otherwise)."""
-        append = self._trace_append
-        if append is not None:
-            append(self._now, category, data)
+
+def _record_nothing(category: str, **data: Any) -> None:
+    """:attr:`Simulator.record` while tracing is off: drops the record."""

@@ -18,9 +18,14 @@ Live consumers (e.g. the metrics registry of
 :mod:`repro.observability.metrics` and the span profiler of
 :mod:`repro.observability.profile`) attach through
 :meth:`Trace.subscribe` and see every admitted record as it is
-appended.  A subscriber that raises is detached (and the error kept in
-:attr:`Trace.subscriber_errors`) instead of poisoning every subsequent
-record.
+appended — or, with ``categories=``, only the records of those
+categories.  A subscriber that raises is detached (and the error kept
+in :attr:`Trace.subscriber_errors`) instead of poisoning every
+subsequent record.
+
+Every sink admits records through one path, :meth:`Trace.append`:
+category filter, sampler, the sink's own store (a list, a ring, a
+file), lifetime tallies, then the subscribers routed for the category.
 
 Memory-bounded sinks for large runs (the ``p >= 64`` sweeps):
 
@@ -36,9 +41,10 @@ Memory-bounded sinks for large runs (the ``p >= 64`` sweeps):
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import (Any, Callable, Deque, Dict, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from collections import defaultdict, deque
+from typing import (Any, Callable, DefaultDict, Deque, Dict, FrozenSet,
+                    Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 __all__ = ["TraceRecord", "TraceSampler", "Trace", "RingTrace", "JsonlTrace",
            "load_trace_jsonl"]
@@ -48,6 +54,32 @@ class TraceRecord(NamedTuple):
     time: float
     category: str
     data: Dict[str, Any]
+
+
+#: builds a :class:`TraceRecord` without the generated ``__new__`` frame
+_new_record = tuple.__new__
+
+Subscriber = Callable[[TraceRecord], None]
+
+
+class _Routes(dict):
+    """Category -> the subscribers that take it, computed on first use.
+
+    Cleared whenever the subscriber list changes.
+    """
+
+    __slots__ = ("_subscribers",)
+
+    def __init__(self, subscribers: List[Tuple[Subscriber,
+                                               Optional[FrozenSet[str]]]]):
+        super().__init__()
+        self._subscribers = subscribers
+
+    def __missing__(self, category: str) -> Tuple[Subscriber, ...]:
+        fns = self[category] = tuple(
+            fn for fn, categories in self._subscribers
+            if categories is None or category in categories)
+        return fns
 
 
 #: data keys that identify the emitting entity, in lookup order
@@ -106,75 +138,101 @@ class TraceSampler:
 class Trace:
     """An append-only log of :class:`TraceRecord`.
 
-    A per-category index is maintained on append, so
-    :meth:`filter`/:meth:`count` cost O(matches) instead of scanning
-    the whole record list.
+    :meth:`filter`/:meth:`count` go through a per-category index that
+    is brought up to date on demand, so they cost O(matches) plus the
+    records appended since the last query, never a full scan.
     """
 
     def __init__(self, categories: Optional[set] = None,
                  sampler: Optional[TraceSampler] = None):
-        self._init_common(categories, sampler)
         self.records: List[TraceRecord] = []
+        self._init_common(categories, sampler, self.records.append)
         self._by_category: Dict[str, List[TraceRecord]] = {}
+        self._indexed = 0   # records[:_indexed] are in _by_category
 
     def _init_common(self, categories: Optional[set],
-                     sampler: Optional[TraceSampler]) -> None:
+                     sampler: Optional[TraceSampler],
+                     store: Callable[[TraceRecord], Any]) -> None:
         #: restrict recording to these categories (None = record all)
         self.categories = categories
         self.sampler = sampler
-        #: records admitted past the category filter and sampler — for
-        #: bounded sinks this keeps counting after eviction/spill
-        self.seen = 0
+        #: keeps an admitted record: the one step that differs per sink
+        self._store = store
         #: records rejected by the sampler (category-filtered ones are
         #: not counted: they were never meant for this trace)
         self.sampled_out = 0
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
+        #: admitted records per category, in first-seen order; for
+        #: bounded sinks these keep counting after eviction/spill
+        self._counts: DefaultDict[str, int] = defaultdict(int)
+        #: time of the first admitted record (None before any) and the
+        #: latest admitted time: the traced span, whatever the sink keeps
+        self.t_first: Optional[float] = None
+        self.t_last = 0.0
+        self._subscribers: List[Tuple[Subscriber,
+                                      Optional[FrozenSet[str]]]] = []
+        self._routes = _Routes(self._subscribers)
         #: (subscriber, exception) pairs for callbacks that raised and
         #: were detached; inspect in tests / after a run
-        self.subscriber_errors: List[
-            Tuple[Callable[[TraceRecord], None], BaseException]] = []
+        self.subscriber_errors: List[Tuple[Subscriber, BaseException]] = []
+
+    @property
+    def seen(self) -> int:
+        """Records admitted past the category filter and sampler, ever."""
+        return sum(self._counts.values())
 
     def append(self, time: float, category: str, data: Dict[str, Any]) -> None:
+        """Admit one record: the single path every sink shares."""
         if self.categories is not None and category not in self.categories:
             return
         if self.sampler is not None and not self.sampler.admit(category, data):
             self.sampled_out += 1
             return
-        rec = TraceRecord(time, category, data)
-        self.records.append(rec)
-        self.seen += 1
-        bucket = self._by_category.get(category)
-        if bucket is None:
-            bucket = self._by_category[category] = []
-        bucket.append(rec)
-        if self._subscribers:
-            self._dispatch(rec)
-
-    def _dispatch(self, rec: TraceRecord) -> None:
-        """Feed ``rec`` to every subscriber; detach any that raises."""
-        dead: Optional[List[Callable[[TraceRecord], None]]] = None
-        for fn in self._subscribers:
+        rec = _new_record(TraceRecord, (time, category, data))
+        self._store(rec)
+        self._counts[category] += 1
+        if self.t_first is None:
+            self.t_first = time
+        if time > self.t_last:
+            self.t_last = time
+        for fn in self._routes[category]:
             try:
                 fn(rec)
             except Exception as exc:
                 self.subscriber_errors.append((fn, exc))
-                if dead is None:
-                    dead = []
-                dead.append(fn)
-        if dead is not None:
-            for fn in dead:
                 self.unsubscribe(fn)
 
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
-        """Call ``fn(record)`` for every record appended from now on."""
-        self._subscribers.append(fn)
+    def recorder(self, clock: Any) -> Callable[..., None]:
+        """``record(category, **data)`` stamping records with
+        ``clock._now`` — what a :class:`Simulator` calls as its
+        ``record`` while this sink is attached."""
+        append = self.append
 
-    def unsubscribe(self, fn: Callable[[TraceRecord], None]) -> None:
+        def record(category: str, **data: Any) -> None:
+            append(clock._now, category, data)
+
+        return record
+
+    def subscribe(self, fn: Subscriber,
+                  categories: Optional[Iterable[str]] = None) -> None:
+        """Call ``fn(record)`` for every record appended from now on.
+
+        With ``categories``, ``fn`` sees only records of those
+        categories; the others never cost it a call.
+        """
+        if isinstance(categories, str):
+            raise TypeError("categories must be a collection of names, "
+                            f"not the string {categories!r}")
+        self._subscribers.append(
+            (fn, None if categories is None else frozenset(categories)))
+        self._routes.clear()
+
+    def unsubscribe(self, fn: Subscriber) -> None:
         """Stop delivering records to ``fn``.  Idempotent."""
-        try:
-            self._subscribers.remove(fn)
-        except ValueError:
-            pass
+        for i, (subscribed, _categories) in enumerate(self._subscribers):
+            if subscribed == fn:
+                del self._subscribers[i]
+                self._routes.clear()
+                return
 
     def __len__(self) -> int:
         return len(self.records)
@@ -183,8 +241,8 @@ class Trace:
         return iter(self.records)
 
     def categories_seen(self) -> List[str]:
-        """Every category with at least one record, in first-seen order."""
-        return list(self._by_category)
+        """Every category ever admitted, in first-seen order."""
+        return list(self._counts)
 
     def first_divergence(self, other: "Trace") -> Optional[int]:
         """Index of the first record where this trace differs from
@@ -205,7 +263,14 @@ class Trace:
 
     def filter(self, category: str, **match: Any) -> List[TraceRecord]:
         """Records of ``category`` whose data contains all of ``match``."""
-        recs = self._by_category.get(category, [])
+        index = self._by_category
+        for rec in self.records[self._indexed:]:
+            bucket = index.get(rec.category)
+            if bucket is None:
+                bucket = index[rec.category] = []
+            bucket.append(rec)
+        self._indexed = len(self.records)
+        recs = index.get(category, [])
         if not match:
             return list(recs)
         return [rec for rec in recs
@@ -213,7 +278,7 @@ class Trace:
 
     def count(self, category: str, **match: Any) -> int:
         if not match:
-            return len(self._by_category.get(category, ()))
+            return self._counts.get(category, 0)
         return len(self.filter(category, **match))
 
 
@@ -232,41 +297,23 @@ class RingTrace(Trace):
                  sampler: Optional[TraceSampler] = None):
         if capacity < 1:
             raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-        self._init_common(categories, sampler)
         self.capacity = capacity
-        self.evicted = 0
         self._ring: Deque[TraceRecord] = deque(maxlen=capacity)
-        self._lifetime_counts: Dict[str, int] = {}
+        self._init_common(categories, sampler, self._ring.append)
 
     @property
     def records(self) -> List[TraceRecord]:  # type: ignore[override]
         """The retained window, oldest first."""
         return list(self._ring)
 
-    def append(self, time: float, category: str, data: Dict[str, Any]) -> None:
-        if self.categories is not None and category not in self.categories:
-            return
-        if self.sampler is not None and not self.sampler.admit(category, data):
-            self.sampled_out += 1
-            return
-        rec = TraceRecord(time, category, data)
-        ring = self._ring
-        if len(ring) == self.capacity:
-            self.evicted += 1
-        ring.append(rec)
-        self.seen += 1
-        self._lifetime_counts[category] = \
-            self._lifetime_counts.get(category, 0) + 1
-        if self._subscribers:
-            self._dispatch(rec)
+    @property
+    def evicted(self) -> int:
+        """Admitted records pushed out of the ring by newer ones."""
+        return self.seen - len(self._ring)
 
     def lifetime_count(self, category: str) -> int:
         """Admitted records of ``category`` ever, evicted ones included."""
-        return self._lifetime_counts.get(category, 0)
-
-    def categories_seen(self) -> List[str]:
-        """Every category ever admitted, in first-seen order."""
-        return list(self._lifetime_counts)
+        return self._counts.get(category, 0)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -297,27 +344,19 @@ class JsonlTrace(Trace):
 
     def __init__(self, path: str, categories: Optional[set] = None,
                  sampler: Optional[TraceSampler] = None):
-        self._init_common(categories, sampler)
         self.path = path
         self._fh = open(path, "w")
+        self._init_common(categories, sampler, self._spill)
 
     @property
     def records(self) -> List[TraceRecord]:  # type: ignore[override]
         return []
 
-    def append(self, time: float, category: str, data: Dict[str, Any]) -> None:
-        if self.categories is not None and category not in self.categories:
-            return
-        if self.sampler is not None and not self.sampler.admit(category, data):
-            self.sampled_out += 1
-            return
+    def _spill(self, rec: TraceRecord) -> None:
         self._fh.write(json.dumps(
-            {"time": time, "category": category,
-             "data": {str(k): _jsonable(v) for k, v in data.items()}}))
+            {"time": rec.time, "category": rec.category,
+             "data": {str(k): _jsonable(v) for k, v in rec.data.items()}}))
         self._fh.write("\n")
-        self.seen += 1
-        if self._subscribers:
-            self._dispatch(TraceRecord(time, category, data))
 
     def flush(self) -> None:
         if not self._fh.closed:

@@ -1,5 +1,9 @@
-"""Call-graph construction on small fixture packages."""
+"""Call-graph construction on small fixture packages (and, for the
+callback roots the contracts rely on, on ``repro`` itself)."""
 
+import os
+
+import repro
 from repro.analysis.static.callgraph import build_package, iter_functions
 
 
@@ -221,6 +225,28 @@ def test_callback_registration_is_captured(make_pkg):
     graph = build_package(root)
     regs = [(r.via, r.callback) for r in graph.registrations]
     assert ("subscribe", "pkg.a.Listener.on_record") in regs
+
+
+def test_category_routed_registration_is_captured(make_pkg):
+    root = make_pkg({"a.py": """
+        class Listener:
+            def on_record(self, rec):
+                pass
+
+            def attach(self, trace):
+                trace.subscribe(self.on_record, categories=("nic.tx",))
+        """})
+    graph = build_package(root)
+    regs = [(r.via, r.callback) for r in graph.registrations]
+    assert ("subscribe", "pkg.a.Listener.on_record") in regs
+
+
+def test_trace_metrics_feed_is_a_callback_root():
+    # RPC001 reaches the live metrics feed only through this registration
+    graph = build_package(os.path.dirname(repro.__file__))
+    regs = {(r.via, r.callback) for r in graph.registrations}
+    assert ("subscribe",
+            "repro.observability.metrics.TraceMetrics.on_record") in regs
 
 
 def test_function_passed_as_argument_is_a_ref(make_pkg):

@@ -13,6 +13,12 @@ minus short run, so start-up and teardown cancel)
   ``pioman.polls`` and ``hardware.nic_tx_frames``, from a second run
   under a ``Trace`` with ``attach_metrics``.
 
+The ``_ring`` case is the eager case with tracing left on: its profiled
+run goes under ``RingTrace(1024)`` + ``attach_metrics``, so its call
+rows price the traced path (``simulator`` and ``observability``
+included), and its ``trace.records`` row pins the records admitted per
+message.
+
 Tolerance is 0.  The committed values live in ``work_budget.json`` next
 to this file; a change that moves a count edits that file in the same
 diff and says why.  On a mismatch the failure message prints the
@@ -40,7 +46,7 @@ import repro
 from repro import config
 from repro.observability import MetricsRegistry, attach_metrics
 from repro.runtime import MPIRuntime
-from repro.simulator import Trace
+from repro.simulator import RingTrace, Trace
 from repro.workloads.netpipe import pingpong
 
 KiB, MiB = 1024, 1024 * 1024
@@ -115,7 +121,13 @@ _CASES: Dict[str, Tuple] = {
     # one op = one burst; aggregation coalesces it into a few wrappers
     "burst_64x2KiB_ib_default": _burst_case("default"),
     "burst_64x2KiB_ib_aggreg": _burst_case("aggreg"),
+    # the eager case with tracing left on: RingTrace(1024) + live metrics
+    "eager_256B_ib_ring": (2, config.mpich2_nmad, config.xeon_pair,
+                           _pingpong(256), 2, _ROUNDS),
 }
+
+#: cases whose profiled run is traced, and pinned with a trace.records row
+_RING_TRACED = frozenset({"eager_256B_ib_ring"})
 
 
 def _layer(path: str) -> str:
@@ -134,8 +146,13 @@ def _runtime(case: str, trace: Any = None) -> MPIRuntime:
                       trace=trace)
 
 
-def _untraced(case: str, rounds: int) -> Tuple[int, Dict[str, int]]:
-    runtime = _runtime(case)
+def _profiled(case: str, rounds: int) -> Tuple[int, Dict[str, int], int]:
+    """Dispatches, calls per layer and trace records admitted."""
+    trace = None
+    if case in _RING_TRACED:
+        trace = RingTrace(1024)
+        attach_metrics(trace)
+    runtime = _runtime(case, trace)
     program = _CASES[case][3](rounds)
     profiler = cProfile.Profile()
     # a cyclic collection inside the window would finalize generators
@@ -152,7 +169,8 @@ def _untraced(case: str, rounds: int) -> Tuple[int, Dict[str, int]]:
     for entry in profiler.getstats():
         path = getattr(entry.code, "co_filename", "")   # builtins: a str
         calls[_layer(path)] = calls.get(_layer(path), 0) + entry.callcount
-    return runtime.sim.events_executed, calls
+    return (runtime.sim.events_executed, calls,
+            trace.seen if trace is not None else 0)
 
 
 def _traced(case: str, rounds: int) -> Dict[str, float]:
@@ -177,8 +195,8 @@ def measure(case: str) -> Dict[str, Any]:
     ops_per_round, rounds = _CASES[case][4:]
     ops = (rounds[1] - rounds[0]) * ops_per_round
     _runtime(case).run(_CASES[case][3](1))   # first-use imports and caches
-    (short_d, short_c), (long_d, long_c) = (_untraced(case, r)
-                                            for r in rounds)
+    (short_d, short_c, short_r), (long_d, long_c, long_r) = (
+        _profiled(case, r) for r in rounds)
     short_t, long_t = (_traced(case, r) for r in rounds)
     delta = {k: long_t[k] - short_t[k] for k in long_t}
     pw_built = delta.pop("nmad.pw_built")
@@ -187,6 +205,8 @@ def measure(case: str) -> Dict[str, Any]:
                 "nmad.entries_per_pw": (pw_entries / pw_built
                                         if pw_built else 0.0)}
     counters.update({k: v / ops for k, v in delta.items()})
+    if case in _RING_TRACED:
+        counters["trace.records"] = (long_r - short_r) / ops
     calls = {layer: (long_c.get(layer, 0) - short_c.get(layer, 0)) / ops
              for layer in sorted(set(short_c) | set(long_c))}
     return {"dispatches": (long_d - short_d) / ops,

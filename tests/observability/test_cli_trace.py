@@ -119,6 +119,59 @@ def test_cli_profile_rejects_bad_args(tmp_path):
         main(["profile", "nosuchstack", "pingpong"])
 
 
+_BAD_SINK_ARGS = {
+    "ring_capacity_0": (["--sink", "ring", "--ring-capacity", "0"],
+                        "--ring-capacity"),
+    "ring_capacity_negative": (["--sink", "ring", "--ring-capacity", "-3"],
+                               "--ring-capacity"),
+    "stride_0": (["--sample", "nic=0"], "--sample"),
+    "entities_not_ints": (["--sample-entities", "x"], "--sample-entities"),
+    "entities_empty_item": (["--sample-entities", "0,,1"],
+                            "--sample-entities"),
+    "jsonl_missing_dir": (["--sink", "jsonl", "--jsonl",
+                           "{tmp}/missing/x.jsonl"], "--jsonl"),
+}
+
+
+def _command(command, tmp_path):
+    if command == "trace":
+        return ["trace", "--reps", "1", "--out", str(tmp_path / "t.json")]
+    return ["profile", "mpich2_nmad", "pingpong", "--reps", "1",
+            "--folded", str(tmp_path / "p.folded"),
+            "--perfetto", str(tmp_path / "p.json")]
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SINK_ARGS))
+@pytest.mark.parametrize("command", ["trace", "profile"])
+def test_cli_bad_sink_arguments_exit_with_one_line(command, case, tmp_path):
+    argv, option = _BAD_SINK_ARGS[case]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(_command(command, tmp_path) + argv)
+    message = exc.value.code
+    assert isinstance(message, str)
+    assert option in message and "\n" not in message
+
+
+@pytest.mark.parametrize("command", ["trace", "profile"])
+def test_cli_jsonl_sink_closed_when_the_run_raises(command, tmp_path,
+                                                   monkeypatch):
+    from repro.runtime import MPIRuntime
+
+    sinks = []
+
+    def failing_run(runtime, program, **kw):
+        sinks.append(runtime.sim.trace)
+        raise RuntimeError("rank program failed")
+
+    monkeypatch.setattr(MPIRuntime, "run", failing_run)
+    with pytest.raises(RuntimeError):
+        main(_command(command, tmp_path)
+             + ["--sink", "jsonl", "--jsonl", str(tmp_path / "r.jsonl")])
+    (sink,) = sinks
+    assert sink._fh.closed
+
+
 def test_cli_perf_renders_campaign_telemetry(tmp_path, capsys):
     rows = [{"points": 276, "cache_hits": 0, "cache_misses": 276,
              "wall_seconds": 61.5, "executed_seconds": 118.25, "workers": 2},

@@ -155,21 +155,45 @@ def test_unsubscribe_stops_delivery():
 
 
 def test_raising_subscriber_never_loses_records():
-    trace = Trace()
-    good = []
-
     def bad(rec):
         raise RuntimeError("boom")
 
-    trace.subscribe(bad)
-    trace.subscribe(good.append)
-    trace.append(0.0, "nic.tx", {"node": 0})
+    # every sink admits through one path: same behaviour for each, for
+    # subscribers of every record and for category-routed ones
+    for make_sink in (Trace, lambda: RingTrace(8)):
+        for categories in (None, {"nic.tx"}):
+            trace = make_sink()
+            good = []
+            trace.subscribe(bad, categories=categories)
+            trace.subscribe(good.append, categories=categories)
+            trace.append(0.0, "nic.tx", {"node": 0})
+            trace.append(5e-7, "nmad.send_post", {"src": 0})
+            trace.append(1e-6, "nic.tx", {"node": 0})
+            # every record was appended and the healthy subscriber saw
+            # all it subscribed to
+            assert len(trace) == 3
+            assert [rec.category for rec in good] == (
+                ["nic.tx", "nmad.send_post", "nic.tx"] if categories is None
+                else ["nic.tx", "nic.tx"])
+            # the raising subscriber was detached after its first failure
+            assert len(trace.subscriber_errors) == 1
+            fn, exc = trace.subscriber_errors[0]
+            assert fn is bad
+            assert isinstance(exc, RuntimeError)
+
+
+def test_routed_subscriber_sees_only_its_categories():
+    trace = RingTrace(4)
+    routed, everything = [], []
+    trace.subscribe(routed.append, categories=["nic.tx", "nic.rx"])
+    trace.subscribe(everything.append)
+    for category in ("nic.tx", "nmad.send_post", "nic.rx", "nic.tx"):
+        trace.append(0.0, category, {"node": 0})
+    assert [rec.category for rec in routed] == ["nic.tx", "nic.rx", "nic.tx"]
+    assert len(everything) == 4
+    # unsubscribing re-routes from the next record on
+    trace.unsubscribe(routed.append)
     trace.append(1e-6, "nic.tx", {"node": 0})
-    # both records were appended and the healthy subscriber saw both
-    assert len(trace) == 2
-    assert len(good) == 2
-    # the raising subscriber was detached after its first failure
-    assert len(trace.subscriber_errors) == 1
-    fn, exc = trace.subscriber_errors[0]
-    assert fn is bad
-    assert isinstance(exc, RuntimeError)
+    assert len(routed) == 3 and len(everything) == 5
+    with pytest.raises(TypeError):
+        trace.subscribe(routed.append, categories="nic.tx")
