@@ -5,11 +5,12 @@ Three sub-packages:
 ``traffic``
     Trace post-processing: per-rail traffic summaries and ASCII
     timelines (the original ``repro.analysis`` module).
-``lint``
-    The determinism lint: an AST pass over ``src/`` enforcing the
-    repo-specific invariants every ``(seed, config)`` run depends on
-    (no wall-clock, no stray RNG, no iteration-order hazards, ...).
-    Run it with ``repro lint``.
+``static``
+    The static checker: a call graph and effect analysis over
+    ``src/repro`` enforcing the invariants every ``(seed, config)`` run
+    depends on (audited clock and RNG funnels, no blocking in
+    callbacks, no iteration-order hazards, ...).  Run it with
+    ``repro check``.
 ``race``
     The simulated-concurrency race detector: a dynamic happens-before
     checker over the DES engine's event causality.  Run it with

@@ -1,13 +1,10 @@
-"""Shared finding/suppression/reporter machinery for ``lint`` and ``check``.
+"""Finding/suppression/reporter machinery for ``repro check``.
 
-Both analysis front-ends — the per-file determinism lint
-(:mod:`repro.analysis.lint`) and the whole-package static contract
-checker (:mod:`repro.analysis.static`) — produce the same shape of
-finding: a :class:`Violation` at one source location with a stable rule
+The static checker (:mod:`repro.analysis.static`) reports each finding
+as a :class:`Violation` at one source location with a stable contract
 code.  This module owns that shape plus everything downstream of it:
 
-* inline pragma suppression (``# repro-lint: allow[...]`` /
-  ``# repro-check: allow[...]``),
+* inline pragma suppression (``# repro-check: allow[...]``),
 * the fingerprint baseline (checked-in JSON of known debt; fingerprints
   hash path + code + offending source text, not line numbers),
 * the three output formats: human text, plain JSON, and SARIF 2.1.0
@@ -65,19 +62,17 @@ def normalize_path(path: str) -> str:
 # ----------------------------------------------------------------------
 # Pragma suppression
 # ----------------------------------------------------------------------
-def parse_pragmas(lines: Sequence[str],
-                  tool: str = "repro-lint") -> Dict[int, Optional[frozenset]]:
+_PRAGMA = re.compile(r"#\s*repro-check:\s*allow(?:\[([A-Z0-9, ]+)\])?")
+
+
+def parse_pragmas(lines: Sequence[str]) -> Dict[int, Optional[frozenset]]:
     """line number -> allowed codes (None = all codes allowed).
 
-    ``tool`` selects the pragma spelling: ``# repro-lint: allow[...]``
-    for the determinism lint, ``# repro-check: allow[...]`` for the
-    static contract checker.  A bare ``allow`` silences every code on
-    that line; ``allow[C1,C2]`` only the listed ones.  A pragma on a
-    comment-only line also covers the *next* line, so justifications
-    that do not fit after the code can sit above it.
+    The pragma is ``# repro-check: allow[...]``.  A bare ``allow``
+    silences every code on that line; ``allow[C1,C2]`` only the listed
+    ones.  A pragma on a comment-only line also covers the *next* line,
+    so justifications that do not fit after the code can sit above it.
     """
-    pragma = re.compile(
-        r"#\s*" + re.escape(tool) + r":\s*allow(?:\[([A-Z0-9, ]+)\])?")
     out: Dict[int, Optional[frozenset]] = {}
 
     def _merge(line: int, codes: Optional[frozenset]) -> None:
@@ -89,7 +84,7 @@ def parse_pragmas(lines: Sequence[str],
                      else current | codes)
 
     for i, text in enumerate(lines, start=1):
-        m = pragma.search(text)
+        m = _PRAGMA.search(text)
         if not m:
             continue
         codes = (frozenset(c.strip() for c in m.group(1).split(","))
@@ -127,10 +122,10 @@ def baseline_counts(violations: Iterable[Violation]) -> Dict[str, int]:
     return counts
 
 
-def save_baseline(path: str, violations: Iterable[Violation],
-                  comment: str = "analysis baseline") -> None:
+def save_baseline(path: str, violations: Iterable[Violation]) -> None:
     payload = {
-        "comment": comment,
+        "comment": "repro check baseline; regenerate with "
+                   "`repro check --update-baseline`",
         "version": 1,
         "fingerprints": dict(sorted(baseline_counts(violations).items())),
     }

@@ -1,7 +1,6 @@
-"""The whole-package static effect & contract checker (``repro check``).
+"""The static determinism and contract checker (``repro check``).
 
-Where ``repro lint`` inspects one file at a time, this package builds
-an interprocedural view of all of ``src/repro``:
+It builds an interprocedural view of all of ``src/repro``:
 
 1. :mod:`~repro.analysis.static.callgraph` parses every module and
    resolves calls, method dispatch, imports/re-exports, lambdas and
@@ -11,23 +10,22 @@ an interprocedural view of all of ``src/repro``:
    mutation) and propagates them callee-to-caller to a fixpoint, with
    the audited ``hostclock``/``rng_stream`` funnels absorbing their raw
    effects;
-3. :mod:`~repro.analysis.static.contracts` enforces the package-wide
-   contracts (RPC001–RPC006) and offers an advisory dead-code report.
+3. :mod:`~repro.analysis.static.contracts` enforces the contracts
+   (RPC001–RPC009) and offers an advisory dead-code report.
 
-Suppression mirrors the lint exactly, via the shared
-:mod:`repro.analysis.reporting` machinery: inline
-``# repro-check: allow[RPC...]`` pragmas and a checked-in fingerprint
-baseline (``.repro-check-baseline.json``).
+Suppression goes through the :mod:`repro.analysis.reporting`
+machinery: inline ``# repro-check: allow[RPC...]`` pragmas and a
+checked-in fingerprint baseline (``.repro-check-baseline.json``).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import (Violation, apply_baseline,
-                                      parse_pragmas,
-                                      save_baseline as _save_baseline,
+                                      parse_pragmas, save_baseline,
                                       suppressed_by_pragma)
 from repro.analysis.static.callgraph import (CallGraph, FunctionInfo,
                                              build_package)
@@ -38,8 +36,6 @@ from repro.analysis.static.effects import EffectAnalysis
 
 __all__ = ["CheckResult", "CONTRACTS", "contract_catalog", "check_package",
            "run_check", "save_baseline", "default_target"]
-
-PRAGMA_TOOL = "repro-check"
 
 
 @dataclass
@@ -59,15 +55,10 @@ class CheckResult:
 
 
 def default_target() -> str:
-    from repro.analysis.lint import default_target as lint_target
+    """The installed ``repro`` package directory (check target default)."""
+    import repro
 
-    return lint_target()
-
-
-def save_baseline(path: str, violations: List[Violation]) -> None:
-    _save_baseline(path, violations,
-                   comment="repro check baseline; regenerate with "
-                           "`repro check --update-baseline`")
+    return os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def _drop_pragma_suppressed(graph: CallGraph,
@@ -75,8 +66,7 @@ def _drop_pragma_suppressed(graph: CallGraph,
     pragmas_by_path: Dict[str, Dict[int, Optional[frozenset]]] = {}
     for name in sorted(graph.modules):
         mod = graph.modules[name]
-        pragmas_by_path[mod.path] = parse_pragmas(mod.lines,
-                                                  tool=PRAGMA_TOOL)
+        pragmas_by_path[mod.path] = parse_pragmas(mod.lines)
     kept: List[Violation] = []
     for violation in found:
         pragmas = pragmas_by_path.get(violation.path, {})

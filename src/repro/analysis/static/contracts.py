@@ -1,7 +1,7 @@
 """Package-wide contract passes over the effect-annotated call graph.
 
 Each pass yields :class:`~repro.analysis.reporting.Violation` findings
-with stable RPC codes (the static complement to the per-file RPR lint):
+with stable RPC codes:
 
 RPC001 callback-blocks
     A blocking/yielding effect is reachable from a non-process context:
@@ -28,6 +28,20 @@ RPC006 dead-taxonomy
     A taxonomy category no category-like literal in the package ever
     mentions (indirect emission via ``functools.partial`` counts — any
     literal occurrence is accepted as evidence of life).
+RPC007 iteration-order
+    Iteration over an unordered ``set`` (or sorting by ``id()``): a
+    hash-seed / allocation dependent order that diverges between runs
+    once it feeds the event schedule.
+RPC008 float-eq-time
+    ``==`` / ``!=`` between simulated timestamps: accumulated floats
+    compare equal until a cost model changes rounding, then silently
+    flip.
+RPC009 mutable-default
+    A mutable default argument, shared across calls and so across
+    back-to-back simulation runs in one process.
+
+RPC007–RPC009 are per-module passes over the trees the call graph
+already parsed; the rest read the propagated effects.
 """
 
 from __future__ import annotations
@@ -36,13 +50,16 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.reporting import Violation, normalize_path
-from repro.analysis.static.callgraph import CallGraph, FunctionInfo
+from repro.analysis.static.callgraph import (CallGraph, FunctionInfo,
+                                             _dotted)
 from repro.analysis.static.effects import (BLOCKS, MUTATES_SHARED, RAW_CLOCK,
                                            RAW_RNG, YIELDS, EffectAnalysis,
                                            _category_like)
 
 __all__ = ["CONTRACTS", "contract_catalog", "run_contracts",
            "dead_public_functions"]
+
+Finding = Tuple[int, int, str]  # (line, col, message)
 
 #: (code, summary) — the full catalog, stable order
 CONTRACTS: Tuple[Tuple[str, str], ...] = (
@@ -58,10 +75,13 @@ CONTRACTS: Tuple[Tuple[str, str], ...] = (
                "taxonomy registry"),
     ("RPC006", "taxonomy category never mentioned by any literal in "
                "the package"),
+    ("RPC007", "iteration-order hazard (unordered set / id() ordering)"),
+    ("RPC008", "float equality on simulated timestamps"),
+    ("RPC009", "mutable default argument"),
 )
 
 #: per-code, package-relative path suffixes exempt from that contract
-#: (the funnels themselves, mirroring the lint's allow_paths)
+#: (the audited funnels themselves)
 ALLOW_PATHS: Dict[str, Tuple[str, ...]] = {
     "RPC002": ("simulator/hostclock.py",),
     "RPC003": ("simulator/rng.py",),
@@ -267,12 +287,9 @@ def _check_taxonomy(graph: CallGraph,
         if info.module == taxonomy:
             continue
         for category, line in analysis.functions[qname].categories:
-            root = category.split(".", 1)[0]
             if category in registered:
                 continue
-            # prefix registration: "nmad.pw_post[mx]" style labels
-            if category.split("[", 1)[0] in registered:
-                continue
+            root = category.split(".", 1)[0]
             yield _violation(
                 graph, info.path, line, 0, "RPC005",
                 f"category '{category}' (root '{root}') is not "
@@ -282,12 +299,163 @@ def _check_taxonomy(graph: CallGraph,
     for category in sorted(registered):
         if category in mentions:
             continue
-        if any(m.split("[", 1)[0] == category for m in sorted(mentions)):
-            continue
         yield _violation(
             graph, tax_mod.path, registered[category], 0, "RPC006",
             f"taxonomy category '{category}' is never mentioned by any "
             f"literal in the package (dead registry entry)")
+
+
+# ----------------------------------------------------------------------
+# RPC007 — iteration order
+# ----------------------------------------------------------------------
+def _is_set_expr(node: ast.AST, setvars: Set[str]) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        d = _dotted(node.func)
+        return d in ("set", "frozenset")
+    if isinstance(node, ast.Name):
+        return node.id in setvars
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)):
+        return (_is_set_expr(node.left, setvars)
+                or _is_set_expr(node.right, setvars))
+    return False
+
+
+def _iter_scope(node: ast.AST) -> Iterator[ast.AST]:
+    """Child nodes in source order; nested defs are yielded (so the
+    scanner can queue them) but not descended into."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield from _iter_scope(child)
+
+
+def _scan_scope(body: List[ast.stmt],
+                inherited: frozenset = frozenset()) -> Iterator[Finding]:
+    setvars: Set[str] = set(inherited)
+    # (nested def, closed-over set vars at its definition point)
+    nested: List[Tuple[ast.FunctionDef | ast.AsyncFunctionDef,
+                       frozenset]] = []
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested.append((stmt, frozenset(setvars)))
+            continue
+        for node in [stmt] + list(_iter_scope(stmt)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.append((node, frozenset(setvars)))
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                if _is_set_expr(node.value, setvars):
+                    setvars.add(name)
+                else:
+                    setvars.discard(name)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                it = node.iter
+                if _is_set_expr(it, setvars):
+                    what = it.id if isinstance(it, ast.Name) else "a set"
+                    yield (it.lineno, it.col_offset,
+                           f"iterating unordered set {what!r}; wrap in "
+                           f"sorted(...) before it reaches the schedule")
+            elif isinstance(node, ast.Call):
+                for kw in node.keywords:
+                    if kw.arg == "key" and isinstance(kw.value, ast.Name) \
+                            and kw.value.id == "id":
+                        yield (node.lineno, node.col_offset,
+                               "ordering by id() is allocation-dependent "
+                               "and differs between runs")
+    for fn, snapshot in nested:
+        yield from _scan_scope(fn.body, snapshot)
+
+
+def _iteration_order(tree: ast.Module) -> Iterator[Finding]:
+    yield from _scan_scope(tree.body)
+
+
+# ----------------------------------------------------------------------
+# RPC008 — float equality on simulated timestamps
+# ----------------------------------------------------------------------
+_TIME_NAMES = frozenset({"now", "arrival", "deadline", "timestamp",
+                         "t0", "t1"})
+_TIME_SUFFIXES = ("_time", "_at", "_deadline", "_arrival", "_since")
+
+
+def _timey(node: ast.AST) -> Optional[str]:
+    name = None
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    if name and (name in _TIME_NAMES or name.endswith(_TIME_SUFFIXES)):
+        return name
+    return None
+
+
+def _float_eq_time(tree: ast.Module) -> Iterator[Finding]:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        operands = [node.left] + list(node.comparators)
+        if any(isinstance(o, ast.Constant) and o.value is None
+               for o in operands):
+            continue  # `x == None` is a different lint's problem
+        for operand in operands:
+            name = _timey(operand)
+            if name:
+                yield (node.lineno, node.col_offset,
+                       f"float equality on simulated timestamp {name!r}; "
+                       f"use an ordering or an explicit tolerance")
+                break
+
+
+# ----------------------------------------------------------------------
+# RPC009 — mutable default arguments
+# ----------------------------------------------------------------------
+_MUTABLE_CTORS = frozenset({"list", "dict", "set", "deque", "defaultdict",
+                            "collections.deque", "collections.defaultdict",
+                            "collections.OrderedDict", "OrderedDict"})
+
+
+def _mutable(node: ast.AST) -> bool:
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                         ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        return _dotted(node.func) in _MUTABLE_CTORS
+    return False
+
+
+def _mutable_defaults(tree: ast.Module) -> Iterator[Finding]:
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        defaults = list(node.args.defaults) + [
+            d for d in node.args.kw_defaults if d is not None]
+        for default in defaults:
+            if _mutable(default):
+                yield (default.lineno, default.col_offset,
+                       "mutable default argument is shared across calls "
+                       "(and across simulation runs); default to None")
+
+
+_MODULE_PASSES = (("RPC007", _iteration_order),
+                  ("RPC008", _float_eq_time),
+                  ("RPC009", _mutable_defaults))
+
+
+def _check_modules(graph: CallGraph,
+                   analysis: EffectAnalysis) -> Iterator[Violation]:
+    for name in sorted(graph.modules):
+        mod = graph.modules[name]
+        for code, scan in _MODULE_PASSES:
+            for line, col, message in scan(mod.tree):
+                yield _violation(graph, mod.path, line, col, code, message)
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +528,7 @@ def run_contracts(graph: CallGraph,
     """All contract passes, deterministically ordered."""
     found: List[Violation] = []
     for check in (_check_callbacks, _check_funnels, _check_shared_writes,
-                  _check_taxonomy):
+                  _check_taxonomy, _check_modules):
         found.extend(check(graph, analysis))
     found.sort(key=lambda v: (normalize_path(v.path), v.line, v.code,
                               v.message))

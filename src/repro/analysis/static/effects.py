@@ -7,7 +7,7 @@ propagates callee effects to callers along resolved ``call`` edges:
 ``RAW_CLOCK``
     a host wall-clock read (``time.time``, ``datetime.now``, ...),
     resolved through import aliases — ``from time import time as now``
-    does not hide it the way it hides from the per-site lint.
+    or ``import time as clock`` does not hide it.
 ``RAW_RNG``
     a draw from process-global randomness (``random.*``,
     ``numpy.random.*`` legacy globals).
@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.analysis.static.callgraph import CallGraph, FunctionInfo
+from repro.analysis.static.callgraph import CallGraph, FunctionInfo, _dotted
 
 __all__ = ["RAW_CLOCK", "RAW_RNG", "HOST_CLOCK", "RNG_STREAM", "YIELDS",
            "BLOCKS", "TRACE_EMIT", "MUTATES_SHARED", "RACE_INSTRUMENTED",
@@ -53,13 +53,14 @@ TRACE_EMIT = "TRACE_EMIT"
 MUTATES_SHARED = "MUTATES_SHARED"
 RACE_INSTRUMENTED = "RACE_INSTRUMENTED"
 
-#: external dotted names that read the host wall clock (mirrors RPR001,
-#: but matched after import-alias resolution)
+#: external dotted names that read the host wall clock, matched after
+#: import-alias resolution
 RAW_CLOCK_CALLS = frozenset({
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
     "time.perf_counter", "time.perf_counter_ns",
+    "time.process_time", "time.process_time_ns",
     "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.date.today",
+    "datetime.datetime.today", "datetime.date.today",
 })
 
 #: external dotted names that block the host thread
@@ -136,17 +137,6 @@ def own_nodes(info: FunctionInfo) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(current))
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _external_name(imports: Dict[str, str], dotted: str) -> str:
     """Rewrite the head of ``dotted`` through the module's import map so
     aliased externals (``from time import time as now``) still match."""
@@ -158,9 +148,9 @@ def _external_name(imports: Dict[str, str], dotted: str) -> str:
 
 
 def _category_like(value: str) -> bool:
-    return ("." in value and value == value.lower()
-            and " " not in value and value.replace(".", "")
-            .replace("_", "").isalnum())
+    """Looks like ``layer.event_name``, in any case (``Nmad.Bogus`` is a
+    typo to flag, not a string to ignore)."""
+    return "." in value and value.replace(".", "").replace("_", "").isalnum()
 
 
 class EffectAnalysis:

@@ -16,12 +16,11 @@ Commands
                   (points, cache hits, wall time) across runs
 ``faults``        chaos run: a streaming workload under a named fault
                   plan, with goodput-degradation and recovery report
-``lint``          determinism lint: AST rules RPR001.. over the package
-                  (wall-clock, RNG, iteration-order, taxonomy hygiene)
-``check``         whole-package static contract checker: call-graph +
+``check``         static determinism and contract checker: call-graph +
                   effect propagation enforcing RPC001.. (no blocking in
                   callbacks, audited clock/RNG funnels, race coverage,
-                  taxonomy round-trip), plus a dead-code report
+                  taxonomy round-trip, iteration order, timestamp
+                  equality, mutable defaults), plus a dead-code report
 ``race``          simulated-concurrency race detector: run a preset
                   under happens-before tracking and report conflicts
 ``campaign``      parallel experiment campaign: decompose experiments
@@ -395,61 +394,10 @@ def cmd_faults(args) -> int:
     return 0 if report.exactly_once else 1
 
 
-def _emit_findings(violations, fmt: str, tool: str, rules,
-                   output: Optional[str]) -> None:
-    """Render findings in ``fmt``; text goes line-by-line to stdout."""
-    from repro.analysis.reporting import render
-
-    if fmt == "text" and output is None:
-        for violation in violations:
-            print(violation.format())
-        return
-    document = render(violations, fmt, tool, rules)
-    if output is None:
-        print(document)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(document + "\n")
-        print(f"{fmt} report ({len(violations)} finding(s)) written "
-              f"to {output}")
-
-
-def cmd_lint(args) -> int:
-    import os
-
-    from repro.analysis.lint import (RULES, load_baseline, rule_catalog,
-                                     run_lint, save_baseline)
-
-    if args.list_rules:
-        for rule in RULES:
-            print(f"  {rule.code}  {rule.name:18s} {rule.summary}")
-        return 0
-    paths = args.paths or None
-    if args.update_baseline:
-        result = run_lint(paths)
-        save_baseline(args.update_baseline, result.violations)
-        print(f"baseline of {len(result.violations)} finding(s) written "
-              f"to {args.update_baseline}")
-        return 0
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(".repro-lint-baseline.json"):
-        baseline_path = ".repro-lint-baseline.json"
-    baseline = load_baseline(baseline_path) if baseline_path else None
-    result = run_lint(paths, baseline=baseline)
-    _emit_findings(result.violations, args.format, "repro-lint",
-                   rule_catalog(), args.output)
-    status = "clean" if result.clean else \
-        f"{len(result.violations)} violation(s)"
-    suppressed = f", {len(result.baselined)} baselined" if result.baselined \
-        else ""
-    print(f"repro lint: {result.files} file(s), {status}{suppressed}")
-    return 0 if result.clean else 1
-
-
 def cmd_check(args) -> int:
     import os
 
-    from repro.analysis.reporting import load_baseline
+    from repro.analysis.reporting import load_baseline, render
     from repro.analysis.static import (check_package, contract_catalog,
                                        default_target, run_check,
                                        save_baseline)
@@ -470,8 +418,19 @@ def cmd_check(args) -> int:
         baseline_path = ".repro-check-baseline.json"
     baseline = load_baseline(baseline_path) if baseline_path else None
     result = run_check(root, baseline=baseline, dead_code=args.dead_code)
-    _emit_findings(result.violations, args.format, "repro-check",
-                   contract_catalog(), args.output)
+    if args.format == "text" and args.output is None:
+        for violation in result.violations:
+            print(violation.format())
+    else:
+        document = render(result.violations, args.format, "repro-check",
+                          contract_catalog())
+        if args.output is None:
+            print(document)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(document + "\n")
+            print(f"{args.format} report ({len(result.violations)} "
+                  f"finding(s)) written to {args.output}")
     if args.dead_code:
         for info in result.dead:
             kind = "method" if info.is_method else "function"
@@ -760,24 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the full report as JSON to this path")
     p.set_defaults(fn=cmd_faults)
 
-    p = sub.add_parser("lint", help="determinism lint over the package")
-    p.add_argument("paths", nargs="*",
-                   help="files/dirs to lint (default: the repro package)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON (default: .repro-lint-baseline.json "
-                        "in the cwd when present)")
-    p.add_argument("--update-baseline", metavar="PATH", default=None,
-                   help="write current findings as the new baseline and exit")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalog and exit")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="findings output format")
-    p.add_argument("--output", metavar="PATH", default=None,
-                   help="write the findings report to a file instead of "
-                        "stdout")
-    p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser("check", help="whole-package static contract "
+    p = sub.add_parser("check", help="static determinism and contract "
                                      "checker (call graph + effects)")
     p.add_argument("root", nargs="?", default=None,
                    help="package directory to analyze (default: the "

@@ -32,8 +32,6 @@ class NativeCosts:
     pipeline_chunk: int = 1 << 20
     #: host cost between successive pipeline chunks, s
     per_chunk_cost: float = 1.5e-6
-    #: registration cache enabled (MVAPICH2: yes; NewMadeleine: no)
-    reg_cache: bool = True
     #: protocol efficiency applied to wire bandwidth (credits, headers)
     bw_derate: float = 1.0
     #: one-way intra-node small-message latency, s
@@ -92,7 +90,8 @@ class NativeStack(BaseStack):
         self.nic = nic
         self.rank_to_node = rank_to_node
         self.costs = costs
-        self.registrar = registrar or node.make_registrar(cache=costs.reg_cache)
+        # native stacks keep a pin-down registration cache (Liu et al.)
+        self.registrar = registrar or node.make_registrar(cache=True)
         self.posted = PostedQueue()
         self.unexpected = UnexpectedQueue()
         self._rdv_send: Dict[int, _RdvSendState] = {}

@@ -24,7 +24,6 @@ MVAPICH2_IB = NativeCosts(
     eager_threshold=12 * 1024,
     pipeline_chunk=1 << 20,
     per_chunk_cost=1.0e-6,
-    reg_cache=True,
     bw_derate=0.997,
     shm_latency=0.30e-6,
     shm_bandwidth=2.5e9,
@@ -39,7 +38,6 @@ OPENMPI_IB = NativeCosts(
     eager_threshold=12 * 1024,
     pipeline_chunk=128 * 1024,
     per_chunk_cost=14.0e-6,
-    reg_cache=True,
     bw_derate=0.93,
     shm_latency=0.45e-6,
     shm_bandwidth=2.0e9,
@@ -54,7 +52,6 @@ OPENMPI_PML_MX = NativeCosts(
     eager_threshold=12 * 1024,
     pipeline_chunk=256 * 1024,
     per_chunk_cost=4.0e-6,
-    reg_cache=True,
     bw_derate=0.95,
     shm_latency=0.45e-6,
     shm_bandwidth=2.0e9,
@@ -69,7 +66,6 @@ OPENMPI_BTL_MX = NativeCosts(
     eager_threshold=12 * 1024,
     pipeline_chunk=128 * 1024,
     per_chunk_cost=8.0e-6,
-    reg_cache=True,
     bw_derate=0.90,
     shm_latency=0.45e-6,
     shm_bandwidth=2.0e9,

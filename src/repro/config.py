@@ -64,7 +64,6 @@ class StackSpec:
     #: progress-engine kind (repro.pioman.engines.ENGINE_KINDS) when
     #: ``pioman`` is on; None -> REPRO_PROGRESS env, then "pioman"
     progress: Optional[str] = None
-    reg_cache: bool = False                  # nmad registers on the fly
     #: IB pin-down registration cache capacity in bytes (Liu et al.
     #: cs/0310059); 0 keeps today's on-the-fly registration
     ib_reg_cache: int = 0

@@ -142,7 +142,8 @@ class MPIRuntime:
         core = NmadCore(
             self.sim, rank, node.node_id,
             mem=node.params.mem,
-            registrar=node.make_registrar(cache=self.spec.reg_cache),
+            # nmad registers on the fly (paper 4.1.1)
+            registrar=node.make_registrar(cache=False),
             costs=nmad_costs,
             rank_to_node=self.rank_to_node,
         )

@@ -332,7 +332,7 @@ class Simulator:
                     if pending > peak:
                         peak = pending
                     entry = heappop(queue)
-                    if entry[0] != now:  # repro-lint: allow[RPR004]
+                    if entry[0] != now:  # repro-check: allow[RPC008]
                         now = self._now = entry[0]
                         batches += 1
                     item = entry[2]

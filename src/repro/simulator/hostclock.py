@@ -1,6 +1,6 @@
 """The audited host wall clock.
 
-The determinism lint (RPR001) bans ``time.time`` and friends
+``repro check`` (RPC002) bans ``time.time`` and friends
 everywhere except this module: every host-time read in the codebase
 funnels through :func:`host_clock`, so nothing host-dependent can leak
 into simulated results.  Legitimate consumers are *telemetry only* —

@@ -93,7 +93,7 @@ class TraceSampler:
     ``strides`` maps a category (``"pioman.poll"``) or a whole layer
     (``"pioman"``) to an admit-every-Nth stride; the per-key counters
     make the decision a pure function of the record sequence, never of
-    host state (no RNG — the determinism lint would flag it anyway).
+    host state (no RNG — ``repro check`` would flag it anyway).
     ``entities`` restricts recording to the given rank/node ids (the
     first of ``rank``/``dst``/``src``/``node`` present in the record's
     data); records naming no entity are always admitted.

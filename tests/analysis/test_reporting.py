@@ -35,23 +35,22 @@ def test_fingerprint_ignores_line_moves():
 # ---------------------------------------------------------------------------
 
 def test_pragma_same_line():
-    pragmas = parse_pragmas(["x = 1  # repro-check: allow[RPC003]"],
-                            tool="repro-check")
+    pragmas = parse_pragmas(["x = 1  # repro-check: allow[RPC003]"])
     assert suppressed_by_pragma(pragmas, 1, "RPC003")
     assert not suppressed_by_pragma(pragmas, 1, "RPC002")
 
 
 def test_pragma_bare_allow_silences_all_codes():
-    pragmas = parse_pragmas(["x = 1  # repro-lint: allow"])
-    assert suppressed_by_pragma(pragmas, 1, "RPR001")
-    assert suppressed_by_pragma(pragmas, 1, "RPR999")
+    pragmas = parse_pragmas(["x = 1  # repro-check: allow"])
+    assert suppressed_by_pragma(pragmas, 1, "RPC002")
+    assert suppressed_by_pragma(pragmas, 1, "RPC999")
 
 
 def test_comment_only_pragma_covers_next_line():
     pragmas = parse_pragmas([
         "# repro-check: allow[RPC004] build-time wiring",
         "self.stacks.append(stack)",
-    ], tool="repro-check")
+    ])
     assert suppressed_by_pragma(pragmas, 2, "RPC004")
 
 
@@ -59,14 +58,8 @@ def test_trailing_pragma_does_not_leak_to_next_line():
     pragmas = parse_pragmas([
         "x = 1  # repro-check: allow[RPC003]",
         "y = 2",
-    ], tool="repro-check")
+    ])
     assert not suppressed_by_pragma(pragmas, 2, "RPC003")
-
-
-def test_tool_spelling_is_disjoint():
-    pragmas = parse_pragmas(["x = 1  # repro-lint: allow[RPR001]"],
-                            tool="repro-check")
-    assert not suppressed_by_pragma(pragmas, 1, "RPR001")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +112,7 @@ def test_sarif_is_valid_2_1_0():
 
 
 def test_sarif_lists_rules_even_when_clean():
-    doc = to_sarif([], tool="repro-lint", rules=[("RPR001", "wall clock")])
+    doc = to_sarif([], tool="repro-check", rules=[("RPC002", "wall clock")])
     assert doc["runs"][0]["results"] == []
     assert doc["runs"][0]["tool"]["driver"]["rules"]
 

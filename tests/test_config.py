@@ -3,6 +3,7 @@
 import pytest
 
 from repro import config
+from repro.runtime import MPIRuntime
 
 
 def test_all_presets_build():
@@ -60,6 +61,12 @@ def test_cluster_specs():
 
 
 def test_registration_cache_defaults():
-    # NewMadeleine registers on the fly (paper 4.1.1); MVAPICH2 caches
-    assert config.mpich2_nmad().reg_cache is False
-    assert config.mvapich2().native_costs.reg_cache is True
+    # NewMadeleine registers on the fly (paper 4.1.1); the comparators
+    # keep a pin-down registration cache (Liu et al.)
+    for spec in (config.mpich2_nmad(), config.mpich2_nmad_pioman()):
+        rt = MPIRuntime(2, spec)
+        assert [s.core.registrar.cache for s in rt.stacks] == [False, False]
+    for spec in (config.mvapich2(), config.openmpi_ib(),
+                 config.openmpi_pml_mx(), config.openmpi_btl_mx()):
+        rt = MPIRuntime(2, spec, cluster=config.xeon_pair())
+        assert [s.registrar.cache for s in rt.stacks] == [True, True]

@@ -1,17 +1,21 @@
-"""Doc truth: every repo path and ``repro`` module a document names exists.
+"""Doc truth: every repo path, ``repro`` module and ``repro`` subcommand
+a document names exists.
 
 Scans the inline code spans (single backticks, fenced blocks skipped) of
 the maintained documents.  A word counts as a repo-relative path when it
 contains ``/`` and starts with one of the repo's top-level directories;
 it must exist, or match at least one file when it is a glob.  A dotted
 ``repro.x.y`` name must import, or resolve as an attribute of the
-longest importable prefix.  Historical logs and external texts
+longest importable prefix.  A subcommand — ``python -m repro X`` in a
+fenced block or a span, or a span that starts ``repro X`` — must be one
+the CLI parser accepts.  Historical logs and external texts
 (``CHANGES.md``, ``ROADMAP.md``, ``PAPER*.md``, ``SNIPPETS.md``) are not
 scanned.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import importlib
 import os
@@ -30,14 +34,35 @@ DOCS = (["README.md", "EXPERIMENTS.md", "DESIGN.md",
 _FENCE = re.compile(r"```.*?```", re.S)
 _SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 _MODULE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_FENCED_COMMAND = re.compile(r"python -m repro ([a-z][\w-]*)")
+_SPAN_COMMAND = re.compile(r"(?:^|python -m )repro ([a-z][\w-]*)")
 _TOP_DIRS = frozenset(name for name in os.listdir(ROOT)
                       if os.path.isdir(os.path.join(ROOT, name)))
 
 
-def _spans(doc: str) -> List[str]:
+def _read(doc: str) -> str:
     with open(os.path.join(ROOT, doc)) as fh:
-        text = _FENCE.sub("", fh.read())
+        return fh.read()
+
+
+def _spans(doc: str) -> List[str]:
+    text = _FENCE.sub("", _read(doc))
     return [m.group(1) for m in _SPAN.finditer(text)]
+
+
+def _subcommands(doc: str) -> List[str]:
+    fenced = "\n".join(_FENCE.findall(_read(doc)))
+    return (_FENCED_COMMAND.findall(fenced)
+            + [m.group(1) for span in _spans(doc)
+               for m in _SPAN_COMMAND.finditer(span)])
+
+
+def _cli_subcommands() -> List[str]:
+    from repro.cli import build_parser
+
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
 
 
 def _repo_paths(span: str) -> List[str]:
@@ -79,6 +104,20 @@ def test_named_paths_and_modules_exist(doc: str) -> None:
         missing += [p for p in _repo_paths(span) if not _path_exists(p)]
         missing += [m for m in _MODULE.findall(span) if not _resolves(m)]
     assert not missing, f"{doc} names what does not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_named_subcommands_exist(doc: str) -> None:
+    known = set(_cli_subcommands())
+    unknown = sorted({c for c in _subcommands(doc) if c not in known})
+    assert not unknown, f"{doc} names repro subcommands the CLI lacks: " \
+                        f"{unknown}"
+
+
+def test_the_scan_sees_subcommands() -> None:
+    assert {"check", "race"} <= set(_subcommands("docs/ANALYSIS.md"))
+    assert "campaign" in _subcommands("EXPERIMENTS.md")
+    assert "check" in _cli_subcommands()
 
 
 def test_the_scan_sees_paths_and_modules() -> None:
