@@ -11,7 +11,7 @@ It builds an interprocedural view of all of ``src/repro``:
    the audited ``hostclock``/``rng_stream`` funnels absorbing their raw
    effects;
 3. :mod:`~repro.analysis.static.contracts` enforces the contracts
-   (RPC001–RPC009) and offers an advisory dead-code report.
+   (RPC001–RPC010) and offers an advisory dead-code report.
 
 Suppression goes through the :mod:`repro.analysis.reporting`
 machinery: inline ``# repro-check: allow[RPC...]`` pragmas and a

@@ -39,8 +39,12 @@ RPC008 float-eq-time
 RPC009 mutable-default
     A mutable default argument, shared across calls and so across
     back-to-back simulation runs in one process.
+RPC010 timer-for-a-charge
+    ``yield <expr>.timeout(<delay>)`` outside the simulator package: a
+    CPU charge yielded on the spot is a bare ``float`` delay (one heap
+    entry), not a timer Event (DESIGN.md §7, hot-path rule 4).
 
-RPC007–RPC009 are per-module passes over the trees the call graph
+RPC007–RPC010 are per-module passes over the trees the call graph
 already parsed; the rest read the propagated effects.
 """
 
@@ -78,13 +82,17 @@ CONTRACTS: Tuple[Tuple[str, str], ...] = (
     ("RPC007", "iteration-order hazard (unordered set / id() ordering)"),
     ("RPC008", "float equality on simulated timestamps"),
     ("RPC009", "mutable default argument"),
+    ("RPC010", "timer Event yielded on the spot where a bare float "
+               "delay is the rule"),
 )
 
 #: per-code, package-relative path suffixes exempt from that contract
-#: (the audited funnels themselves)
+#: (the audited funnels themselves); one ending in ``/`` exempts a
+#: whole sub-package
 ALLOW_PATHS: Dict[str, Tuple[str, ...]] = {
     "RPC002": ("simulator/hostclock.py",),
     "RPC003": ("simulator/rng.py",),
+    "RPC010": ("simulator/",),
 }
 
 #: method names that are callback hooks by convention even without a
@@ -98,8 +106,9 @@ def contract_catalog() -> List[Tuple[str, str]]:
 
 def _allowed(code: str, path: str) -> bool:
     posix = path.replace("\\", "/")
-    return any(posix.endswith(suffix)
-               for suffix in ALLOW_PATHS.get(code, ()))
+    return any(("/" + entry in posix) if entry.endswith("/")
+               else posix.endswith(entry)
+               for entry in ALLOW_PATHS.get(code, ()))
 
 
 def _snippet(graph: CallGraph, path: str, line: int) -> str:
@@ -444,9 +453,27 @@ def _mutable_defaults(tree: ast.Module) -> Iterator[Finding]:
                        "(and across simulation runs); default to None")
 
 
+# ----------------------------------------------------------------------
+# RPC010 — a charge yielded on the spot is a bare delay
+# ----------------------------------------------------------------------
+def _timer_for_a_charge(tree: ast.Module) -> Iterator[Finding]:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Yield):
+            continue
+        call = node.value
+        if (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "timeout"
+                and len(call.args) == 1 and not call.keywords):
+            yield (node.lineno, node.col_offset,
+                   "timer Event yielded on the spot; yield the delay "
+                   "itself (a float) — one heap entry, no Event")
+
+
 _MODULE_PASSES = (("RPC007", _iteration_order),
                   ("RPC008", _float_eq_time),
-                  ("RPC009", _mutable_defaults))
+                  ("RPC009", _mutable_defaults),
+                  ("RPC010", _timer_for_a_charge))
 
 
 def _check_modules(graph: CallGraph,
@@ -454,6 +481,8 @@ def _check_modules(graph: CallGraph,
     for name in sorted(graph.modules):
         mod = graph.modules[name]
         for code, scan in _MODULE_PASSES:
+            if _allowed(code, mod.path):
+                continue
             for line, col, message in scan(mod.tree):
                 yield _violation(graph, mod.path, line, col, code, message)
 

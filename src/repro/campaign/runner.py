@@ -237,7 +237,10 @@ def _append_telemetry(cache: ResultCache, run_started: float,
 
     One JSON line per run: a summary plus the per-point rows, so
     ``repro perf`` can render the wall-time/hit-rate trajectory across
-    campaign runs without touching the result store itself.
+    campaign runs without touching the result store itself.  The line
+    goes out in one unbuffered ``write``; if an earlier append was torn
+    (the file does not end in a newline), it starts on a fresh line, so
+    only the torn record is lost, never this one.
     """
     path = cache.telemetry_path
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -252,7 +255,11 @@ def _append_telemetry(cache: ResultCache, run_started: float,
         "executed_seconds": sum(p["elapsed"] for p in points),
         "per_point": points,
     }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True))
-        fh.write("\n")
+    line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+    with open(path, "a+b", buffering=0) as fh:
+        if fh.seek(0, os.SEEK_END) > 0:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)
     return path

@@ -335,7 +335,7 @@ def allgather_bruck(comm, size: int, value: Any = None):
         src = (r + k) % p
         pack = mem.copy_time(cnt * size)
         if pack:
-            yield comm.sim.timeout(pack)
+            yield pack
         msg = yield from comm.sendrecv(dst, src, tag=(tag, step),
                                        size=cnt * size, data=held[:cnt])
         held.extend(msg.data)
@@ -344,7 +344,7 @@ def allgather_bruck(comm, size: int, value: Any = None):
     # final inverse rotation: held[i] is the value of rank (r + i) % p
     rot = mem.copy_time(p * size)
     if rot:
-        yield comm.sim.timeout(rot)
+        yield rot
     out: List[Any] = [None] * p
     for i in range(p):
         out[(r + i) % p] = held[i]
@@ -364,7 +364,7 @@ def alltoall_bruck(comm, size: int, values: Optional[list] = None):
                       for i in range(p)]
     rot = mem.copy_time(p * size)
     if rot:
-        yield comm.sim.timeout(rot)
+        yield rot
     # phase 2 — for each bit, forward every item whose remaining
     # distance has that bit set
     k, step = 1, 0
@@ -374,7 +374,7 @@ def alltoall_bruck(comm, size: int, values: Optional[list] = None):
         src = (r - k) % p
         pack = mem.copy_time(len(idxs) * size)
         if pack:
-            yield comm.sim.timeout(pack)
+            yield pack
         msg = yield from comm.sendrecv(dst, src, tag=(tag, step),
                                        size=len(idxs) * size,
                                        data=[tmp[i] for i in idxs])
@@ -385,7 +385,7 @@ def alltoall_bruck(comm, size: int, values: Optional[list] = None):
     # phase 3 — inverse rotate: tmp[i] came from rank (r - i) % p
     rot = mem.copy_time(p * size)
     if rot:
-        yield comm.sim.timeout(rot)
+        yield rot
     out: List[Any] = [None] * p
     for i in range(p):
         out[(r - i) % p] = tmp[i]

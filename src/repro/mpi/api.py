@@ -69,7 +69,7 @@ class Communicator:
         if not datatype.contiguous:
             pack = datatype.pack_cost(self.stack.node.mem, size)
             if pack:
-                yield self.sim.timeout(pack)
+                yield pack
         req = yield from self.stack.isend(
             self.group[dst],
             ContextAnyTag(self.context) if tag is ANY_TAG else (self.context, tag),
@@ -143,7 +143,7 @@ class Communicator:
                 # unpack into the strided user layout (size known post-match)
                 unpack = req.datatype.pack_cost(self.stack.node.mem, req.size)
                 if unpack:
-                    yield sim.timeout(unpack)
+                    yield unpack
             source = req.status_source
             if source is None:
                 source = req.peer if req.kind == "recv" else self._world_rank

@@ -97,6 +97,13 @@ class CH3Stack(BaseStack):
         self.vcs: Dict[int, VirtualConnection] = {}
         self._ch3_rdv_ctr = itertools.count()
         self._ch3_rdv_send: Dict[int, MPIRequest] = {}
+        # the progress engine's per-message sync halves (Fig. 6): the
+        # reference engine charges half the overhead per side,
+        # manual_poll has no shared state -> 0
+        self._sync_net = self._sync_shm = 0.0
+        if pioman is not None:
+            self._sync_net = pioman.sync_cost(False)
+            self._sync_shm = pioman.sync_cost(True)
         self.netmod = None
         if mode == "netmod":
             self.netmod = NewmadNetmod(core)
@@ -125,13 +132,6 @@ class CH3Stack(BaseStack):
                 vc.send_fn = self._send_netmod
             # repro-check: allow[RPC004] build-time wiring, sim not running
             self.vcs[peer] = vc
-
-    def _pioman_sync(self, shm: bool) -> float:
-        if self.pioman is None:
-            return 0.0
-        # engine-dependent: the reference engine charges half the Fig. 6
-        # sync overhead per side; manual_poll has no shared state -> 0
-        return self.pioman.sync_cost(shm)
 
     # ------------------------------------------------------------------
     # MPI entry points (generators run on the application thread)
@@ -182,7 +182,8 @@ class CH3Stack(BaseStack):
         if vc.is_local or self.mode == "netmod":
             overhead = (self.costs.shm_recv_overhead if vc.is_local
                         else self.costs.recv_overhead)
-            yield from self.cpu(overhead)
+            if overhead > 0.0:
+                yield overhead
             with self.sim.sync_region(self._region, self._lbl_irecv):
                 self.sim.race_write(self._rv_unexpected)
                 env = self.unexpected.match(src, tag)
@@ -193,7 +194,7 @@ class CH3Stack(BaseStack):
                     self.posted.post(req)
         else:
             if self.costs.recv_overhead > 0.0:
-                yield self.sim.timeout(self.costs.recv_overhead)
+                yield self.costs.recv_overhead
             with self.sim.sync_region(self._region, self._lbl_irecv):
                 if self.book.has_pending(tag):
                     # preserve matching order behind pending ANY_SOURCE
@@ -206,7 +207,9 @@ class CH3Stack(BaseStack):
     # send paths (selected through the virtual connection)
     # ------------------------------------------------------------------
     def _send_shm(self, req: MPIRequest):
-        yield from self.cpu(self.costs.shm_send_overhead + self._pioman_sync(shm=True))
+        overhead = self.costs.shm_send_overhead + self._sync_shm
+        if overhead > 0.0:
+            yield overhead
         env = Envelope(src=self.rank, tag=req.tag, size=req.size, data=req.data,
                        arrival=self.sim.now)
         if req._sync:
@@ -218,9 +221,9 @@ class CH3Stack(BaseStack):
             req._finish(self.sim)
 
     def _send_direct(self, req: MPIRequest):
-        overhead = self.costs.send_overhead + self._pioman_sync(shm=False)
+        overhead = self.costs.send_overhead + self._sync_net
         if overhead > 0.0:
-            yield self.sim.timeout(overhead)
+            yield overhead
         nm = yield from self.core.isend(req.peer, ("mpi", req.tag),
                                         req.size, req.data,
                                         sync=req._sync)
@@ -232,18 +235,21 @@ class CH3Stack(BaseStack):
         self._offload_pump(req.size)
 
     def _send_netmod(self, req: MPIRequest):
-        yield from self.cpu(self.costs.send_overhead + self._pioman_sync(shm=False))
+        overhead = self.costs.send_overhead + self._sync_net
+        if overhead > 0.0:
+            yield overhead
         if req.size <= self.costs.ch3_eager_threshold and not req._sync:
             # CH3 eager: copy into a Nemesis queue cell (paper 2.1.3),
             # then ship the cell through the network module.
+            copy = self.node.mem.copy_time(req.size)
             if self.sim.tracing:
                 self.sim.record("mpich2.cell_copy", rank=self.rank, dir="in",
-                                size=req.size,
-                                dur=self.node.mem.copy_time(req.size))
+                                size=req.size, dur=copy)
                 self.sim.record("mpich2.netmod_handoff", rank=self.rank,
                                 dir="tx", kind="eager", dst=req.peer,
                                 size=req.size)
-            yield from self.cpu(self.node.mem.copy_time(req.size))
+            if copy > 0.0:
+                yield copy
             env = Envelope(src=self.rank, tag=req.tag, size=req.size, data=req.data)
             nm = yield from self.netmod.net_module_send(
                 req.peer, req.size + self.costs.ctrl_size, ("eager", env, 0))
@@ -287,7 +293,8 @@ class CH3Stack(BaseStack):
     def _post_any_source(self, req: MPIRequest):
         if self.mode == "netmod":
             # the central CH3 queues match wildcards natively
-            yield from self.cpu(self.costs.recv_overhead)
+            if self.costs.recv_overhead > 0.0:
+                yield self.costs.recv_overhead
             self.sim.race_write(self._rv_unexpected)
             env = self.unexpected.match(ANY_SOURCE, req.tag)
             if env is not None:
@@ -296,8 +303,10 @@ class CH3Stack(BaseStack):
                 self.sim.race_write(self._rv_posted)
                 self.posted.post(req)
             return
-        yield from self.cpu(self.costs.recv_overhead + self.costs.anysource_post
-                            + self._pioman_sync(shm=False))
+        overhead = (self.costs.recv_overhead + self.costs.anysource_post
+                    + self._sync_net)
+        if overhead > 0.0:
+            yield overhead
         self.sim.race_write(self._rv_unexpected)
         env = self.unexpected.match(ANY_SOURCE, req.tag)
         if env is not None:  # an intra-node message was already waiting
@@ -310,7 +319,8 @@ class CH3Stack(BaseStack):
 
     def _resolve_any_source(self, req: MPIRequest, src: int):
         """Probe hit: create the NewMadeleine request a posteriori."""
-        yield from self.cpu(self.costs.anysource_complete)
+        if self.costs.anysource_complete > 0.0:
+            yield self.costs.anysource_complete
         self.sim.race_write(self._rv_posted)
         self.posted.remove(req)
         nm = yield from self.core.irecv(src, ("mpi", req.tag))
@@ -326,13 +336,14 @@ class CH3Stack(BaseStack):
         """Complete a receive from a matched envelope (shm or netmod)."""
         if env.proto is None:
             if self.shm is not None and env.arrival:
+                copy = self.shm.recv_cost(env.size)
                 if self.sim.tracing:
                     self.sim.record("mpich2.shm_recv", rank=self.rank,
-                                    src=env.src, size=env.size,
-                                    dur=self.shm.recv_cost(env.size))
-                yield from self.cpu(self.shm.recv_cost(env.size))
+                                    src=env.src, size=env.size, dur=copy)
             else:
-                yield from self.cpu(self.node.mem.copy_time(env.size))
+                copy = self.node.mem.copy_time(env.size)
+            if copy > 0.0:
+                yield copy
             if env.sync_req is not None and not env.sync_req.complete:
                 env.sync_req._finish(self.sim)   # Ssend: matched now
             req._finish(self.sim, data=env.data, size=env.size,
@@ -365,16 +376,16 @@ class CH3Stack(BaseStack):
     def _handle_item(self, item):
         kind, payload = item
         if kind == "net":
-            if self.pioman is not None:
-                yield from self.cpu(self._pioman_sync(shm=False))
+            if self._sync_net > 0.0:
+                yield self._sync_net
             if self.mode == "netmod":
                 # the Nemesis progress engine calls the module's poll
                 yield from self.netmod.net_module_poll(payload)
             else:
                 yield from self.core.handle_pw(payload.payload, payload.rail)
         elif kind == "shm":
-            if self.pioman is not None:
-                yield from self.cpu(self._pioman_sync(shm=True))
+            if self._sync_shm > 0.0:
+                yield self._sync_shm
             yield from self._handle_shm(payload)
         elif kind == "ch3pkt":
             yield from self._handle_ch3_packet(payload)
@@ -401,7 +412,7 @@ class CH3Stack(BaseStack):
 
     def _pump_ltask(self):
         self.core.strategy.pump()
-        yield self.sim.timeout(0.0)
+        yield 0.0
 
     def _on_shm_message(self, msg: ShmMessage) -> None:
         self.deliver(("shm", msg))
@@ -434,11 +445,12 @@ class CH3Stack(BaseStack):
                             size=env.size if env is not None else 0)
         if kind == "eager":
             # copy out of the queue cell, then CH3 matching
+            copy = self.node.mem.copy_time(env.size)
             if self.sim.tracing:
                 self.sim.record("mpich2.cell_copy", rank=self.rank, dir="out",
-                                size=env.size,
-                                dur=self.node.mem.copy_time(env.size))
-            yield from self.cpu(self.node.mem.copy_time(env.size))
+                                size=env.size, dur=copy)
+            if copy > 0.0:
+                yield copy
             self.sim.race_write(self._rv_posted)
             req = self.posted.match(env.src, env.tag)
             if req is None:

@@ -92,7 +92,7 @@ class NemesisShm:
         if self.sim.tracing:
             self.sim.record("mpich2.shm_send", src=src_rank, dst=dst_rank,
                             size=size, cells=ncells, dur=copy_in)
-        yield self.sim.timeout(copy_in)
+        yield copy_in
         self.messages += 1
         msg = ShmMessage(src_rank, dst_rank, env, size, cells=cells)
         self.sim.schedule(self.costs.delivery_latency, self._receivers[dst_rank], msg)

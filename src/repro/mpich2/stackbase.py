@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Deque, Iterable, Optional, Union
 
 from repro.mpich2.request import MPIRequest
@@ -72,7 +73,7 @@ class BaseStack:
     def deliver(self, item: Any) -> None:
         """Hand incoming protocol work to the progress engine."""
         if self.pioman is not None:
-            self.pioman.submit(lambda: self._progress_item(item),
+            self.pioman.submit(partial(self._progress_item, item),
                                rank=self.rank)
         else:
             if self.sim.monitor is not None:
@@ -82,6 +83,10 @@ class BaseStack:
             _fire(self._signal)
 
     def _progress_item(self, item: Any):
+        if self.sim.monitor is None:
+            yield from self._handle_item(item)
+            yield from self._progress_hook()
+            return
         with self.sim.sync_region(self._region, self._lbl_progress):
             yield from self._handle_item(item)
             yield from self._progress_hook()
@@ -205,6 +210,10 @@ class BaseStack:
     # helpers
     # ------------------------------------------------------------------
     def cpu(self, duration: float):
-        """Charge CPU time to the calling thread."""
+        """Charge CPU time to the calling thread.
+
+        A forwarding frame: on a hot path, write the charge inline as
+        ``if duration > 0.0: yield duration``.
+        """
         if duration > 0.0:
-            yield self.sim.timeout(duration)
+            yield duration

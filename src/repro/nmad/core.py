@@ -8,7 +8,7 @@ One :class:`NmadCore` exists per MPI process.  It owns:
   internal eager / rendezvous protocol state.
 
 CPU-cost convention: methods that run on some thread's CPU are
-generators yielding simulator timeouts; the caller decides *which*
+generators yielding CPU delays; the caller decides *which*
 thread's time that is (application thread for submissions, progress
 context for frame handling).
 """
@@ -254,7 +254,7 @@ class NmadCore:
                 data=data, req=req,
             ), pump=False)
         else:
-            yield self.sim.timeout(self.costs.send_post)
+            yield self.costs.send_post
             state = _RdvSend(req, remaining_inject=size)
             if self.sim.monitor is not None:
                 self.sim.race_write(self._rv_rdv)
@@ -344,7 +344,7 @@ class NmadCore:
         if self.sim.tracing:
             self.sim.record("nmad.recv_post", rank=self.rank, src=src_rank,
                             tag=tag, dur=self.costs.recv_post)
-        yield self.sim.timeout(self.costs.recv_post)
+        yield self.costs.recv_post
         idx = self._find_unexpected(src_rank, tag)
         if self.sim.monitor is not None:
             self.sim.race_read(self._rv_unexpected)
@@ -423,7 +423,7 @@ class NmadCore:
 
     # -- eager ------------------------------------------------------------
     def _handle_eager(self, entry: EagerEntry, rail: str):
-        yield self.sim.timeout(self.costs.match_cost)
+        yield self.costs.match_cost
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_posted)
         req = self._match_posted(entry.src_rank, entry.tag)
@@ -457,7 +457,7 @@ class NmadCore:
 
     # -- rendezvous ---------------------------------------------------------
     def _handle_rts(self, entry: RtsEntry, rail: str):
-        yield self.sim.timeout(self.costs.rdv_handshake_cost)
+        yield self.costs.rdv_handshake_cost
         if self.reliability is not None and self._rts_duplicate(entry):
             return
         # synchronous (no yield between check and add): a retried copy
@@ -536,7 +536,7 @@ class NmadCore:
         if self.sim.tracing:
             self.sim.record("nmad.rdv_grant", rdv=rdv_id, src=src_rank,
                             dst=self.rank, size=size, dur=reg_cost)
-        yield self.sim.timeout(reg_cost)
+        yield reg_cost
         state = _RdvRecv(req, remaining=size, src_rank=src_rank)
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_rdv)
@@ -550,7 +550,7 @@ class NmadCore:
                 self.reliability.rdv_timeout, self._cts_check, rdv_id)
 
     def _handle_cts(self, entry: CtsEntry, rail: str):
-        yield self.sim.timeout(self.costs.rdv_handshake_cost)
+        yield self.costs.rdv_handshake_cost
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_rdv)
         state = self._rdv_send.get(entry.rdv_id)
@@ -581,7 +581,7 @@ class NmadCore:
                 dst=req.peer, size=req.size,
                 dur=self.costs.rdv_handshake_cost + reg_cost,
             )
-        yield self.sim.timeout(reg_cost)
+        yield reg_cost
         self.strategy.push(SendItem(
             kind="data", dst_rank=req.peer, dst_node=self.rank_to_node(req.peer),
             size=req.size, src_rank=self.rank, rdv_id=entry.rdv_id,
@@ -591,7 +591,7 @@ class NmadCore:
     def _handle_data(self, entry: DataEntry, rail: str):
         driver = self.driver_for_rail(rail)
         if not driver.rdma:
-            yield self.sim.timeout(self.costs.data_chunk_cost)
+            yield self.costs.data_chunk_cost
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_rdv)
         state = self._rdv_recv.get(entry.rdv_id)
@@ -621,8 +621,7 @@ class NmadCore:
                     dur=(self.costs.match_cost
                          + self.costs.upper_complete_cost),
                 )
-            yield self.sim.timeout(self.costs.match_cost
-                                   + self.costs.upper_complete_cost)
+            yield self.costs.match_cost + self.costs.upper_complete_cost
             del self._rdv_recv[entry.rdv_id]
             self._done_rdv.add(entry.rdv_id)
             state.req._finish(self.sim, data=state.data)

@@ -136,7 +136,7 @@ class RailHealthMonitor:
             params = self.pioman.params
 
             def check():
-                yield self.sim.timeout(params.health_check_cost)
+                yield params.health_check_cost
                 self._declare_dead(driver)
 
             self.pioman.submit(check)

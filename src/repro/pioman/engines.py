@@ -44,7 +44,8 @@ Engine contract (duck-typed; ``PIOMan`` is the reference implementation):
 * ``progress()`` — generator: make progress on the *calling* thread
   (no-op for background engines).
 * ``sync_cost(shm)`` — per-message synchronization overhead charged by
-  the stack on each send/recv half.
+  the stack on each send/recv half.  A pure function of the frozen
+  ``params``: the stack reads both halves once, when it is built.
 * ``teardown()`` — drop pending ltasks and stop background work.
 """
 
@@ -56,6 +57,7 @@ from typing import Callable, Deque, Dict, Generator, List, Optional, Type
 
 from repro.pioman.manager import PIOMan, PIOManParams
 from repro.simulator import Event, Simulator
+from repro.simulator.events import _PENDING
 from repro.threads.marcel import MarcelScheduler
 
 #: environment knob consulted when no progress kind is given
@@ -110,20 +112,23 @@ class ProgressEngine:
         node = self.scheduler.node_id
         span_start = None
         if self.sim.tracing:
-            span_start = self.sim.now
+            span_start = self.sim._now
             self.sim.record("pioman.ltask.begin", node=node, pending=pending)
             self.sim.record("pioman.ltask", node=node, pending=pending,
                             dur=self.params.ltask_cost)
             self.sim.record("pioman.engine.ltask", node=node,
                             engine=self.kind, pending=pending,
                             dur=self.params.ltask_cost)
-        yield self.sim.timeout(self.params.ltask_cost)
+        yield self.params.ltask_cost
         # same progression lock as the reference engine (piom_lock, §3.3)
-        with self.sim.sync_region(("node", node), "pioman.ltask"):
+        if self.sim.monitor is None:
             yield from work()
+        else:
+            with self.sim.sync_region(("node", node), "pioman.ltask"):
+                yield from work()
         if span_start is not None:
             self.sim.record("pioman.ltask.end", node=node,
-                            dur=self.sim.now - span_start)
+                            dur=self.sim._now - span_start)
 
 
 class ManualPollEngine(ProgressEngine):
@@ -147,11 +152,12 @@ class ManualPollEngine(ProgressEngine):
         self._torn_down = False
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
-        self.sim.race_write(self._rv_queue, "submit")
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_queue, "submit")
         if self._torn_down:
             return
         self._queue.append(work)
-        if self._signal is not None and not self._signal.triggered:
+        if self._signal is not None and self._signal._state == _PENDING:
             self._signal.succeed()
 
     def progress(self) -> Generator:
@@ -171,15 +177,15 @@ class ManualPollEngine(ProgressEngine):
         # one shared event, re-armed only once it has fired: with several
         # ranks' threads parked on the same node engine, a fresh event per
         # waiter would orphan all but the newest
-        if self._signal is None or self._signal.triggered:
+        if self._signal is None or self._signal._state != _PENDING:
             self._signal = self.sim.event()
         return self._signal
 
     def semaphore_wait(self, event: Event) -> Generator:
         """Poll for progress until ``event`` triggers (core held)."""
-        while not event.triggered:
+        while event._state == _PENDING:
             yield from self.progress()
-            if event.triggered:
+            if event._state != _PENDING:
                 return
             if not self._queue:
                 yield self.sim.any_of([event, self._arrival_signal()])
@@ -221,7 +227,8 @@ class DedicatedThreadEngine(ProgressEngine):
         self.steals = 0
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
-        self.sim.race_write(self._rv_queue, "submit")
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_queue, "submit")
         if self._stopped:
             return
         queue = self._queues.get(rank)
@@ -235,7 +242,7 @@ class DedicatedThreadEngine(ProgressEngine):
             self.scheduler.spawn(
                 self._worker(),
                 name=f"progress-{self.scheduler.node_id}")
-        elif self._wake is not None and not self._wake.triggered:
+        elif self._wake is not None and self._wake._state == _PENDING:
             self._wake.succeed()
 
     def _take(self):
@@ -287,7 +294,7 @@ class DedicatedThreadEngine(ProgressEngine):
         for queue in self._queues.values():
             queue.clear()
         self._pending = 0
-        if self._wake is not None and not self._wake.triggered:
+        if self._wake is not None and self._wake._state == _PENDING:
             self._wake.succeed()
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Generator
 
 from repro.simulator import Event, Simulator
+from repro.simulator.events import _PENDING
 from repro.threads.marcel import MarcelScheduler
 
 
@@ -73,6 +74,7 @@ class PIOMan:
         self._worker_running = False
         self.ltasks_run = 0
         self._rv_queue = f"pioman.queue@n{scheduler.node_id}"
+        self._worker_name = f"pioman-{scheduler.node_id}"
 
     # -- background work -------------------------------------------------
     def submit(self, work: Callable[[], Generator],
@@ -84,11 +86,12 @@ class PIOMan:
         ``rank`` is accepted for engine-contract compatibility and
         ignored: the reference engine keeps one shared per-node queue.
         """
-        self.sim.race_write(self._rv_queue, "submit")
+        if self.sim.monitor is not None:
+            self.sim.race_write(self._rv_queue, "submit")
         self._queue.append(work)
         if not self._worker_running:
             self._worker_running = True
-            self.scheduler.spawn(self._worker(), name=f"pioman-{self.scheduler.node_id}")
+            self.scheduler.spawn(self._worker(), name=self._worker_name)
 
     def _worker(self) -> Generator:
         while self._queue:
@@ -104,31 +107,34 @@ class PIOMan:
                 if self.sim.tracing:
                     self.sim.record("pioman.poll", node=self.scheduler.node_id,
                                     mode="idle_core", pending=len(self._queue))
-                yield self.sim.timeout(self.params.poll_period)
+                yield self.params.poll_period
             # Drain everything currently queued in one core acquisition.
             while self._queue:
                 work = self._queue.popleft()
                 self.ltasks_run += 1
                 span_start = None
                 if self.sim.tracing:
-                    span_start = self.sim.now
+                    span_start = self.sim._now
                     self.sim.record("pioman.ltask.begin",
                                     node=self.scheduler.node_id,
                                     pending=len(self._queue))
                     self.sim.record("pioman.ltask", node=self.scheduler.node_id,
                                     pending=len(self._queue),
                                     dur=self.params.ltask_cost)
-                yield self.sim.timeout(self.params.ltask_cost)
+                yield self.params.ltask_cost
                 # the ltask runs under the node's progression lock (the
                 # piom_lock of Section 3.3); the race detector serializes
                 # every region sharing this key
-                with self.sim.sync_region(("node", self.scheduler.node_id),
-                                          "pioman.ltask"):
+                if self.sim.monitor is None:
                     yield from work()
+                else:
+                    with self.sim.sync_region(
+                            ("node", self.scheduler.node_id), "pioman.ltask"):
+                        yield from work()
                 if span_start is not None:
                     self.sim.record("pioman.ltask.end",
                                     node=self.scheduler.node_id,
-                                    dur=self.sim.now - span_start)
+                                    dur=self.sim._now - span_start)
             self.scheduler.release_core()
         self._worker_running = False
 
@@ -140,18 +146,19 @@ class PIOMan:
         return.  This is the paper's replacement of busy-waiting with
         semaphore-like primitives (Section 3.3.2).
         """
-        if event.triggered:
+        if event._state != _PENDING:
             return
-        if self.sim.tracing:
-            self.sim.record("pioman.sem_wait", node=self.scheduler.node_id)
+        sim = self.sim
+        if sim.tracing:
+            sim.record("pioman.sem_wait", node=self.scheduler.node_id)
         self.scheduler.release_core()
-        blocked_at = self.sim.now
+        blocked_at = sim._now
         yield event
-        if self.sim.tracing:
-            self.sim.record("pioman.sem_wake", node=self.scheduler.node_id,
-                            waited=self.sim.now - blocked_at,
-                            dur=self.params.wakeup_cost)
-        yield self.sim.timeout(self.params.wakeup_cost)
+        if sim.tracing:
+            sim.record("pioman.sem_wake", node=self.scheduler.node_id,
+                       waited=sim._now - blocked_at,
+                       dur=self.params.wakeup_cost)
+        yield self.params.wakeup_cost
         if not self.scheduler.try_acquire_core():
             yield self.scheduler.acquire_core()
 

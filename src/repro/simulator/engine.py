@@ -13,8 +13,10 @@ Two kinds of entries coexist in the queue:
   :class:`ScheduledCallback` handle;
 * ``(time, seq, fn, args)`` — slim non-cancellable entries created by
   the internal :meth:`Simulator._post` fast path (event dispatch, task
-  start, timeouts).  They carry no handle object, which keeps the
-  hottest scheduling operations allocation-light.
+  start, timeouts), and by a task that yields a ``float`` delay, which
+  pushes its own wake-up (:meth:`~repro.simulator.process.Task._wake`).
+  They carry no handle object, which keeps the hottest scheduling
+  operations allocation-light.
 
 ``seq`` is unique, so entry comparisons never reach the third element of
 either tuple shape.
@@ -102,11 +104,14 @@ class Simulator:
         provided, subsystems emit structured trace records through
         :attr:`record`.
 
+    Tasks yield an :class:`Event` to wait for it, or a ``float`` delay
+    to sleep (a CPU charge: one heap entry, no Event).
+
     Example
     -------
     >>> sim = Simulator()
     >>> def hello():
-    ...     yield sim.timeout(1.5)
+    ...     yield 1.5
     ...     return "done"
     >>> task = sim.spawn(hello())
     >>> sim.run()
@@ -225,7 +230,11 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> "Event":
-        """An event that succeeds ``delay`` seconds from now."""
+        """An event that succeeds ``delay`` seconds from now.
+
+        For a wait that is composed or stored.  A task that just sleeps
+        yields the ``float`` delay itself: one heap entry, no Event.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         evt = Event(self)

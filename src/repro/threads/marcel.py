@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.hardware.params import NodeParams
-from repro.simulator import Event, Semaphore, Simulator, Task
+from repro.simulator import Semaphore, Simulator, Task
 from repro.simulator.rng import rng_stream
 
 __all__ = ["MarcelScheduler"]
@@ -44,6 +44,14 @@ class MarcelScheduler:
         self.params = params
         self.node_id = node_id
         self._cores = Semaphore(sim, params.cores)
+        #: ``acquire_core()``: an Event that succeeds when a core is
+        #: granted (FIFO order); ``try_acquire_core()``: take a free core
+        #: if there is one, True on success; ``release_core()``: give
+        #: one back.  Bound straight to the core semaphore, so the
+        #: progress path pays no forwarding frame.
+        self.acquire_core = self._cores.acquire
+        self.try_acquire_core = self._cores.try_acquire
+        self.release_core = self._cores.release
         self.threads_spawned = 0
         self._jitter_rng = (rng_stream(seed, "node-jitter", node_id)
                             if params.compute_jitter > 0.0 else None)
@@ -62,16 +70,6 @@ class MarcelScheduler:
     def waiting_for_core(self) -> int:
         return self._cores.waiting
 
-    def acquire_core(self) -> Event:
-        """Event that succeeds when a core is granted (FIFO order)."""
-        return self._cores.acquire()
-
-    def try_acquire_core(self) -> bool:
-        return self._cores.try_acquire()
-
-    def release_core(self) -> None:
-        self._cores.release()
-
     # -- running work -----------------------------------------------------
     def compute(self, duration: float) -> Generator:
         """Burn ``duration`` seconds of CPU.  Caller must hold a core.
@@ -85,7 +83,7 @@ class MarcelScheduler:
             duration *= 1.0 + self.params.compute_jitter * float(
                 self._jitter_rng.random())
         if duration > 0.0:
-            yield self.sim.timeout(duration)
+            yield float(duration)
 
     def spawn(self, gen, name: str = "") -> Task:
         """Start a thread (bookkeeping wrapper over ``sim.spawn``)."""

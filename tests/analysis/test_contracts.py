@@ -457,6 +457,38 @@ def test_rpc009_clean_on_none_and_immutable_defaults(make_pkg):
 
 
 # ---------------------------------------------------------------------------
+# RPC010 — a charge yielded on the spot is a bare delay
+# ---------------------------------------------------------------------------
+
+def test_rpc010_flags_a_timer_yielded_on_the_spot(make_pkg):
+    assert codes(make_pkg, """
+        def charge(self, comm):
+            yield self.sim.timeout(self.costs.send_post)
+            yield comm.sim.timeout(0.5e-6 + 1e-9)
+    """) == ["RPC010", "RPC010"]
+
+
+def test_rpc010_clean_on_delays_and_composed_or_valued_timers(make_pkg):
+    assert codes(make_pkg, """
+        def wait(sim, evt, d):
+            yield d
+            yield sim.any_of([evt, sim.timeout(d)])
+            yield sim.timeout(d, value="late")
+            timer = sim.timeout(d)
+            yield timer
+    """) == []
+
+
+def test_rpc010_exempts_the_simulator_package(make_pkg):
+    found = check(make_pkg, {"simulator/__init__.py": "",
+                             "simulator/helpers.py": """
+        def sleep(sim, d):
+            yield sim.timeout(d)
+    """})
+    assert "RPC010" not in codes_of(found)
+
+
+# ---------------------------------------------------------------------------
 # suppression
 # ---------------------------------------------------------------------------
 
@@ -585,6 +617,10 @@ def arrived(sim, frame):
 
 def collect(items=[]):                     # RPC009
     return items
+
+
+def charge(sim):
+    yield sim.timeout(1e-6)                # RPC010
 """
 
 

@@ -3,6 +3,7 @@
 import json
 
 from repro.campaign import ResultCache, run_campaign
+from repro.cli import main
 
 
 def _read_jsonl(path):
@@ -48,3 +49,28 @@ def test_warm_rerun_appends_hit_entry(tmp_path):
 def test_no_cache_means_no_telemetry():
     report = run_campaign(["ext_stencil_overlap"], fast=True, cache=None)
     assert report.telemetry_path is None
+
+
+def test_torn_tail_line_does_not_swallow_the_next_run(tmp_path, capsys):
+    """A crash mid-append leaves a line without its newline; the next
+    run's record must still parse, and ``repro perf`` must count it."""
+    cache_dir = str(tmp_path / "cache")
+    cache = ResultCache(cache_dir)
+    run_campaign(["ext_stencil_overlap"], fast=True, cache=cache)
+    with open(cache.telemetry_path, "a") as fh:
+        fh.write('{"run_started": 1.0, "wall_sec')    # torn append
+    run_campaign(["ext_stencil_overlap"], fast=True, cache=cache)
+
+    with open(cache.telemetry_path) as fh:
+        lines = fh.read().split("\n")
+    assert lines[-1] == ""
+    parsed = []
+    for line in lines[:-1]:
+        try:
+            parsed.append(json.loads(line))
+        except ValueError:
+            assert line.startswith('{"run_started": 1.0')
+    assert [row["cache_misses"] == 0 for row in parsed] == [False, True]
+
+    assert main(["perf", "--cache-dir", cache_dir]) == 0
+    assert "(2 of 2 run(s)" in capsys.readouterr().out

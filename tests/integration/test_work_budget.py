@@ -110,6 +110,15 @@ _CASES: Dict[str, Tuple] = {
     # RTS + CTS + data: three frames instead of one
     "rdv_1MiB_ib": (2, config.mpich2_nmad, config.xeon_pair,
                     _pingpong(1 * MiB), 2, _ROUNDS),
+    # the eager case under PIOMan: every arrival an ltask on a Marcel core,
+    # every wait a semaphore wait, the Fig. 6b sync charged per side
+    "eager_256B_ib_pioman": (
+        2, lambda: config.mpich2_nmad_pioman(progress="pioman"),
+        config.xeon_pair, _pingpong(256), 2, _ROUNDS),
+    # two ranks on one node: the Nemesis shared-memory queues, no NIC
+    "eager_256B_shm": (2, config.mpich2_nmad,
+                       lambda: config.ClusterSpec(n_nodes=1),
+                       _pingpong(256), 2, _ROUNDS),
     # data striped over two rails, every handler an ltask on a Marcel core
     "rdv_1MiB_ib_mx_pioman": (
         2, lambda: config.mpich2_nmad_pioman(rails=("ib", "mx"),

@@ -8,9 +8,10 @@ and a run under the race detector have to dispatch identically.
 
 Two zoom levels:
 
-* a Hypothesis generator of tie-heavy programs (equal-delay timers,
-  zero-delay posts, cancels, ``any_of`` / ``all_of``, a semaphore) whose
-  every action is logged with its timestamp;
+* a Hypothesis generator of tie-heavy programs (equal-delay timers and
+  bare ``float`` delays mixed, zero-delay posts, cancels, ``any_of`` /
+  ``all_of``, a semaphore) whose every action is logged with its
+  timestamp;
 * the traced stack presets, compared record by record with
   :meth:`Trace.first_divergence`.
 """
@@ -67,6 +68,8 @@ _DELAY = st.integers(min_value=0, max_value=2)
 _OP = st.one_of(
     st.tuples(st.just("sleep"), _DELAY),
     st.tuples(st.just("sleep"), _DELAY),
+    st.tuples(st.just("nap"), _DELAY),
+    st.tuples(st.just("nap"), _DELAY),
     st.tuples(st.just("post"), _DELAY),
     st.tuples(st.just("cancel"), st.none()),
     st.tuples(st.just("any"), st.tuples(_DELAY, _DELAY)),
@@ -79,8 +82,9 @@ _PROGRAMS = st.lists(st.lists(_OP, min_size=1, max_size=8),
                      min_size=2, max_size=5)
 
 
-def _run_toy(programs, traced: bool, sliced: bool,
-             monitored: bool) -> Tuple[List[Any], Optional[Trace], int]:
+def _run_toy(programs, traced: bool, sliced: bool, monitored: bool,
+             naps_as_timers: bool = False
+             ) -> Tuple[List[Any], Optional[Trace], int]:
     trace = Trace() if traced else None
     sim = Simulator(trace=trace)
     _attach(sim, sliced, monitored, window=1.5 * _UNIT)
@@ -93,11 +97,19 @@ def _run_toy(programs, traced: bool, sliced: bool,
         if sim.tracing:
             sim.record("toy.op", what=what)
 
+    def charge(units: int) -> Any:
+        """A CPU charge: a bare delay, or the timer it replaced."""
+        if naps_as_timers:
+            return sim.timeout(units * _UNIT)
+        return units * _UNIT
+
     def task(tid: int, ops):
         handles = []
         for i, (op, arg) in enumerate(ops):
             if op == "sleep":
                 yield sim.timeout(arg * _UNIT)
+            elif op == "nap":
+                yield charge(arg)
             elif op == "post":
                 handles.append(
                     sim.schedule(arg * _UNIT, note, "posted", tid, i))
@@ -112,7 +124,7 @@ def _run_toy(programs, traced: bool, sliced: bool,
             elif op == "sem":
                 yield sem.acquire()
                 note("held", tid, i)
-                yield sim.timeout(arg * _UNIT)
+                yield charge(arg)
                 sem.release()
             elif op == "fire":
                 if not shared[arg].triggered:
@@ -143,6 +155,14 @@ def test_toy_programs_dispatch_identically_however_driven(programs) -> None:
                 ref_trace = trace
             assert ref_trace.first_divergence(trace) is None, \
                 f"{name} trace diverges"
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs=_PROGRAMS)
+def test_a_bare_delay_takes_the_timers_slot(programs) -> None:
+    """``yield d`` dispatches exactly where ``yield sim.timeout(d)`` did."""
+    assert (_run_toy(programs, False, False, False)
+            == _run_toy(programs, False, False, False, naps_as_timers=True))
 
 
 # ----------------------------------------------------------------------

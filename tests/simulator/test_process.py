@@ -206,3 +206,88 @@ def test_is_alive():
     assert task.is_alive
     sim.run()
     assert not task.is_alive
+
+
+# ----------------------------------------------------------------------
+# float delays: a CPU charge is one heap entry
+# ----------------------------------------------------------------------
+def test_float_delay_resumes_at_the_deadline_with_none():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        got = yield 1.5
+        log.append((sim.now, got))
+        got = yield 0.0
+        log.append((sim.now, got))
+
+    sim.spawn(proc())
+    sim.run()
+    assert log == [(1.5, None), (1.5, None)]
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_bad_float_delay_raises_at_the_yield(delay):
+    sim = Simulator()
+    caught = []
+
+    def proc():
+        try:
+            yield delay
+        except SimulationError as err:
+            caught.append((sim.now, str(err)))
+        yield 2.0
+        return "recovered"
+
+    task = sim.spawn(proc())
+    sim.run()
+    assert task.value == "recovered" and sim.now == 2.0
+    assert len(caught) == 1 and caught[0][0] == 0.0
+    assert "non-negative float" in caught[0][1]
+
+
+def test_uncaught_bad_float_delay_fails_the_task():
+    sim = Simulator()
+
+    def proc():
+        yield -0.5
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="non-negative float"):
+        sim.run()
+
+
+@pytest.mark.parametrize("target", [1, True])
+def test_int_and_bool_are_not_delays(target):
+    sim = Simulator()
+
+    def proc():
+        yield target
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="must yield Events"):
+        sim.run()
+
+
+def test_interrupting_a_float_sleep_ignores_the_stale_wake_up():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield 10.0
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        yield 100.0
+        log.append(("woke", sim.now))
+
+    task = sim.spawn(sleeper())
+
+    def interrupter():
+        yield 1.0
+        task.interrupt("now")
+
+    sim.spawn(interrupter())
+    sim.run()
+    # the wake-up due at t=10 is stale: the task sleeps 100 s from t=1
+    assert log == [("interrupted", 1.0, "now"), ("woke", 101.0)]
