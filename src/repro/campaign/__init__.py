@@ -1,18 +1,17 @@
 """Process-parallel experiment campaigns with a content-addressed cache.
 
-The serial evaluation (``python -m repro.experiments.run_all``) walks
-every figure module in one long loop even though each measured point is
-an independent deterministic simulation.  This package decomposes the
-modules into addressable **points** (stack x workload x size x seed),
-executes them across a :class:`concurrent.futures.ProcessPoolExecutor`
-with deterministic result merging, and memoizes each point in an
-on-disk cache keyed by a digest of (point config, hardware model
-params, ``repro`` source tree) — warm reruns only recompute what
-changed.
+Every experiment runs through this package.  Each module is decomposed
+into addressable **points** (stack x workload x size x seed); the
+runner executes them in-process or across a
+:class:`concurrent.futures.ProcessPoolExecutor` with deterministic
+result merging, and memoizes each point in an on-disk cache keyed by a
+digest of (point config, hardware model params, ``repro`` source tree)
+— warm reruns only recompute what changed.
 
 Entry points::
 
-    python -m repro campaign --all --workers 4          # CLI
+    python -m repro campaign --workers 4                # CLI, every module
+    python -m repro campaign fig8_nas --fast            # CLI, one module
     from repro.campaign import run_campaign             # library
 
 See ``docs/CAMPAIGNS.md`` for the cache layout and invalidation rules.

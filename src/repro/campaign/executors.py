@@ -1,11 +1,10 @@
 """Point execution: pure-data point config -> JSON-clean result.
 
 One executor per point ``kind``.  Every executor rebuilds its stack,
-cluster, and workload objects from the serialized params, runs exactly
-the same workload call the serial experiment modules make, and returns
-a plain dict of floats/ints/lists — JSON-clean so a cache round-trip
-reproduces the result bit-identically (tuples are forbidden: JSON would
-silently turn them into lists).
+cluster, and workload objects from the serialized params, runs one
+workload call, and returns a plain dict of floats/ints/lists —
+JSON-clean so a cache round-trip reproduces the result bit-identically
+(tuples are forbidden: JSON would silently turn them into lists).
 """
 
 from __future__ import annotations
@@ -16,22 +15,14 @@ from repro import config
 
 
 def build_stack(ref: Dict[str, Any]) -> config.StackSpec:
-    """Rebuild a :class:`~repro.config.StackSpec` from a ``stack_ref``."""
-    preset = ref["preset"]
-    factory = getattr(config, preset, None)
-    if factory is None or not callable(factory):
-        raise ValueError(f"unknown stack preset {preset!r}")
+    """Rebuild a :class:`~repro.config.StackSpec` from a ``stack_ref``.
+
+    The preset must be a name of :data:`repro.config.STACKS`.
+    """
     kw = dict(ref.get("kw") or {})
     if "rails" in kw:
         kw["rails"] = tuple(kw["rails"])
-    spec = factory(**kw)
-    if spec.pioman and spec.progress is None:
-        # Campaign results are content-addressed by the point config
-        # alone, so the ambient REPRO_PROGRESS knob must never leak in:
-        # pin the reference engine unless the point selects one
-        # explicitly (``stack_ref(..., progress="manual_poll")``).
-        spec = spec.with_(progress="pioman")
-    return spec
+    return config.stack(ref["preset"], **kw)
 
 
 def _exec_netpipe(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -98,8 +89,9 @@ def _exec_coll(params: Dict[str, Any]) -> Dict[str, Any]:
     if topo:
         from repro.hardware.netgraph import parse_topology
 
-        cluster = config.ClusterSpec(n_nodes=params["nprocs"],
-                                     topology=parse_topology(topo))
+        cluster = config.ClusterSpec(
+            n_nodes=params["nprocs"],
+            topology=parse_topology(topo)).covering(spec)
     res = run_collbench(spec, params["nprocs"], params["collective"],
                         params["size"],
                         algorithm=params.get("algorithm"),

@@ -11,9 +11,8 @@ name plus keyword overrides, never by object — so a point can be
 
 Experiment modules expose ``points(fast)`` returning their point list
 and ``merge(results, fast)`` rebuilding the module's result dict from
-``{point.key: result}``; the serial ``run()`` entry point is merge over
-an in-process loop, so the campaign runner and the legacy path share
-one code path and produce identical data.
+``{point.key: result}``; :func:`repro.campaign.run_campaign` is the one
+path that executes them.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ __all__ = ["stack_ref", "Point"]
 def stack_ref(preset: str, **kw: Any) -> Dict[str, Any]:
     """A serializable reference to a stack preset.
 
-    ``preset`` names a factory in :mod:`repro.config` (``mpich2_nmad``,
-    ``mvapich2``, ...); ``kw`` are its keyword arguments.  Sequences
+    ``preset`` names an entry of :data:`repro.config.STACKS`
+    (``mpich2_nmad``, ``mvapich2``, ...); ``kw`` override its keyword
+    arguments.  Sequences
     must be passed as lists (JSON has no tuples) — the executor
     re-tuples ``rails``.
     """

@@ -4,7 +4,7 @@
 their points, satisfies as many as possible from the content-addressed
 cache, executes the misses (serially or across a process pool), and
 hands each module's ``{key: result}`` map to its ``merge`` to rebuild
-exactly the dict the serial ``run()`` would have produced.
+the figure's data.  It is the only way an experiment runs.
 
 Determinism: results are keyed by point key and merged in point-list
 order, never in completion order, so ``--workers 4`` and ``--workers
@@ -31,37 +31,23 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.campaign.cache import ResultCache, campaign_key
 from repro.campaign.executors import execute_point
 from repro.campaign.points import Point
-from repro.experiments import EXPERIMENTS
+from repro.experiments import MODULES
 from repro.experiments.common import host_clock
 from repro.observability.metrics import MetricsRegistry
-
-#: every campaign-able module, in run_all order
-ALL_MODULES: Tuple[str, ...] = tuple(EXPERIMENTS) + (
-    "ext_is_datatypes",
-    "ext_stencil_overlap",
-    "ext_collectives",
-    "ext_topology",
-    "ext_progress",
-)
 
 
 def campaign_modules(names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
     """Resolve module short names -> imported experiment modules.
 
-    Accepts any module exposing ``points``/``merge``; unknown names
-    raise with the available list.
+    Unknown names raise with the available list.
     """
-    selected = list(names) if names else list(ALL_MODULES)
+    selected = list(names) if names else list(MODULES)
     out: Dict[str, Any] = {}
     for name in selected:
-        if name not in ALL_MODULES:
+        if name not in MODULES:
             raise ValueError(f"unknown experiment module {name!r}; "
-                             f"available: {', '.join(ALL_MODULES)}")
-        mod = importlib.import_module(f"repro.experiments.{name}")
-        if not hasattr(mod, "points") or not hasattr(mod, "merge"):
-            raise ValueError(f"module {name!r} has no points()/merge() — "
-                             "not campaign-able")
-        out[name] = mod
+                             f"available: {', '.join(MODULES)}")
+        out[name] = importlib.import_module(f"repro.experiments.{name}")
     return out
 
 
@@ -69,7 +55,7 @@ def campaign_modules(names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
 class CampaignReport:
     """Everything one campaign run produced."""
 
-    #: merged per-module result dicts, exactly as the serial ``run()``
+    #: merged per-module result dicts (each module's ``merge``)
     modules: Dict[str, Any]
     fast: bool
     workers: int
@@ -135,7 +121,7 @@ def run_campaign(modules: Optional[Sequence[str]] = None,
                  cache: Optional[ResultCache] = None,
                  force: bool = False,
                  registry: Optional[MetricsRegistry] = None) -> CampaignReport:
-    """Run a campaign over ``modules`` (default: all of run_all).
+    """Run a campaign over ``modules`` (default: every module).
 
     Parameters
     ----------

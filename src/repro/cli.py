@@ -2,7 +2,6 @@
 
 Commands
 --------
-``experiments``   run paper-figure reproductions (all or by name)
 ``netpipe``       latency/bandwidth sweep for one stack
 ``overlap``       the Fig. 7 isend/compute/wait measurement
 ``nas``           one NAS kernel run
@@ -23,15 +22,19 @@ Commands
                   equality, mutable defaults), plus a dead-code report
 ``race``          simulated-concurrency race detector: run a preset
                   under happens-before tracking and report conflicts
-``campaign``      parallel experiment campaign: decompose experiments
-                  into points, execute across a process pool, memoize
-                  in a content-addressed result cache
+``campaign``      run the paper-figure reproductions (all or by name):
+                  decompose experiments into points, execute across a
+                  process pool, memoize in a content-addressed cache
 ``coll-tune``     collective-algorithm autotuner: sweep every registered
                   algorithm over a (p x size) grid through the campaign
                   cache and emit a tuned selection table
 ``topo``          routed network topologies: list presets, describe and
                   visualize a link/switch graph, or sweep one collective
                   across topologies and report per-link hot spots
+
+Every stack flag takes a name of :data:`repro.config.STACKS`; sizes,
+counts and stack names are checked by the argparse ``type`` of their
+flag, so a bad value ends in a one-line usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -42,49 +45,49 @@ from typing import List, Optional
 
 from repro import config
 
-_STACKS = {
-    "mpich2_nmad": config.mpich2_nmad,
-    "mpich2_nmad_pioman": config.mpich2_nmad_pioman,
-    "mpich2_nmad_netmod": config.mpich2_nmad_netmod,
-    "mpich2_nmad_multirail": lambda: config.mpich2_nmad(rails=("ib", "mx")),
-    "mpich2_nmad_reliable": config.mpich2_nmad_reliable,
-    # progress-engine / registration-cache variants (docs/PROGRESS.md)
-    "mpich2_nmad_manual_poll":
-        lambda: config.mpich2_nmad_pioman(progress="manual_poll"),
-    "mpich2_nmad_dedicated":
-        lambda: config.mpich2_nmad_pioman(progress="dedicated_thread"),
-    "mpich2_nmad_regcache": lambda: config.mpich2_nmad(ib_reg_cache=8 << 20),
-    "mvapich2": config.mvapich2,
-    "openmpi_ib": config.openmpi_ib,
-    "openmpi_pml_mx": config.openmpi_pml_mx,
-    "openmpi_btl_mx": config.openmpi_btl_mx,
-}
-
 
 def _parse_size(text: str) -> int:
-    """'4', '64K', '1M' -> bytes."""
-    text = text.strip().upper()
+    """'4', '64K', '1M' -> bytes (argparse type: a size >= 0)."""
+    digits = text.strip().upper()
     mult = 1
-    if text.endswith("K"):
-        mult, text = 1024, text[:-1]
-    elif text.endswith("M"):
-        mult, text = 1 << 20, text[:-1]
-    return int(text) * mult
+    if digits.endswith("K"):
+        mult, digits = 1024, digits[:-1]
+    elif digits.endswith("M"):
+        mult, digits = 1 << 20, digits[:-1]
+    if not digits.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"bad size {text!r}; expected an int >= 0 with an optional "
+            "K or M suffix")
+    return int(digits) * mult
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an int, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def _stack(name: str):
-    try:
-        return _STACKS[name]()
-    except KeyError:
-        raise SystemExit(
-            f"unknown stack {name!r}; available: {', '.join(sorted(_STACKS))}")
+def _sizes(text: str) -> List[int]:
+    """Comma list of sizes (argparse type)."""
+    return [_parse_size(item) for item in text.split(",")]
+
+
+def _counts(text: str) -> List[int]:
+    """Comma list of counts >= 1 (argparse type)."""
+    return [_positive_int(item) for item in text.split(",")]
+
+
+def _stack_name(name: str) -> str:
+    """A preset name of :data:`repro.config.STACKS` (argparse type)."""
+    if name not in config.STACKS:
+        raise argparse.ArgumentTypeError(
+            f"unknown stack {name!r}; "
+            f"available: {', '.join(sorted(config.STACKS))}")
+    return name
 
 
 def _make_sink(args):
@@ -151,39 +154,17 @@ def _sink_summary(trace) -> str:
 
 
 def cmd_stacks(_args) -> int:
-    for name in sorted(_STACKS):
-        print(f"  {name:24s} -> {_STACKS[name]().name}")
-    return 0
-
-
-def cmd_experiments(args) -> int:
-    from repro.experiments import (EXPERIMENTS, fig4_infiniband,
-                                   fig5_multirail, fig6_pioman_overhead,
-                                   fig7_overlap, fig8_nas)
-
-    modules = {
-        "fig4_infiniband": fig4_infiniband,
-        "fig5_multirail": fig5_multirail,
-        "fig6_pioman_overhead": fig6_pioman_overhead,
-        "fig7_overlap": fig7_overlap,
-        "fig8_nas": fig8_nas,
-    }
-    names = args.names or EXPERIMENTS
-    for name in names:
-        if name not in modules:
-            raise SystemExit(f"unknown experiment {name!r}; "
-                             f"available: {', '.join(EXPERIMENTS)}")
-        modules[name].main(fast=args.fast)
+    for name in sorted(config.STACKS):
+        print(f"  {name:24s} -> {config.stack(name).name}")
     return 0
 
 
 def cmd_netpipe(args) -> int:
     from repro.workloads.netpipe import run_netpipe
 
-    sizes = [_parse_size(s) for s in args.sizes.split(",")]
-    spec = _stack(args.stack)
+    spec = config.stack(args.stack)
     cluster = config.xeon_pair()
-    res = run_netpipe(spec, cluster, sizes, reps=args.reps,
+    res = run_netpipe(spec, cluster, args.sizes, reps=args.reps,
                       anysource=args.anysource, intra_node=args.intra)
     print(f"# {spec.name}" + (" (intra-node)" if args.intra else ""))
     print(f"{'size':>10} {'latency_us':>12} {'MiB/s':>10}")
@@ -196,8 +177,8 @@ def cmd_netpipe(args) -> int:
 def cmd_overlap(args) -> int:
     from repro.workloads.overlap import run_overlap
 
-    spec = _stack(args.stack)
-    size = _parse_size(args.size)
+    spec = config.stack(args.stack)
+    size = args.size
     compute = float(args.compute) * 1e-6
     ref = run_overlap(spec, config.xeon_pair(), [size], 0.0, reps=args.reps)
     res = run_overlap(spec, config.xeon_pair(), [size], compute,
@@ -213,7 +194,7 @@ def cmd_overlap(args) -> int:
 def cmd_nas(args) -> int:
     from repro.workloads.nas import adjust_procs, run_kernel
 
-    spec = _stack(args.stack)
+    spec = config.stack(args.stack)
     procs = adjust_procs(args.kernel, args.procs)
     res = run_kernel(args.kernel, args.cls, procs, spec,
                      sim_iters=args.sim_iters)
@@ -231,10 +212,8 @@ def cmd_trace(args) -> int:
     from repro.simulator import JsonlTrace, load_trace_jsonl
     from repro.workloads.netpipe import pingpong
 
-    if args.reps < 1:
-        raise SystemExit("--reps must be >= 1")
-    spec = _stack(args.stack)
-    size = _parse_size(args.size)
+    spec = config.stack(args.stack)
+    size = args.size
     trace = _make_sink(args)
     metrics = attach_metrics(trace)
 
@@ -285,10 +264,8 @@ def cmd_profile(args) -> int:
     from repro.runtime.builder import MPIRuntime
     from repro.simulator import JsonlTrace
 
-    if args.reps < 1:
-        raise SystemExit("--reps must be >= 1")
-    spec = _stack(args.stack)
-    size = _parse_size(args.size)
+    spec = config.stack(args.stack)
+    size = args.size
 
     if args.workload == "pingpong":
         from repro.workloads.netpipe import pingpong
@@ -378,13 +355,13 @@ def cmd_faults(args) -> int:
 
     from repro.faults import run_chaos
 
-    spec = _stack(args.stack)
+    spec = config.stack(args.stack)
     if spec.reliability is None:
         raise SystemExit(f"stack {args.stack!r} has no reliability layer; "
                          "use mpich2_nmad_reliable (or a spec with "
                          "reliability set)")
     report = run_chaos(plan_name=args.plan, messages=args.messages,
-                       size=_parse_size(args.size), seed=args.seed,
+                       size=args.size, seed=args.seed,
                        spec=spec, drop_prob=args.drop_prob)
     print(report.format_text())
     if args.out:
@@ -466,7 +443,7 @@ def cmd_race(args) -> int:
         report = run_racy_demo(seed=args.seed)
         print(report.format_text())
         return 1 if report.races else 0
-    spec = _stack(args.preset)
+    spec = config.stack(args.preset)
     cluster = None
     if args.topo:
         from repro.hardware import presets as hw
@@ -479,7 +456,7 @@ def cmd_race(args) -> int:
         cluster = config.ClusterSpec(
             n_nodes=topo.capacity, node=hw.XEON_NODE,
             rails=(hw.IB_CONNECTX, hw.MX_MYRI10G), topology=topo)
-    report = run_race(spec, size=_parse_size(args.size), reps=args.reps,
+    report = run_race(spec, size=args.size, reps=args.reps,
                       seed=args.seed, cluster=cluster)
     print(report.format_text())
     return 1 if report.races else 0
@@ -518,8 +495,8 @@ def cmd_topo(args) -> int:
     from repro.simulator import Trace
     from repro.workloads.collbench import run_collbench
 
-    spec_stack = _stack(args.stack)
-    size = _parse_size(args.size)
+    spec_stack = config.stack(args.stack)
+    size = args.size
     for text in args.topology.split(","):
         topo = parse_topology(text)
         cluster = None
@@ -527,7 +504,8 @@ def cmd_topo(args) -> int:
             if topo.capacity < args.nprocs:
                 raise SystemExit(f"{topo.name} holds {topo.capacity} "
                                  f"node(s) < --nprocs {args.nprocs}")
-            cluster = config.ClusterSpec(n_nodes=args.nprocs, topology=topo)
+            cluster = config.ClusterSpec(
+                n_nodes=args.nprocs, topology=topo).covering(spec_stack)
         trace = Trace()
         metrics = attach_metrics(trace)
         res = run_collbench(spec_stack, args.nprocs, args.coll, size,
@@ -548,13 +526,13 @@ def cmd_campaign(args) -> int:
     import json
 
     from repro.campaign import ResultCache, run_campaign
-    from repro.campaign.runner import ALL_MODULES
+    from repro.experiments import MODULES
 
     names = args.names or None
     for name in args.names:
-        if name not in ALL_MODULES:
+        if name not in MODULES:
             raise SystemExit(f"unknown experiment module {name!r}; "
-                             f"available: {', '.join(ALL_MODULES)}")
+                             f"available: {', '.join(MODULES)}")
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     report = run_campaign(modules=names, fast=args.fast,
                           workers=args.workers, cache=cache,
@@ -577,15 +555,8 @@ def cmd_coll_tune(args) -> int:
     from repro.campaign import ResultCache
     from repro.coll.tuning import tune
 
-    if args.stack not in _STACKS:
-        raise SystemExit(f"unknown stack {args.stack!r}; "
-                         f"available: {', '.join(sorted(_STACKS))}")
-    procs = ([int(p) for p in args.procs.split(",")]
-             if args.procs else None)
-    sizes = ([_parse_size(s) for s in args.sizes.split(",")]
-             if args.sizes else None)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    report = tune(stack_preset=args.stack, procs=procs, sizes=sizes,
+    report = tune(stack_preset=args.stack, procs=args.procs, sizes=args.sizes,
                   reps=args.reps, fast=args.fast, workers=args.workers,
                   cache=cache, force=args.force)
     # artifacts land before the summary so a closed stdout can't lose them
@@ -630,45 +601,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stacks", help="list stack presets")
     p.set_defaults(fn=cmd_stacks)
 
-    p = sub.add_parser("experiments", help="run paper-figure reproductions")
-    p.add_argument("names", nargs="*", help="figure modules (default: all)")
-    p.add_argument("--fast", action="store_true", help="reduced sweeps")
-    p.set_defaults(fn=cmd_experiments)
-
     p = sub.add_parser("netpipe", help="latency/bandwidth sweep")
-    p.add_argument("--stack", default="mpich2_nmad")
-    p.add_argument("--sizes", default="4,1K,64K,1M",
+    p.add_argument("--stack", type=_stack_name, default="mpich2_nmad")
+    p.add_argument("--sizes", type=_sizes, default="4,1K,64K,1M",
                    help="comma list, K/M suffixes allowed")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_positive_int, default=5)
     p.add_argument("--anysource", action="store_true")
     p.add_argument("--intra", action="store_true",
                    help="both ranks on one node (shared memory)")
     p.set_defaults(fn=cmd_netpipe)
 
     p = sub.add_parser("overlap", help="isend/compute/wait measurement")
-    p.add_argument("--stack", default="mpich2_nmad_pioman")
-    p.add_argument("--size", default="256K")
+    p.add_argument("--stack", type=_stack_name, default="mpich2_nmad_pioman")
+    p.add_argument("--size", type=_parse_size, default="256K")
     p.add_argument("--compute", default="400", help="microseconds")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.set_defaults(fn=cmd_overlap)
 
     p = sub.add_parser("nas", help="run one NAS kernel")
     p.add_argument("--kernel", default="cg",
                    choices=["bt", "cg", "ep", "ft", "sp", "mg", "lu", "is"])
     p.add_argument("--cls", default="A", choices=["A", "B", "C"])
-    p.add_argument("--procs", type=int, default=8)
-    p.add_argument("--stack", default="mpich2_nmad")
-    p.add_argument("--sim-iters", type=int, default=None)
+    p.add_argument("--procs", type=_positive_int, default=8)
+    p.add_argument("--stack", type=_stack_name, default="mpich2_nmad")
+    p.add_argument("--sim-iters", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_nas)
 
     p = sub.add_parser("trace", help="trace a workload; export Perfetto "
                                      "JSON + metrics + latency breakdown")
-    p.add_argument("--stack", default="mpich2_nmad_pioman")
+    p.add_argument("--stack", type=_stack_name, default="mpich2_nmad_pioman")
     p.add_argument("--workload", default="netpipe",
                    choices=["netpipe", "overlap"])
-    p.add_argument("--size", default="64K",
+    p.add_argument("--size", type=_parse_size, default="64K",
                    help="message size, K/M suffixes allowed")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--out", default="trace.json",
                    help="Perfetto JSON output path")
     _add_sink_options(p)
@@ -677,18 +643,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="sim-time span profiler: top-N "
                                        "table, folded flame graph, "
                                        "Perfetto spans")
-    p.add_argument("stack", nargs="?", default="mpich2_nmad",
+    p.add_argument("stack", nargs="?", type=_stack_name,
+                   default="mpich2_nmad",
                    help="stack preset (see `repro stacks`)")
     p.add_argument("workload", nargs="?", default="pingpong",
                    choices=["pingpong", "overlap", "collbench"])
-    p.add_argument("--size", default="64K",
+    p.add_argument("--size", type=_parse_size, default="64K",
                    help="message size, K/M suffixes allowed")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--np", type=int, default=8,
+    p.add_argument("--reps", type=_positive_int, default=3)
+    p.add_argument("--np", type=_positive_int, default=8,
                    help="process count (collbench only)")
     p.add_argument("--coll", default="allreduce",
                    help="collective to profile (collbench only)")
-    p.add_argument("--top", type=int, default=15,
+    p.add_argument("--top", type=_positive_int, default=15,
                    help="rows in the top-span table")
     p.add_argument("--folded", default="profile.folded",
                    help="folded-stack flame graph output path")
@@ -709,10 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults", help="chaos run under a named fault plan")
     p.add_argument("--plan", default="drop+outage",
                    help="clean, drop, corrupt, outage, drop+outage, stall")
-    p.add_argument("--stack", default="mpich2_nmad_reliable")
-    p.add_argument("--size", default="512K",
+    p.add_argument("--stack", type=_stack_name,
+                   default="mpich2_nmad_reliable")
+    p.add_argument("--size", type=_parse_size, default="512K",
                    help="message size, K/M suffixes allowed")
-    p.add_argument("--messages", type=int, default=16)
+    p.add_argument("--messages", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--drop-prob", type=float, default=0.01)
     p.add_argument("--out", default=None,
@@ -744,12 +712,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("race", help="happens-before race detector run")
-    p.add_argument("--preset", "--stack", dest="preset",
+    p.add_argument("--preset", "--stack", dest="preset", type=_stack_name,
                    default="mpich2_nmad_reliable",
                    help="stack preset to run under the detector")
-    p.add_argument("--size", default="64K",
+    p.add_argument("--size", type=_parse_size, default="64K",
                    help="message size, K/M suffixes allowed")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--demo-racy", action="store_true",
                    help="run the deliberately racy scenario instead "
@@ -768,23 +736,23 @@ def build_parser() -> argparse.ArgumentParser:
                         "(sweep takes a comma list; 'flat' allowed)")
     p.add_argument("--rail", choices=["ib", "mx"], default="ib",
                    help="NIC parameters the links inherit")
-    p.add_argument("--stack", default="mpich2_nmad")
+    p.add_argument("--stack", type=_stack_name, default="mpich2_nmad")
     p.add_argument("--coll", default="allreduce")
     p.add_argument("--algo", default=None,
                    help="force one algorithm (default: selection table)")
-    p.add_argument("--nprocs", type=int, default=8)
-    p.add_argument("--size", default="64K",
+    p.add_argument("--nprocs", type=_positive_int, default=8)
+    p.add_argument("--size", type=_parse_size, default="64K",
                    help="message size, K/M suffixes allowed")
-    p.add_argument("--reps", type=int, default=2)
-    p.add_argument("--links", type=int, default=5,
+    p.add_argument("--reps", type=_positive_int, default=2)
+    p.add_argument("--links", type=_positive_int, default=5,
                    help="hottest links to print per topology")
     p.set_defaults(fn=cmd_topo)
 
     p = sub.add_parser("campaign", help="parallel, cached experiment "
                                         "campaign over the paper figures")
     p.add_argument("names", nargs="*",
-                   help="experiment modules (default: all of run_all)")
-    p.add_argument("--workers", type=int, default=1,
+                   help="experiment modules (default: every module)")
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="process-pool width (1 = in-process)")
     p.add_argument("--fast", action="store_true", help="reduced sweeps")
     p.add_argument("--cache-dir", default=".repro-cache",
@@ -801,15 +769,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coll-tune", help="autotune collective-algorithm "
                                          "selection over a (p x size) grid")
-    p.add_argument("--stack", default="mpich2_nmad")
-    p.add_argument("--procs", default=None,
+    p.add_argument("--stack", type=_stack_name, default="mpich2_nmad")
+    p.add_argument("--procs", type=_counts, default=None,
                    help="comma list of process counts (default 4,8,16)")
-    p.add_argument("--sizes", default=None,
+    p.add_argument("--sizes", type=_sizes, default=None,
                    help="comma list of sizes, K/M suffixes allowed")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--fast", action="store_true",
                    help="shrunken grid (one p, two sizes) for smoke runs")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="process-pool width (1 = in-process)")
     p.add_argument("--cache-dir", default=".repro-cache",
                    help="content-addressed result cache directory")

@@ -1,26 +1,33 @@
 """Stack and cluster configuration: the knobs of every experiment.
 
 A :class:`StackSpec` describes one MPI implementation under test; a
-:class:`ClusterSpec` describes the machines.  ``presets`` builds the
-configurations the paper evaluates:
+:class:`ClusterSpec` describes the machines.  :data:`STACKS` is the one
+table of stack presets: ``repro stacks`` lists it, every ``--stack``
+flag and every campaign ``stack_ref`` resolves through it.
 
-======================  =====================================================
-preset                  paper name
-======================  =====================================================
-``mpich2_nmad``         MPICH2:Nem:Nmad (CH3-direct over NewMadeleine)
-``mpich2_nmad_pioman``  MPICH2:Nem:Nmad:PIOMan
-``mpich2_nmad_netmod``  plain network-module path (ablation, Fig. 2 costs)
-``mvapich2``            MVAPICH2 1.0.3
-``openmpi_ib``          Open MPI 1.2.7 (openib)
-``openmpi_pml_mx``      Open MPI PML/CM over MX
-``openmpi_btl_mx``      Open MPI BTL over MX
-======================  =====================================================
+===========================  ================================================
+preset                       configuration
+===========================  ================================================
+``mpich2_nmad``              MPICH2:Nem:Nmad (CH3-direct over NewMadeleine)
+``mpich2_nmad_pioman``       MPICH2:Nem:Nmad:PIOMan
+``mpich2_nmad_netmod``       plain network-module path (ablation, Fig. 2)
+``mpich2_nmad_multirail``    CH3-direct over IB + MX (Fig. 5)
+``mpich2_nmad_reliable``     multirail + PIOMan with acks and failover
+``mpich2_nmad_manual_poll``  PIOMan stack, ``manual_poll`` progress engine
+``mpich2_nmad_dedicated``    PIOMan stack, ``dedicated_thread`` engine
+``mpich2_nmad_regcache``     CH3-direct with an 8 MiB IB registration cache
+``mvapich2``                 MVAPICH2 1.0.3
+``openmpi_ib``               Open MPI 1.2.7 (openib)
+``openmpi_pml_mx``           Open MPI PML/CM over MX
+``openmpi_btl_mx``           Open MPI BTL over MX
+===========================  ================================================
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.comparators import presets as comparator_presets
 from repro.comparators.native import NativeCosts
@@ -32,6 +39,10 @@ from repro.mpich2.nemesis.shm import ShmCosts
 from repro.nmad.core import NmadCosts
 from repro.nmad.reliability import ReliabilityParams
 from repro.pioman import PIOManParams
+
+
+#: the NIC model of each rail name on the point-to-point testbed
+RAIL_NICS: Dict[str, NICParams] = {"ib": hw.IB_CONNECTX, "mx": hw.MX_MYRI10G}
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,13 @@ class ClusterSpec:
     def rail_names(self) -> Tuple[str, ...]:
         return tuple(r.name for r in self.rails)
 
+    def covering(self, stack: "StackSpec") -> "ClusterSpec":
+        """This cluster plus a Xeon-testbed NIC for each rail ``stack``
+        drives that it lacks: a default cluster fits every preset."""
+        have = self.rail_names()
+        extra = tuple(RAIL_NICS[r] for r in stack.rails if r not in have)
+        return replace(self, rails=self.rails + extra) if extra else self
+
 
 @dataclass(frozen=True)
 class StackSpec:
@@ -62,8 +80,8 @@ class StackSpec:
     mode: str = "direct"                     # "direct" | "netmod"
     pioman: bool = False
     #: progress-engine kind (repro.pioman.engines.ENGINE_KINDS) when
-    #: ``pioman`` is on; None -> REPRO_PROGRESS env, then "pioman"
-    progress: Optional[str] = None
+    #: ``pioman`` is on
+    progress: str = "pioman"
     #: IB pin-down registration cache capacity in bytes (Liu et al.
     #: cs/0310059); 0 keeps today's on-the-fly registration
     ib_reg_cache: int = 0
@@ -139,6 +157,36 @@ def openmpi_pml_mx(**kw) -> StackSpec:
 def openmpi_btl_mx(**kw) -> StackSpec:
     return StackSpec(name="Open MPI:BTL:MX", kind="native", rails=("mx",),
                      native_costs=comparator_presets.OPENMPI_BTL_MX, **kw)
+
+
+#: the stack presets: name -> factory (keywords override the preset's)
+STACKS: Dict[str, Callable[..., StackSpec]] = {
+    "mpich2_nmad": mpich2_nmad,
+    "mpich2_nmad_pioman": mpich2_nmad_pioman,
+    "mpich2_nmad_netmod": mpich2_nmad_netmod,
+    "mpich2_nmad_multirail": partial(mpich2_nmad, rails=("ib", "mx")),
+    "mpich2_nmad_reliable": mpich2_nmad_reliable,
+    # progress-engine / registration-cache variants (docs/PROGRESS.md)
+    "mpich2_nmad_manual_poll": partial(mpich2_nmad_pioman,
+                                       progress="manual_poll"),
+    "mpich2_nmad_dedicated": partial(mpich2_nmad_pioman,
+                                     progress="dedicated_thread"),
+    "mpich2_nmad_regcache": partial(mpich2_nmad, ib_reg_cache=8 << 20),
+    "mvapich2": mvapich2,
+    "openmpi_ib": openmpi_ib,
+    "openmpi_pml_mx": openmpi_pml_mx,
+    "openmpi_btl_mx": openmpi_btl_mx,
+}
+
+
+def stack(name: str, **kw) -> StackSpec:
+    """Build the preset ``name`` of :data:`STACKS`; ``kw`` override it."""
+    try:
+        factory = STACKS[name]
+    except KeyError:
+        raise ValueError(f"unknown stack preset {name!r}; "
+                         f"available: {', '.join(sorted(STACKS))}") from None
+    return factory(**kw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,33 @@
-"""One experiment module per figure of the paper's evaluation section.
+"""One experiment module per figure of the paper's evaluation section,
+plus the extensions.
 
-Run any module directly::
+Run them through the campaign runner::
 
-    python -m repro.experiments.fig4_infiniband
-    python -m repro.experiments.fig5_multirail
-    python -m repro.experiments.fig6_pioman_overhead
-    python -m repro.experiments.fig7_overlap
-    python -m repro.experiments.fig8_nas
-    python -m repro.experiments.run_all        # everything, with summaries
+    python -m repro campaign                      # every module
+    python -m repro campaign fig4_infiniband --fast
 
-Each module exposes ``run(fast=False)`` returning the measured series
-and ``main()`` printing them in the paper's layout.  ``fast=True``
-shrinks sweeps/classes for quick checks (used by the benchmarks).
+Each module exposes ``points(fast=False)``, the independent simulations
+it measures; ``merge(results, fast=False)``, which folds the
+``{point.key: result}`` map into the figure's data; and
+``render(data)``, which prints it in the paper's layout.  ``fast=True``
+shrinks sweeps/classes for quick checks.
 """
 
-EXPERIMENTS = [
+from typing import Tuple
+
+#: every experiment module, in campaign order: the paper's figures,
+#: then the extensions
+MODULES: Tuple[str, ...] = (
     "fig4_infiniband",
     "fig5_multirail",
     "fig6_pioman_overhead",
     "fig7_overlap",
     "fig8_nas",
-]
+    "ext_is_datatypes",
+    "ext_stencil_overlap",
+    "ext_collectives",
+    "ext_topology",
+    "ext_progress",
+)
 
-__all__ = ["EXPERIMENTS"]
+__all__ = ["MODULES"]

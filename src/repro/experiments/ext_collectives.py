@@ -11,14 +11,13 @@ each multi-algorithm collective across a (p x size) grid on the
 MPICH2-Nmad stack and pins the crossovers the
 :mod:`repro.coll.selector` default table encodes.
 
-Run: ``python -m repro.experiments.ext_collectives``
+Run: ``python -m repro campaign ext_collectives``
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 
 MODULE = "ext_collectives"
@@ -90,11 +89,6 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
             "crossover": crossover}
 
 
-def run(fast: bool = False) -> Dict:
-    return merge({p.key: execute_point(p.config()) for p in points(fast)},
-                 fast=fast)
-
-
 def render(data: Dict) -> None:
     sizes = data["sizes"]
     for coll, algos in data["algorithms"].items():
@@ -121,15 +115,3 @@ def render(data: Dict) -> None:
     print("Bruck) take the small-message cells; bandwidth-optimized ones")
     print("(Rabenseifner, scatter-allgather, ring, pairwise) take the")
     print("large-message cells — the crossovers the selection table pins.")
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(fast="--fast" in sys.argv[1:])

@@ -8,14 +8,13 @@ datatype model (pack/unpack costs for strided layouts), so IS runs —
 and we can quantify how much of its time the datatype handling costs by
 comparing against a contiguous-layout variant of the same skeleton.
 
-Run: ``python -m repro.experiments.ext_is_datatypes``
+Run: ``python -m repro campaign ext_is_datatypes``
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 from repro.experiments.common import print_grouped_table
 from repro.workloads.nas.base import KERNELS, KernelSpec
@@ -74,11 +73,6 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
     return {"class": cls, "procs": procs, "tables": tables}
 
 
-def run(fast: bool = False) -> Dict:
-    return merge({p.key: execute_point(p.config()) for p in points(fast)},
-                 fast=fast)
-
-
 def render(data: Dict) -> None:
     print_grouped_table(
         f"Extension: NAS IS class {data['class']} "
@@ -88,13 +82,3 @@ def render(data: Dict) -> None:
     print("\nThe strided/contiguous gap is the datatype pack/unpack cost —")
     print("the overhead the paper hoped NewMadeleine's optimization schemes")
     print("could attack (conclusion, future work).")
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    main()

@@ -23,14 +23,13 @@ crossovers:
   buffers are reused, and a churn workload whose working set exceeds
   the cache capacity exposes the LRU eviction cost.
 
-Run: ``python -m repro.experiments.ext_progress``
+Run: ``python -m repro campaign ext_progress``
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 
 MODULE = "ext_progress"
@@ -159,11 +158,6 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
             "churn": churn, "winners": winners, "crossover": crossover}
 
 
-def run(fast: bool = False) -> Dict:
-    return merge({p.key: execute_point(p.config()) for p in points(fast)},
-                 fast=fast)
-
-
 def render(data: Dict) -> None:
     print("ping-pong latency over mx (Fig. 6 axis), us")
     print(f"  {'engine':<18}"
@@ -201,15 +195,3 @@ def render(data: Dict) -> None:
     print("\ncrossovers:")
     for name, value in data["crossover"].items():
         print(f"  {name}: {'YES' if value else 'no'}")
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(fast="--fast" in sys.argv[1:])

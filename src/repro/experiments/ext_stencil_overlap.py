@@ -7,7 +7,7 @@ a halo-exchange stencil is the textbook application that does.  This
 experiment measures it: per-stack, overlapped vs non-overlapped halo
 exchange.
 
-Run: ``python -m repro.experiments.ext_stencil_overlap``
+Run: ``python -m repro campaign ext_stencil_overlap``
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Dict, List
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 from repro.experiments.common import print_grouped_table
 from repro.workloads.stencil import StencilConfig
@@ -30,24 +29,27 @@ STACKS = [
 ]
 
 
+#: ranks of every stencil run
+NPROCS = 16
+
+
 def _cfg(fast: bool) -> StencilConfig:
     return StencilConfig(n=4096 if fast else 8192, iters=4 if fast else 10)
 
 
-def points(fast: bool = False, nprocs: int = 16) -> List[Point]:
+def points(fast: bool = False) -> List[Point]:
     """One stencil point per (stack, overlap mode)."""
     cfg = asdict(_cfg(fast))
     pts = []
     for name, ref in STACKS:
         for mode, overlap in (("plain", False), ("overlap", True)):
             pts.append(Point(MODULE, f"{name}/{mode}", "stencil",
-                             {"stack": ref, "nprocs": nprocs, "cfg": cfg,
+                             {"stack": ref, "nprocs": NPROCS, "cfg": cfg,
                               "overlap": overlap}))
     return pts
 
 
-def merge(results: Dict[str, dict], fast: bool = False,
-          nprocs: int = 16) -> Dict:
+def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
     cfg = _cfg(fast)
     tables: Dict[str, list] = {"no overlap": [], "overlapped": [],
                                "speedup %": []}
@@ -59,13 +61,7 @@ def merge(results: Dict[str, dict], fast: bool = False,
         tables["no overlap"].append(plain * 1e3)
         tables["overlapped"].append(over * 1e3)
         tables["speedup %"].append(100.0 * (plain - over) / plain)
-    return {"rows": rows, "tables": tables, "nprocs": nprocs, "cfg": cfg}
-
-
-def run(fast: bool = False, nprocs: int = 16) -> Dict:
-    return merge({p.key: execute_point(p.config())
-                  for p in points(fast, nprocs=nprocs)},
-                 fast=fast, nprocs=nprocs)
+    return {"rows": rows, "tables": tables, "nprocs": NPROCS, "cfg": cfg}
 
 
 def render(data: Dict) -> None:
@@ -76,13 +72,3 @@ def render(data: Dict) -> None:
     print("\nOnly the PIOMan-backed stack converts the nonblocking halo")
     print("idiom into actual overlap — the application-level payoff the")
     print("paper's conclusion anticipates.")
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    main()

@@ -19,14 +19,13 @@ congest the mx route; the mx split share visibly decays as the fabric's
 congestion estimate rises, where the static ``split_balance`` profile
 would keep overfeeding the congested rail.
 
-Run: ``python -m repro.experiments.ext_topology``
+Run: ``python -m repro campaign ext_topology``
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 
 MODULE = "ext_topology"
@@ -136,11 +135,6 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
             "multirail": multirail}
 
 
-def run(fast: bool = False) -> Dict:
-    return merge({p.key: execute_point(p.config()) for p in points(fast)},
-                 fast=fast)
-
-
 def render(data: Dict) -> None:
     sizes = data["sizes"]
     for coll, algos in data["algorithms"].items():
@@ -167,15 +161,3 @@ def render(data: Dict) -> None:
               f"(observed delay {r['observed_delay'] * 1e6:.1f} us)")
     print(f"  split responds to congestion: "
           f"{'YES' if mr['responds'] else 'no'}")
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    import sys
-
-    main(fast="--fast" in sys.argv[1:])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 from repro.experiments.common import print_series_table
 from repro.workloads.netpipe import BANDWIDTH_SIZES, LATENCY_SIZES
@@ -62,24 +61,9 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
             "bw_sizes": bw_sizes, "bandwidth": bandwidth}
 
 
-def run(fast: bool = False) -> Dict:
-    return merge({p.key: execute_point(p.config()) for p in points(fast)},
-                 fast=fast)
-
-
 def render(data: Dict) -> None:
     print_series_table("Fig 5(a): multirail latency", data["lat_sizes"],
                        data["latency"], "us one-way", scale=1e6, fmt="8.2f")
     print_series_table("Fig 5(b): multirail bandwidth", data["bw_sizes"],
                        data["bandwidth"], "MiB/s", fmt="8.0f")
     print("\npaper reference:", PAPER)
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 from repro.experiments.common import print_series_table
 from repro.workloads.netpipe import LATENCY_SIZES
@@ -68,24 +67,9 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
     return {"sizes": sizes, "shm": shm, "mx": mx}
 
 
-def run(fast: bool = False) -> Dict:
-    return merge({p.key: execute_point(p.config()) for p in points(fast)},
-                 fast=fast)
-
-
 def render(data: Dict) -> None:
     print_series_table("Fig 6(a): latency over shared memory", data["sizes"],
                        data["shm"], "us one-way", scale=1e6, fmt="8.2f")
     print_series_table("Fig 6(b): latency over Myrinet MX", data["sizes"],
                        data["mx"], "us one-way", scale=1e6, fmt="8.2f")
     print("\npaper reference:", PAPER)
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    main()

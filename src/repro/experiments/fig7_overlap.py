@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 from repro.experiments.common import print_series_table
 
@@ -80,11 +79,6 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
             "rdv_sizes": RDV_SIZES, "rdv": rdv}
 
 
-def run(fast: bool = False) -> Dict:
-    return merge({p.key: execute_point(p.config()) for p in points(fast)},
-                 fast=fast)
-
-
 def render(data: Dict) -> None:
     print_series_table("Fig 7(a): overlapping eager messages over MX "
                        f"(compute = {EAGER_COMPUTE*1e6:.0f} us)",
@@ -95,13 +89,3 @@ def render(data: Dict) -> None:
                        data["rdv_sizes"], data["rdv"],
                        "us sending time", scale=1e6, fmt="8.0f")
     print("\npaper reference:", PAPER)
-
-
-def main(fast: bool = False) -> Dict:
-    data = run(fast=fast)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    main()

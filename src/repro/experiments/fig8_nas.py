@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.campaign.executors import execute_point
 from repro.campaign.points import Point, stack_ref
 from repro.experiments.common import print_grouped_table
 from repro.workloads.nas import adjust_procs
@@ -40,13 +39,13 @@ def _pioman_available(kernel: str, procs: int) -> bool:
     return (kernel,) not in PIOMAN_UNAVAILABLE and (procs,) not in PIOMAN_UNAVAILABLE
 
 
-def _shape(fast: bool, cls: Optional[str]):
-    return cls or ("A" if fast else "C"), ([8, 16] if fast else PROC_COUNTS)
+def _shape(fast: bool):
+    return ("A" if fast else "C"), ([8, 16] if fast else PROC_COUNTS)
 
 
-def points(fast: bool = False, cls: Optional[str] = None) -> List[Point]:
+def points(fast: bool = False) -> List[Point]:
     """One NAS point per (process count, stack, kernel)."""
-    cls, procs = _shape(fast, cls)
+    cls, procs = _shape(fast)
     pts = []
     for p in procs:
         for stack_name, ref in STACKS:
@@ -61,9 +60,8 @@ def points(fast: bool = False, cls: Optional[str] = None) -> List[Point]:
     return pts
 
 
-def merge(results: Dict[str, dict], fast: bool = False,
-          cls: Optional[str] = None) -> Dict:
-    cls, procs = _shape(fast, cls)
+def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
+    cls, procs = _shape(fast)
     out: Dict[int, Dict[str, List[Optional[float]]]] = {}
     for p in procs:
         table: Dict[str, List[Optional[float]]] = {}
@@ -81,11 +79,6 @@ def merge(results: Dict[str, dict], fast: bool = False,
     return {"class": cls, "procs": procs, "kernels": KERNELS, "tables": out}
 
 
-def run(fast: bool = False, cls: Optional[str] = None) -> Dict:
-    return merge({p.key: execute_point(p.config())
-                  for p in points(fast, cls=cls)}, fast=fast, cls=cls)
-
-
 def render(data: Dict) -> None:
     for p in data["procs"]:
         label = {8: "8/9", 32: "32/36"}.get(p, str(p))
@@ -94,13 +87,3 @@ def render(data: Dict) -> None:
             f"{label} processes",
             [k.upper() for k in data["kernels"]],
             data["tables"][p], "seconds")
-
-
-def main(fast: bool = False, cls: Optional[str] = None) -> Dict:
-    data = run(fast=fast, cls=cls)
-    render(data)
-    return data
-
-
-if __name__ == "__main__":
-    main()

@@ -10,13 +10,12 @@ the gain is communication/computation overlap (Fig. 7).
 The 2009 threaded design is one point in a wider design space: the
 pluggable progress-engine layer in :mod:`repro.pioman.engines` offers
 ``manual_poll`` and ``dedicated_thread`` alternatives (Zhou et al.
-2024), selectable per stack or via the ``REPRO_PROGRESS`` env knob.
-See ``docs/PROGRESS.md``.
+2024), selected per stack by ``StackSpec.progress``.  See
+``docs/PROGRESS.md``.
 """
 
 from repro.pioman.engines import (
     ENGINE_KINDS,
-    PROGRESS_ENV,
     DedicatedThreadEngine,
     ManualPollEngine,
     ProgressEngine,
@@ -26,7 +25,6 @@ from repro.pioman.manager import PIOMan, PIOManParams
 
 __all__ = [
     "ENGINE_KINDS",
-    "PROGRESS_ENV",
     "DedicatedThreadEngine",
     "ManualPollEngine",
     "PIOMan",

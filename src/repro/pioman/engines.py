@@ -26,11 +26,9 @@ pluggable :class:`ProgressEngine` contract and adds two of them:
     pays the same per-message synchronization as PIOMan (the queues are
     still shared with the application threads).
 
-Selection: an explicit ``StackSpec.progress`` kind wins, else the
-``REPRO_PROGRESS`` environment variable, else the reference engine.
-Campaign executors *pin* the engine into the point config (see
-``campaign.executors``): campaign results are content-addressed by the
-point alone, so an ambient env knob must never change them.
+Selection: ``StackSpec.progress`` names the engine (default: the
+reference ``pioman``).  It is part of the stack configuration, so a
+campaign point's config fully determines which engine runs.
 
 Engine contract (duck-typed; ``PIOMan`` is the reference implementation):
 
@@ -51,7 +49,6 @@ Engine contract (duck-typed; ``PIOMan`` is the reference implementation):
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Callable, Deque, Dict, Generator, List, Optional, Type
 
@@ -59,12 +56,6 @@ from repro.pioman.manager import PIOMan, PIOManParams
 from repro.simulator import Event, Simulator
 from repro.simulator.events import _PENDING
 from repro.threads.marcel import MarcelScheduler
-
-#: environment knob consulted when no progress kind is given
-PROGRESS_ENV = "REPRO_PROGRESS"
-
-_DEFAULT_KIND = "pioman"
-
 
 class ProgressEngine:
     """Base for the alternative engines (PIOMan predates it, duck-typed).
@@ -306,17 +297,9 @@ ENGINE_KINDS: Dict[str, Type] = {
 }
 
 
-def make_engine(kind: Optional[str], sim: Simulator,
-                scheduler: MarcelScheduler,
+def make_engine(kind: str, sim: Simulator, scheduler: MarcelScheduler,
                 params: PIOManParams = PIOManParams()):
-    """Build a progress engine.
-
-    ``kind`` may be a registry name or ``None`` — in which case the
-    ``REPRO_PROGRESS`` environment variable decides, defaulting to the
-    reference ``pioman`` engine.
-    """
-    if kind is None:
-        kind = os.environ.get(PROGRESS_ENV) or _DEFAULT_KIND
+    """Build the progress engine registered as ``kind``."""
     try:
         cls = ENGINE_KINDS[kind]
     except KeyError:

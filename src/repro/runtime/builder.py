@@ -56,7 +56,7 @@ class MPIRuntime:
         self.nprocs = nprocs
         self.spec = stack
         if cluster is None:
-            cluster = ClusterSpec(n_nodes=nprocs)
+            cluster = ClusterSpec(n_nodes=nprocs).covering(stack)
         self.cluster_spec = cluster
         missing = set(stack.rails) - set(cluster.rail_names())
         if missing:

@@ -81,8 +81,6 @@ def run_collbench(stack: StackSpec, nprocs: int, collective: str, size: int,
                   trace: Optional[Trace] = None,
                   seed: int = 0) -> CollbenchResult:
     """Measure one collective at one size (one rank per node by default)."""
-    if cluster is None:
-        cluster = ClusterSpec(n_nodes=nprocs)
     resolved = (algorithm if algorithm is not None
                 else selector.active_table().choose(collective, nprocs, size))
 

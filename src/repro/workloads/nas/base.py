@@ -172,6 +172,7 @@ def run_kernel(kernel_name: str, cls: str, nprocs: int, stack: StackSpec,
     kcls = spec.classes[cls]
     if cluster is None:
         cluster, ranks_per_node = default_nas_cluster(nprocs)
+        cluster = cluster.covering(stack)
     n_sim = min(kcls.iters, sim_iters or spec.default_sim_iters)
     compute_per_iter = spec.cpu_seconds(cls) / nprocs / kcls.iters
 

@@ -46,16 +46,6 @@ def test_force_recomputes_but_matches(tmp_path) -> None:
     assert _frozen(first) == _frozen(forced)
 
 
-def test_campaign_matches_module_run() -> None:
-    """The merged campaign data is exactly what serial ``run()`` returns."""
-    from repro.experiments import fig6_pioman_overhead
-
-    report = run_campaign(["fig6_pioman_overhead"], fast=True, cache=None)
-    direct = fig6_pioman_overhead.run(fast=True)
-    assert canonical_json(_as_plain(report.modules["fig6_pioman_overhead"])) \
-        == canonical_json(_as_plain(direct))
-
-
 def test_report_stats_and_metrics(tmp_path) -> None:
     cache = ResultCache(str(tmp_path / "cache"))
     report = run_campaign(["ext_stencil_overlap"], fast=True, cache=cache)

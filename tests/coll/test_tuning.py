@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from repro import config
+from repro.campaign import build_stack
 from repro.campaign.cache import ResultCache
+from repro.cli import main
 from repro.coll import registry, selector
 from repro.coll import tuning
 from repro.coll.selector import SelectionTable
@@ -38,6 +41,20 @@ def test_tune_points_cover_the_grid():
         assert p.kind == "coll"
         if p.params["collective"] == "barrier":
             assert p.params["size"] == 0
+
+
+@pytest.mark.parametrize("preset", sorted(config.STACKS))
+def test_tune_points_resolve_on_every_preset(preset):
+    """Every ``repro stacks`` name is a stack coll-tune can sweep."""
+    pts = tuning.tune_points(preset, tuning.FAST_PROCS, tuning.FAST_SIZES)
+    for point in pts:
+        assert build_stack(point.params["stack"]) == config.stack(preset)
+
+
+def test_cli_tunes_a_multirail_preset(capsys):
+    assert main(["coll-tune", "--fast", "--no-cache",
+                 "--stack", "mpich2_nmad_multirail"]) == 0
+    assert "cells on mpich2_nmad_multirail" in capsys.readouterr().out
 
 
 def test_tune_points_reject_single_algorithm_collectives():

@@ -1,26 +1,21 @@
-"""Fast-mode smoke tests: every experiment module runs and keeps its shape."""
+"""Fast-mode smoke tests: every figure module runs and keeps its shape."""
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    fig4_infiniband,
-    fig5_multirail,
-    fig6_pioman_overhead,
-    fig7_overlap,
-    fig8_nas,
-)
+from repro.cli import main
+from repro.experiments import MODULES
+from tests.experiments.campaign_data import module_data
 
 
 def test_registry_lists_all_figures():
-    assert EXPERIMENTS == [
+    assert MODULES[:5] == (
         "fig4_infiniband", "fig5_multirail", "fig6_pioman_overhead",
         "fig7_overlap", "fig8_nas",
-    ]
+    )
 
 
 def test_fig4_fast_shape():
-    data = fig4_infiniband.run(fast=True)
+    data = module_data("fig4_infiniband")
     lat = data["latency"]
     assert set(lat) == {"MVAPICH2", "Open MPI", "MPICH2:Nem:Nmad:IB",
                         "MPICH2:Nem:Nmad:IB w/AS"}
@@ -36,7 +31,7 @@ def test_fig4_fast_shape():
 
 
 def test_fig5_fast_shape():
-    data = fig5_multirail.run(fast=True)
+    data = module_data("fig5_multirail")
     multi = data["latency"]["MPICH2:Nmad:Multi-MX-IB"]
     ib = data["latency"]["MPICH2:Nmad:IB"]
     mx = data["latency"]["MPICH2:Nmad:MX"]
@@ -52,7 +47,7 @@ def test_fig5_fast_shape():
 
 
 def test_fig6_fast_shape():
-    data = fig6_pioman_overhead.run(fast=True)
+    data = module_data("fig6_pioman_overhead")
     shm = data["shm"]
     assert shm["MPICH2:Nemesis"][0] < shm["Open MPI"][0] \
         < shm["MPICH2:Nemesis:PIOMan"][0]
@@ -67,7 +62,7 @@ def test_fig6_fast_shape():
 
 
 def test_fig7_fast_shape():
-    data = fig7_overlap.run(fast=True)
+    data = module_data("fig7_overlap")
     rdv = data["rdv"]
     size = data["rdv_sizes"][2]  # 256K
     i = data["rdv_sizes"].index(size)
@@ -75,7 +70,7 @@ def test_fig7_fast_shape():
 
 
 def test_fig8_fast_shape():
-    data = fig8_nas.run(fast=True)
+    data = module_data("fig8_nas")
     assert data["class"] == "A"
     tables = data["tables"]
     assert set(data["procs"]) == {8, 16}
@@ -105,6 +100,6 @@ def test_fig8_fast_shape():
 
 
 def test_fig_main_functions_print(capsys):
-    fig4_infiniband.main(fast=True)
+    assert main(["campaign", "fig4_infiniband", "--fast", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "Fig 4(a)" in out and "Fig 4(b)" in out and "paper reference" in out

@@ -26,8 +26,9 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
+from tests.experiments.campaign_data import module_data, shared_cache
+
 GOLDEN_DIR = Path(__file__).parents[1] / "goldens"
-REPO_ROOT = Path(__file__).parents[2]
 
 
 def _load_goldens() -> Dict[str, Dict[str, Any]]:
@@ -47,26 +48,12 @@ CASES: List[Tuple[str, str]] = [
 ]
 
 
-def _shared_cache():
-    """The repo-level result cache (gitignored); None if unwritable."""
-    from repro.campaign import ResultCache
-
-    try:
-        return ResultCache(str(REPO_ROOT / ".repro-cache"))
-    except OSError:
-        return None
-
-
 @lru_cache(maxsize=None)
 def _figure_data(stem: str) -> Any:
     """Produce the data a golden's checks index into (once per figure)."""
     golden = GOLDENS[stem]
     if golden["mode"] == "merged":
-        from repro.campaign import run_campaign
-
-        report = run_campaign(modules=[golden["module"]],
-                              fast=golden["fast"], cache=_shared_cache())
-        return report.modules[golden["module"]]
+        return module_data(golden["module"], golden["fast"])
     # points mode: execute only the listed subset of the module's points
     import importlib
 
@@ -77,7 +64,7 @@ def _figure_data(stem: str) -> Any:
     points = [p for p in mod.points(fast=golden["fast"]) if p.key in wanted]
     missing = wanted - {p.key for p in points}
     assert not missing, f"golden {stem} names unknown point keys: {missing}"
-    cache = _shared_cache()
+    cache = shared_cache()
     results = {}
     for point in points:
         key = campaign_key(point.config()) if cache is not None else ""
@@ -137,9 +124,9 @@ def test_golden(stem: str, name: str) -> None:
 
 
 def test_every_figure_has_a_golden() -> None:
-    """Each run_all experiment module must be pinned by a golden file."""
-    from repro.campaign.runner import ALL_MODULES
+    """Each experiment module must be pinned by a golden file."""
+    from repro.experiments import MODULES
 
     covered = {g["module"] for g in GOLDENS.values()}
-    assert covered == set(ALL_MODULES), (
-        f"goldens missing for: {set(ALL_MODULES) - covered}")
+    assert covered == set(MODULES), (
+        f"goldens missing for: {set(MODULES) - covered}")

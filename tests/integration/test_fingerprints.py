@@ -1,7 +1,8 @@
 """Nothing simulated moved: traced ping-pongs against committed fingerprints.
 
-Every ``repro stacks`` preset runs a short traced ping-pong at each of
-five sizes (both sides of every eager/rendezvous threshold), once with
+Every ``repro stacks`` preset (:data:`repro.config.STACKS`) runs a
+short traced ping-pong at each of five sizes (both sides of every
+eager/rendezvous threshold), once with
 a known source and once with ``MPI_ANY_SOURCE`` on the receiver, with
 the two ranks on two nodes (the network path) and on one node (shared
 memory).  Each run is reduced to three values:
@@ -16,9 +17,6 @@ A change that claims "bit-identical" edits no line of it; a change that
 moves simulated behaviour regenerates it and says why.  There is no
 update flag: on a mismatch the failure names the first divergent
 scenario and prints the measured document, ready to paste.
-
-The progress engine is pinned to the reference one (``REPRO_PROGRESS``
-is cleared), so the fingerprints do not depend on the environment.
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ from typing import Dict, Iterator, Tuple
 import pytest
 
 from repro import config
-from repro.cli import _STACKS
 from repro.faults.determinism import fresh_id_space, trace_fingerprint
-from repro.pioman.engines import PROGRESS_ENV
 from repro.runtime import MPIRuntime
 from repro.simulator import Trace
 from repro.workloads.netpipe import pingpong
@@ -50,7 +46,7 @@ Scenario = Tuple[str, str, int, str, str]
 
 def scenarios() -> Iterator[Scenario]:
     """``(name, preset, size, source, placement)``, in a fixed order."""
-    for preset in sorted(_STACKS):
+    for preset in sorted(config.STACKS):
         for size in _SIZES:
             for source in _SOURCES:
                 for place in _PLACEMENTS:
@@ -63,7 +59,7 @@ def run_scenario(preset: str, size: int, source: str,
     """One traced ping-pong, reduced to its fingerprint row."""
     fresh_id_space()     # frame/pw/rdv ids are process-global counters
     trace = Trace()
-    runtime = MPIRuntime(2, _STACKS[preset](), cluster=config.xeon_pair(),
+    runtime = MPIRuntime(2, config.stack(preset), cluster=config.xeon_pair(),
                          ranks_per_node=_PLACEMENTS[place], trace=trace)
     result = runtime.run(pingpong(size, reps=2, warmup=1,
                                   anysource=source == "any"))
@@ -75,13 +71,8 @@ def run_scenario(preset: str, size: int, source: str,
 
 def measure_all() -> Dict[str, Dict[str, object]]:
     """The whole document ``fingerprints.json`` should hold."""
-    saved = os.environ.pop(PROGRESS_ENV, None)
-    try:
-        return {name: run_scenario(*scenario)
-                for name, *scenario in scenarios()}
-    finally:
-        if saved is not None:
-            os.environ[PROGRESS_ENV] = saved
+    return {name: run_scenario(*scenario)
+            for name, *scenario in scenarios()}
 
 
 def test_every_scenario_matches_its_fingerprint() -> None:

@@ -2,8 +2,10 @@
 
 The program mixes everything a real MPI code uses — point-to-point with
 mixed sizes, nonblocking requests, ANY_SOURCE, probe, collectives,
-compute phases — and must produce identical *values* on every stack
-configuration (timing differs; semantics must not).
+compute phases — and must produce identical *values* on every preset of
+:data:`repro.config.STACKS` (timing differs; semantics must not).  The
+presets span the three progress engines, the reliability layer and the
+registration cache.
 """
 
 import pytest
@@ -11,17 +13,6 @@ import pytest
 from repro import config
 from repro.mpi import ANY_SOURCE
 from repro.runtime import run_mpi
-
-ALL_SPECS = {
-    "nmad": config.mpich2_nmad,
-    "nmad-multirail": lambda: config.mpich2_nmad(rails=("ib", "mx")),
-    "nmad-pioman": config.mpich2_nmad_pioman,
-    "nmad-netmod": config.mpich2_nmad_netmod,
-    "mvapich2": config.mvapich2,
-    "openmpi": config.openmpi_ib,
-    "openmpi-pml-mx": config.openmpi_pml_mx,
-    "openmpi-btl-mx": config.openmpi_btl_mx,
-}
 
 
 def mini_app(comm):
@@ -67,10 +58,10 @@ def mini_app(comm):
     return out
 
 
-@pytest.mark.parametrize("flavor", list(ALL_SPECS))
-def test_mini_app_on_every_stack(flavor):
+@pytest.mark.parametrize("preset", sorted(config.STACKS))
+def test_mini_app_on_every_stack(preset):
     p = 4
-    r = run_mpi(mini_app, p, ALL_SPECS[flavor](),
+    r = run_mpi(mini_app, p, config.stack(preset),
                 cluster=config.ClusterSpec(
                     n_nodes=2, rails=config.xeon_pair().rails),
                 ranks_per_node=2)
@@ -85,11 +76,15 @@ def test_mini_app_on_every_stack(flavor):
     assert r.result(1)["probed"] == (2048, "peek")
 
 
-@pytest.mark.parametrize("flavor", ["nmad", "nmad-pioman", "mvapich2"])
-def test_mini_app_single_node(flavor):
+@pytest.mark.parametrize("preset", [
+    "mpich2_nmad", "mvapich2",
+    # the PIOMan stack under each progress engine
+    "mpich2_nmad_pioman", "mpich2_nmad_manual_poll", "mpich2_nmad_dedicated",
+])
+def test_mini_app_single_node(preset):
     """All ranks on one node: everything goes through shared memory."""
     p = 4
-    r = run_mpi(mini_app, p, ALL_SPECS[flavor](),
+    r = run_mpi(mini_app, p, config.stack(preset),
                 cluster=config.ClusterSpec(n_nodes=1), ranks_per_node=p)
     assert r.result(0)["sum"] == 10
 
@@ -97,9 +92,9 @@ def test_mini_app_single_node(flavor):
 def test_timing_sane_across_stacks():
     """Every stack finishes; pioman/netmod cost more than direct."""
     times = {}
-    for flavor in ("nmad", "nmad-netmod"):
-        r = run_mpi(mini_app, 4, ALL_SPECS[flavor](),
+    for preset in ("mpich2_nmad", "mpich2_nmad_netmod"):
+        r = run_mpi(mini_app, 4, config.stack(preset),
                     cluster=config.ClusterSpec(
                         n_nodes=4, rails=config.xeon_pair().rails))
-        times[flavor] = r.elapsed
-    assert times["nmad-netmod"] > times["nmad"]
+        times[preset] = r.elapsed
+    assert times["mpich2_nmad_netmod"] > times["mpich2_nmad"]

@@ -13,12 +13,9 @@ RDV_SIZE = 256 * 1024
 def run_traced(program, spec=None, nprocs=2, **kw):
     """Run ``program`` with a fresh full trace attached; return the trace.
 
-    The default spec pins the reference progress engine: these tests
-    assert the reference record stream and must not move with an
-    ambient ``REPRO_PROGRESS`` (the CI engine matrix).
+    The default spec is the PIOMan stack on its reference engine.
     """
     trace = Trace()
-    run_mpi(program, nprocs,
-            spec or config.mpich2_nmad_pioman(progress="pioman"),
+    run_mpi(program, nprocs, spec or config.mpich2_nmad_pioman(),
             cluster=config.xeon_pair(), trace=trace, **kw)
     return trace

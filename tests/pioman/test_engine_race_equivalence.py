@@ -23,10 +23,8 @@ from repro.pioman import ENGINE_KINDS, make_engine
 from repro.simulator import Simulator
 from repro.threads import MarcelScheduler
 
-_PRESETS = {
-    "mpich2_nmad": config.mpich2_nmad,
-    "mpich2_nmad_reliable": config.mpich2_nmad_reliable,
-}
+#: the presets run under the detector, once per engine
+RACE_PRESETS = ("mpich2_nmad", "mpich2_nmad_reliable")
 
 
 def _report_shape(report):
@@ -44,10 +42,10 @@ def _report_shape(report):
     }
 
 
-@pytest.mark.parametrize("preset", sorted(_PRESETS))
+@pytest.mark.parametrize("preset", RACE_PRESETS)
 @pytest.mark.parametrize("engine", sorted(ENGINE_KINDS))
 def test_presets_race_free_under_every_engine(preset, engine) -> None:
-    report = run_race(_PRESETS[preset](progress=engine),
+    report = run_race(config.stack(preset, progress=engine),
                       size=16384, reps=2)
     assert report.accesses > 50, \
         f"{engine}: instrumentation did not fire"

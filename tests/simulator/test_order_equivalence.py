@@ -18,7 +18,7 @@ Two zoom levels:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -168,19 +168,14 @@ def test_a_bare_delay_takes_the_timers_slot(programs) -> None:
 # ----------------------------------------------------------------------
 # the traced stack presets
 # ----------------------------------------------------------------------
-_PRESETS: dict = {
-    "mpich2_nmad": config.mpich2_nmad,
-    "mpich2_nmad_pioman": lambda: config.mpich2_nmad_pioman(
-        progress="pioman"),
-    "mpich2_nmad_reliable": config.mpich2_nmad_reliable,
-}
+TRACED_PRESETS = ("mpich2_nmad", "mpich2_nmad_pioman", "mpich2_nmad_reliable")
 
 
-def _run_preset(make_spec: Callable, size: int, traced: bool,
+def _run_preset(preset: str, size: int, traced: bool,
                 sliced: bool, monitored: bool):
     fresh_id_space()     # frame/pw/rdv ids are process-global counters
     trace = Trace() if traced else None
-    runtime = MPIRuntime(2, make_spec(), cluster=config.xeon_pair(),
+    runtime = MPIRuntime(2, config.stack(preset), cluster=config.xeon_pair(),
                          trace=trace)
     _attach(runtime.sim, sliced, monitored, window=0.7e-6)
     result = runtime.run(pingpong(size, reps=3, warmup=1))
@@ -188,14 +183,13 @@ def _run_preset(make_spec: Callable, size: int, traced: bool,
 
 
 @pytest.mark.parametrize("size", [256, 65536])
-@pytest.mark.parametrize("preset", sorted(_PRESETS))
+@pytest.mark.parametrize("preset", TRACED_PRESETS)
 def test_presets_dispatch_identically_however_driven(preset: str,
                                                      size: int) -> None:
-    make_spec = _PRESETS[preset]
-    ref, _, ref_events = _run_preset(make_spec, size, False, False, False)
+    ref, _, ref_events = _run_preset(preset, size, False, False, False)
     ref_trace = None
     for name, traced, sliced, monitored in _DRIVES:
-        result, trace, events = _run_preset(make_spec, size, traced,
+        result, trace, events = _run_preset(preset, size, traced,
                                             sliced, monitored)
         where = f"{preset}/{size}/{name}"
         assert result.rank_times == ref.rank_times, where

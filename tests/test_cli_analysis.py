@@ -56,14 +56,46 @@ def test_cli_nas_square_adjustment(capsys):
     assert "9 processes" in capsys.readouterr().out
 
 
-def test_cli_unknown_stack():
-    with pytest.raises(SystemExit, match="unknown stack"):
+def test_cli_unknown_stack(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["netpipe", "--stack", "nope"])
+    assert exc.value.code == 2
+    assert "unknown stack 'nope'" in capsys.readouterr().err
 
 
 def test_cli_unknown_experiment():
     with pytest.raises(SystemExit, match="unknown experiment"):
-        main(["experiments", "fig99"])
+        main(["campaign", "fig99"])
+
+
+#: outside input the argparse types reject, each a one-line usage error
+_BAD_INPUT = [
+    ["netpipe", "--sizes", "4,64Q"],
+    ["trace", "--size=-5"],
+    ["netpipe", "--sizes=-5"],
+    ["overlap", "--size=-1M"],
+    ["netpipe", "--reps", "0"],
+    ["overlap", "--reps", "0"],
+    ["race", "--reps", "0"],
+    ["topo", "sweep", "flat", "--reps", "0"],
+    ["coll-tune", "--reps", "0"],
+    ["nas", "--procs", "0"],
+    ["faults", "--messages", "0"],
+    ["profile", "mpich2_nmad", "collbench", "--np", "0"],
+    ["topo", "sweep", "flat", "--nprocs", "0"],
+    ["campaign", "--workers", "0"],
+    ["nas", "--sim-iters", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUT, ids=" ".join)
+def test_cli_rejects_bad_input_with_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"repro {argv[0]}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -70,3 +70,30 @@ def test_registration_cache_defaults():
                  config.openmpi_pml_mx(), config.openmpi_btl_mx()):
         rt = MPIRuntime(2, spec, cluster=config.xeon_pair())
         assert [s.registrar.cache for s in rt.stacks] == [True, True]
+
+
+def test_stack_table_keywords_override_the_preset():
+    assert config.stack("mpich2_nmad_multirail").rails == ("ib", "mx")
+    assert config.stack("mpich2_nmad_multirail", rails=("mx",)).rails \
+        == ("mx",)
+    assert config.stack("mpich2_nmad_manual_poll").progress == "manual_poll"
+    assert config.stack("mpich2_nmad_pioman").progress == "pioman"
+
+
+def test_build_stack_resolves_only_table_names():
+    from repro.campaign import build_stack, stack_ref
+
+    assert build_stack(stack_ref("mpich2_nmad", rails=["ib", "mx"])) \
+        == config.mpich2_nmad(rails=("ib", "mx"))
+    # a callable of the config module that is not a stack preset
+    with pytest.raises(ValueError, match="unknown stack preset"):
+        build_stack(stack_ref("xeon_pair"))
+
+
+def test_default_cluster_covers_the_stack_rails():
+    """A preset on mx runs without an explicit cluster."""
+    rt = MPIRuntime(4, config.openmpi_btl_mx())
+    assert rt.cluster_spec.rail_names() == ("ib", "mx")
+    # an IB stack keeps the one-rail default cluster
+    assert MPIRuntime(4, config.mpich2_nmad()).cluster_spec \
+        == config.ClusterSpec(n_nodes=4)

@@ -8,9 +8,11 @@ it must exist, or match at least one file when it is a glob.  A dotted
 ``repro.x.y`` name must import, or resolve as an attribute of the
 longest importable prefix.  A subcommand — ``python -m repro X`` in a
 fenced block or a span, or a span that starts ``repro X`` — must be one
-the CLI parser accepts.  Historical logs and external texts
-(``CHANGES.md``, ``ROADMAP.md``, ``PAPER*.md``, ``SNIPPETS.md``) are not
-scanned.
+the CLI parser accepts.  A module run as ``python -m repro.x.y`` (fenced
+or in a span) must be runnable: a module with an
+``if __name__ == "__main__"`` guard, or a package with a
+``__main__.py``.  Historical logs and external texts (``CHANGES.md``,
+``ROADMAP.md``, ``PAPER*.md``, ``SNIPPETS.md``) are not scanned.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import glob
 import importlib
+import importlib.util
 import os
 import re
 from typing import List
@@ -36,6 +39,8 @@ _SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 _MODULE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _FENCED_COMMAND = re.compile(r"python -m repro ([a-z][\w-]*)")
 _SPAN_COMMAND = re.compile(r"(?:^|python -m )repro ([a-z][\w-]*)")
+_RUN_MODULE = re.compile(r"python -m (repro(?:\.\w+)*)")
+_MAIN_GUARD = re.compile(r"^if __name__ == [\"']__main__[\"']:", re.M)
 _TOP_DIRS = frozenset(name for name in os.listdir(ROOT)
                       if os.path.isdir(os.path.join(ROOT, name)))
 
@@ -55,6 +60,25 @@ def _subcommands(doc: str) -> List[str]:
     return (_FENCED_COMMAND.findall(fenced)
             + [m.group(1) for span in _spans(doc)
                for m in _SPAN_COMMAND.finditer(span)])
+
+
+def _run_modules(doc: str) -> List[str]:
+    text = "\n".join(_FENCE.findall(_read(doc)) + _spans(doc))
+    return _RUN_MODULE.findall(text)
+
+
+def _runnable(name: str) -> bool:
+    try:
+        spec = importlib.util.find_spec(name)
+    except ImportError:
+        return False
+    if spec is None or spec.origin is None:
+        return False
+    if spec.submodule_search_locations is not None:
+        return os.path.exists(os.path.join(os.path.dirname(spec.origin),
+                                           "__main__.py"))
+    with open(spec.origin) as fh:
+        return bool(_MAIN_GUARD.search(fh.read()))
 
 
 def _cli_subcommands() -> List[str]:
@@ -112,6 +136,20 @@ def test_named_subcommands_exist(doc: str) -> None:
     unknown = sorted({c for c in _subcommands(doc) if c not in known})
     assert not unknown, f"{doc} names repro subcommands the CLI lacks: " \
                         f"{unknown}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_run_modules_are_runnable(doc: str) -> None:
+    dead = sorted({m for m in _run_modules(doc) if not _runnable(m)})
+    assert not dead, f"{doc} runs modules with no entry point: {dead}"
+
+
+def test_the_scan_sees_run_modules() -> None:
+    assert "repro" in _run_modules("README.md")
+    assert _runnable("repro") and _runnable("repro.cli")
+    # importable, but no entry point
+    assert not _runnable("repro.experiments.fig4_infiniband")
+    assert not _runnable("repro.no_such_module")
 
 
 def test_the_scan_sees_subcommands() -> None:
