@@ -1,7 +1,7 @@
 """Simulated-concurrency race detection ("TSan for the DES").
 
 The engine interleaves logical execution contexts — application rank
-threads, PIOMan ltasks, per-rail NIC callbacks, reliability timers — at
+threads, PIOMan ltasks, per-rail NIC callbacks — at
 simulated-time granularity.  A run being deterministic does not make it
 *correct*: two contexts touching the same queue without a
 happens-before edge is a real bug that a different event ordering (new

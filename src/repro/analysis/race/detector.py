@@ -3,10 +3,10 @@
 The DES engine serializes everything, so nothing ever *crashes* from a
 data race — but the real stack this simulates is concurrent: PIOMan
 ltasks, driver completion callbacks and application threads all touch
-the posted/unexpected queues, the retransmit maps and the rail-health
-state.  In the simulation those contexts are only ordered by the event
-heap's FIFO tie-break, which is an *accident* of scheduling, not a
-guarantee the modelled code provides.
+the posted/unexpected queues and the driver submission windows.  In
+the simulation those contexts are only ordered by the event heap's FIFO
+tie-break, which is an *accident* of scheduling, not a guarantee the
+modelled code provides.
 
 This module is TSan for the DES: it rebuilds the *enforced* causality
 (and only that) as vector clocks and reports shared-state accesses that
@@ -35,7 +35,7 @@ Execution contexts
 Each heap callback slice runs in a context: durable per ``Task`` (one
 application thread, one PIOMan worker), durable per ``Event`` (its
 trigger/dispatch chain), ephemeral per plain callback (a NIC completion,
-a retransmit timer).  A context's clock ticks once per slice; accesses
+a frame delivery).  A context's clock ticks once per slice; accesses
 are tagged ``(context, tick)``.
 
 An access pair on the same variable, at least one a write, from two

@@ -5,8 +5,7 @@ into a freshly built :class:`~repro.runtime.builder.MPIRuntime` *before*
 the job starts (the monitor must see every schedule from t=0) and runs a
 small inter-node ping-pong — the workload that exercises every shared
 structure the detector watches: posted/unexpected queues, the strategy
-window, driver submission state, and (on reliable stacks) the
-retransmit maps and rail-health monitor.
+window and driver submission state.
 
 ``run_racy_demo`` is the deliberately broken counterpart: the same run
 plus a rogue callback that peeks at rank 1's posted-request list with
@@ -16,7 +15,7 @@ It must always report at least one race.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro import config
 from repro.analysis.race.detector import RaceDetector, RaceReport
@@ -27,8 +26,7 @@ from repro.workloads.netpipe import pingpong
 
 def run_race(spec: StackSpec, *, size: int = 65536, reps: int = 3,
              seed: int = 0, nprocs: int = 2,
-             cluster: Optional[ClusterSpec] = None,
-             faults: Optional[Any] = None) -> RaceReport:
+             cluster: Optional[ClusterSpec] = None) -> RaceReport:
     """Run a ping-pong under the race detector; return its report.
 
     ``cluster`` defaults to the two-node point-to-point testbed; pass a
@@ -44,7 +42,7 @@ def run_race(spec: StackSpec, *, size: int = 65536, reps: int = 3,
     runtime = MPIRuntime(nprocs, spec,
                          cluster=cluster if cluster is not None
                          else config.xeon_pair(),
-                         seed=seed, faults=faults)
+                         seed=seed)
     detector.install(runtime.sim)
     runtime.run(pingpong(size, reps=reps, warmup=0))
     return detector.report()

@@ -103,7 +103,6 @@ def hardware_fingerprint() -> Dict[str, Any]:
     from repro.mpich2.ch3 import CH3Costs
     from repro.mpich2.nemesis.shm import ShmCosts
     from repro.nmad.core import NmadCosts
-    from repro.nmad.reliability import ReliabilityParams
     from repro.pioman import PIOManParams
 
     fp: Dict[str, Any] = {}
@@ -119,7 +118,6 @@ def hardware_fingerprint() -> Dict[str, Any]:
     fp["costs.CH3Costs"] = _as_plain(CH3Costs())
     fp["costs.ShmCosts"] = _as_plain(ShmCosts())
     fp["costs.PIOManParams"] = _as_plain(PIOManParams())
-    fp["costs.ReliabilityParams"] = _as_plain(ReliabilityParams())
     return fp
 
 

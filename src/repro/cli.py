@@ -13,8 +13,6 @@ Commands
                   flame graph and an enriched Perfetto trace
 ``perf``          render the campaign run-telemetry trajectory
                   (points, cache hits, wall time) across runs
-``faults``        chaos run: a streaming workload under a named fault
-                  plan, with goodput-degradation and recovery report
 ``check``         static determinism and contract checker: call-graph +
                   effect propagation enforcing RPC001.. (no blocking in
                   callbacks, audited clock/RNG funnels, race coverage,
@@ -350,27 +348,6 @@ def cmd_perf(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    import json
-
-    from repro.faults import run_chaos
-
-    spec = config.stack(args.stack)
-    if spec.reliability is None:
-        raise SystemExit(f"stack {args.stack!r} has no reliability layer; "
-                         "use mpich2_nmad_reliable (or a spec with "
-                         "reliability set)")
-    report = run_chaos(plan_name=args.plan, messages=args.messages,
-                       size=args.size, seed=args.seed,
-                       spec=spec, drop_prob=args.drop_prob)
-    print(report.format_text())
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-        print(f"metrics JSON written to {args.out}")
-    return 0 if report.exactly_once else 1
-
-
 def cmd_check(args) -> int:
     import os
 
@@ -673,20 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="show at most the last N (>= 1) campaign runs")
     p.set_defaults(fn=cmd_perf)
 
-    p = sub.add_parser("faults", help="chaos run under a named fault plan")
-    p.add_argument("--plan", default="drop+outage",
-                   help="clean, drop, corrupt, outage, drop+outage, stall")
-    p.add_argument("--stack", type=_stack_name,
-                   default="mpich2_nmad_reliable")
-    p.add_argument("--size", type=_parse_size, default="512K",
-                   help="message size, K/M suffixes allowed")
-    p.add_argument("--messages", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--drop-prob", type=float, default=0.01)
-    p.add_argument("--out", default=None,
-                   help="write the full report as JSON to this path")
-    p.set_defaults(fn=cmd_faults)
-
     p = sub.add_parser("check", help="static determinism and contract "
                                      "checker (call graph + effects)")
     p.add_argument("root", nargs="?", default=None,
@@ -713,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("race", help="happens-before race detector run")
     p.add_argument("--preset", "--stack", dest="preset", type=_stack_name,
-                   default="mpich2_nmad_reliable",
+                   default="mpich2_nmad_pioman",
                    help="stack preset to run under the detector")
     p.add_argument("--size", type=_parse_size, default="64K",
                    help="message size, K/M suffixes allowed")

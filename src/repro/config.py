@@ -12,7 +12,6 @@ preset                       configuration
 ``mpich2_nmad_pioman``       MPICH2:Nem:Nmad:PIOMan
 ``mpich2_nmad_netmod``       plain network-module path (ablation, Fig. 2)
 ``mpich2_nmad_multirail``    CH3-direct over IB + MX (Fig. 5)
-``mpich2_nmad_reliable``     multirail + PIOMan with acks and failover
 ``mpich2_nmad_manual_poll``  PIOMan stack, ``manual_poll`` progress engine
 ``mpich2_nmad_dedicated``    PIOMan stack, ``dedicated_thread`` engine
 ``mpich2_nmad_regcache``     CH3-direct with an 8 MiB IB registration cache
@@ -37,7 +36,6 @@ from repro.hardware.params import NICParams, NodeParams
 from repro.mpich2.ch3 import CH3Costs
 from repro.mpich2.nemesis.shm import ShmCosts
 from repro.nmad.core import NmadCosts
-from repro.nmad.reliability import ReliabilityParams
 from repro.pioman import PIOManParams
 
 
@@ -91,9 +89,6 @@ class StackSpec:
     pioman_params: PIOManParams = field(default_factory=PIOManParams)
     native_costs: Optional[NativeCosts] = None
     driver_window: int = 2
-    #: when set, frames are acked/retransmitted and rails fail over
-    #: (see :mod:`repro.nmad.reliability`); nmad stacks only
-    reliability: Optional[ReliabilityParams] = None
 
     @property
     def compute_efficiency(self) -> float:
@@ -131,14 +126,6 @@ def mpich2_nmad_netmod(rails: Tuple[str, ...] = ("ib",), **kw) -> StackSpec:
                      rails=rails, strategy="aggreg", mode="netmod", **kw)
 
 
-def mpich2_nmad_reliable(rails: Tuple[str, ...] = ("ib", "mx"),
-                         pioman: bool = True, **kw) -> StackSpec:
-    """Multirail stack with the reliability layer armed (chaos runs)."""
-    kw.setdefault("reliability", ReliabilityParams())
-    spec = mpich2_nmad(rails=rails, pioman=pioman, **kw)
-    return spec.with_(name=spec.name + ":reliable")
-
-
 def mvapich2(**kw) -> StackSpec:
     return StackSpec(name="MVAPICH2", kind="native", rails=("ib",),
                      native_costs=comparator_presets.MVAPICH2_IB, **kw)
@@ -165,7 +152,6 @@ STACKS: Dict[str, Callable[..., StackSpec]] = {
     "mpich2_nmad_pioman": mpich2_nmad_pioman,
     "mpich2_nmad_netmod": mpich2_nmad_netmod,
     "mpich2_nmad_multirail": partial(mpich2_nmad, rails=("ib", "mx")),
-    "mpich2_nmad_reliable": mpich2_nmad_reliable,
     # progress-engine / registration-cache variants (docs/PROGRESS.md)
     "mpich2_nmad_manual_poll": partial(mpich2_nmad_pioman,
                                        progress="manual_poll"),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.hardware.params import NICParams
 from repro.simulator import Channel, Event, Simulator
@@ -43,7 +43,6 @@ class Frame:
     kind: str = "data"     # protocol discriminator, e.g. "eager"/"rts"/"cts"
     payload: Any = None    # opaque upper-layer content
     rail: str = ""         # filled in by the fabric
-    corrupt: bool = False  # CRC-fail marker set by a fault injector
     frame_id: int = field(default_factory=lambda: next(_frame_ids))
 
 
@@ -84,9 +83,6 @@ class NIC:
         frame.rail = self.params.name
         start = max(self.sim.now, self._tx_free_at)
         injection = self.params.injection_time(frame.size)
-        injector = self.fabric.injector
-        if injector is not None:
-            injection += injector.tx_stall(self, frame, injection)
         self._tx_free_at = start + injection
         self.tx_frames += 1
         self.tx_bytes += frame.size
@@ -100,29 +96,6 @@ class NIC:
                 queued=start - self.sim.now,
             )
         return self.sim.timeout_at(self._tx_free_at, frame)
-
-    def post_control(self, frame: Frame) -> None:
-        """Send a small out-of-band control frame (ack/probe).
-
-        Control frames ride a dedicated low-priority engine: they do
-        not occupy the data transmit FIFO (so a queued megabyte of data
-        cannot delay an ack past its retransmission deadline), but they
-        still cross the fabric and are subject to fault injection.
-        """
-        if frame.src != self.node_id:
-            raise ValueError(f"frame src {frame.src} posted on NIC of node {self.node_id}")
-        frame.rail = self.params.name
-        injection = self.params.injection_time(frame.size)
-        self.tx_frames += 1
-        self.tx_bytes += frame.size
-        arrival = self.sim.now + injection + self.params.wire_latency
-        self.sim.at(arrival, self.fabric.deliver, frame)
-        if self.sim.tracing:
-            self.sim.record(
-                "nic.tx", rail=self.params.name, node=self.node_id,
-                dst=frame.dst, size=frame.size, kind=frame.kind,
-                frame=frame.frame_id, dur=injection, queued=0.0, oob=True,
-            )
 
     @property
     def tx_busy(self) -> bool:
@@ -156,8 +129,6 @@ class Fabric:
         self.params = params
         self.name = params.name
         self._nics: Dict[int, NIC] = {}
-        #: optional :class:`repro.faults.injector.FaultInjector`
-        self.injector = None
         #: :class:`repro.hardware.netgraph.TopologySpec` on routed rails
         self.topology = None
 
@@ -186,8 +157,6 @@ class Fabric:
         dst = self._nics.get(frame.dst)
         if dst is None:
             raise ValueError(f"no NIC for destination node {frame.dst} on rail {self.name}")
-        if self.injector is not None and not self.injector.on_deliver(self, frame):
-            return  # lost on the wire
         dst._deliver(frame)
 
     def __contains__(self, node_id: int) -> bool:

@@ -29,7 +29,6 @@ from repro.nmad.packet import (
     RtsEntry,
     next_rdv_id,
 )
-from repro.nmad.reliability import RailHealthMonitor, ReliabilityParams
 from repro.nmad.request import NmadRequest
 from repro.nmad.strategies.base import SendItem
 from repro.nmad.strategies.sampling import NetworkSampler
@@ -85,8 +84,6 @@ class _RdvSend:
     req: NmadRequest
     remaining_inject: int
     cts_seen: bool = False
-    retries: int = 0
-    timer: Any = None
 
 
 @dataclass
@@ -94,10 +91,6 @@ class _RdvRecv:
     req: NmadRequest
     remaining: int
     data: Any = None
-    src_rank: int = -1
-    got_data: bool = False
-    cts_retries: int = 0
-    timer: Any = None
 
 
 @dataclass
@@ -127,8 +120,6 @@ class NmadCore:
         costs: NmadCosts = NmadCosts(),
         sampler: Optional[NetworkSampler] = None,
         rank_to_node: Optional[Callable[[int], int]] = None,
-        check_ordering: bool = True,
-        reliability: Optional[ReliabilityParams] = None,
     ):
         self.sim = sim
         self.rank = rank
@@ -138,9 +129,6 @@ class NmadCore:
         self.costs = costs
         self.sampler = sampler or NetworkSampler()
         self.rank_to_node = rank_to_node or (lambda r: r)
-        self.check_ordering = check_ordering
-        self.reliability = reliability
-        self.health: Optional[RailHealthMonitor] = None
         #: pin-down registration cache, adopted from the IB rail (None =
         #: the paper's on-the-fly registration)
         self.reg_cache = None
@@ -156,18 +144,10 @@ class NmadCore:
         # protocol state
         self._rdv_send: Dict[int, _RdvSend] = {}
         self._rdv_recv: Dict[int, _RdvRecv] = {}
-        self._done_rdv: set = set()
-        self._rts_accepted: set = set()
-        # reliability resequencing: next admissible header seq per
-        # (src_rank, tag), plus headers parked ahead of a lost predecessor
-        self._admit_seq: Dict[Tuple[int, Any], int] = {}
-        self._reorder: Dict[Tuple[int, Any], Dict[int, Tuple[Any, str]]] = {}
         self._send_seq: Dict[Tuple[int, Any], int] = {}
         self._recv_seq: Dict[Tuple[int, Any], int] = {}
 
-        # race-detector names of the shared protocol state, and the
-        # node's virtual progress-lock region for timer callbacks
-        self._region = ("node", node_id)
+        # race-detector names of the shared protocol state
         self._rv_posted = f"nmad.posted@r{rank}"
         self._rv_unexpected = f"nmad.unexpected@r{rank}"
         self._rv_rdv = f"nmad.rdv@r{rank}"
@@ -184,22 +164,13 @@ class NmadCore:
         if driver.reg_cache is not None:
             # repro-check: allow[RPC004] build-time wiring, sim not running
             self.reg_cache = driver.reg_cache
-        self.refresh_preferred()
+        self._preferred = self.sampler.ordered(self.drivers)
 
     def set_strategy(self, strategy) -> None:
         self.strategy = strategy
 
-    def refresh_preferred(self) -> None:
-        """Recompute the rail preference order over *live* rails.
-
-        Called after a rail is declared dead or recovers, so strategies
-        (including ``split_balance`` striping) only see survivors.
-        """
-        self._preferred = self.sampler.ordered(
-            [d for d in self.drivers if d.alive])
-
     def preferred_drivers(self) -> List[NmadDriver]:
-        """Live drivers in ascending small-message-latency order."""
+        """Drivers in ascending small-message-latency order."""
         return self._preferred
 
     def fastest_driver(self) -> Optional[NmadDriver]:
@@ -264,68 +235,7 @@ class NmadCore:
                 size=size, src_rank=self.rank, tag=tag, seq=req.seq,
                 rdv_id=rdv_id, data=data, req=req,
             ), pump=False)
-            if self.reliability is not None and self.reliability.rdv_timeout > 0:
-                state.timer = self.sim.schedule(
-                    self.reliability.rdv_timeout, self._rts_check, rdv_id)
         return req
-
-    def _rts_check(self, rdv_id: int) -> None:
-        """RTS retry timer: no CTS seen yet → re-issue the request."""
-        with self.sim.sync_region(self._region, "nmad.rdv_timer"):
-            self._rts_check_locked(rdv_id)
-
-    def _rts_check_locked(self, rdv_id: int) -> None:
-        self.sim.race_write(self._rv_rdv)
-        state = self._rdv_send.get(rdv_id)
-        if state is None or state.cts_seen:
-            return
-        state.retries += 1
-        r = self.reliability
-        gave_up = state.retries > r.rdv_max_retries
-        if self.sim.tracing:
-            self.sim.record("reliab.rdv_timeout", kind="rts", rdv=rdv_id,
-                            rank=self.rank, retry=state.retries,
-                            gave_up=gave_up)
-        if gave_up:
-            return
-        req = state.req
-        self.strategy.push(SendItem(
-            kind="rts", dst_rank=req.peer,
-            dst_node=self.rank_to_node(req.peer), size=req.size,
-            src_rank=self.rank, tag=req.tag, seq=req.seq,
-            rdv_id=rdv_id, data=req.data, req=req,
-        ), priority=True)
-        state.timer = self.sim.schedule(
-            r.rdv_timeout * (r.backoff ** state.retries),
-            self._rts_check, rdv_id)
-
-    def _cts_check(self, rdv_id: int) -> None:
-        """CTS retry timer: no data arrived yet → re-issue the grant."""
-        with self.sim.sync_region(self._region, "nmad.rdv_timer"):
-            self._cts_check_locked(rdv_id)
-
-    def _cts_check_locked(self, rdv_id: int) -> None:
-        self.sim.race_write(self._rv_rdv)
-        state = self._rdv_recv.get(rdv_id)
-        if state is None or state.got_data:
-            return
-        state.cts_retries += 1
-        r = self.reliability
-        gave_up = state.cts_retries > r.rdv_max_retries
-        if self.sim.tracing:
-            self.sim.record("reliab.rdv_timeout", kind="cts", rdv=rdv_id,
-                            rank=self.rank, retry=state.cts_retries,
-                            gave_up=gave_up)
-        if gave_up:
-            return
-        self.strategy.push(SendItem(
-            kind="cts", dst_rank=state.src_rank,
-            dst_node=self.rank_to_node(state.src_rank), size=0,
-            src_rank=self.rank, rdv_id=rdv_id,
-        ), priority=True)
-        state.timer = self.sim.schedule(
-            r.rdv_timeout * (r.backoff ** state.cts_retries),
-            self._cts_check, rdv_id)
 
     # ------------------------------------------------------------------
     # receiving
@@ -378,44 +288,10 @@ class NmadCore:
         for entry in pw.entries:
             if entry.dst_rank != self.rank:
                 continue
-            if self.reliability is None:
-                yield from self._HANDLERS[type(entry)](self, entry, rail)
-            else:
-                yield from self.handle_entry(entry, rail)
+            yield from self._HANDLERS[type(entry)](self, entry, rail)
 
     def handle_entry(self, entry, rail: str):
-        if self.reliability is not None and isinstance(
-                entry, (EagerEntry, RtsEntry)):
-            # retransmission can deliver headers out of order; admit them
-            # into matching strictly by seq so non-overtaking still holds
-            key = (entry.src_rank, entry.tag)
-            self.sim.race_write(self._rv_seq)
-            expected = self._admit_seq.get(key, 0)
-            if entry.seq != expected:
-                if entry.seq > expected:
-                    self._reorder.setdefault(key, {})[entry.seq] = (entry, rail)
-                    if self.sim.tracing:
-                        self.sim.record(
-                            "reliab.reorder", rank=self.rank,
-                            src=entry.src_rank, seq=entry.seq,
-                            expected=expected,
-                            held=len(self._reorder[key]),
-                        )
-                return
-            self._admit_seq[key] = expected + 1
-            yield from self._dispatch_entry(entry, rail)
-            held = self._reorder.get(key)
-            while held:
-                nxt = self._admit_seq.get(key, 0)
-                if nxt not in held:
-                    break
-                parked, parked_rail = held.pop(nxt)
-                self._admit_seq[key] = nxt + 1
-                yield from self._dispatch_entry(parked, parked_rail)
-            return
-        yield from self._dispatch_entry(entry, rail)
-
-    def _dispatch_entry(self, entry, rail: str):
+        """Process one entry (generator); unknown entry types raise."""
         handler = self._HANDLERS.get(type(entry))
         if handler is None:
             raise ProtocolError(f"unknown entry {entry!r}")
@@ -458,14 +334,9 @@ class NmadCore:
     # -- rendezvous ---------------------------------------------------------
     def _handle_rts(self, entry: RtsEntry, rail: str):
         yield self.costs.rdv_handshake_cost
-        if self.reliability is not None and self._rts_duplicate(entry):
-            return
-        # synchronous (no yield between check and add): a retried copy
-        # arriving during any later yield point is recognized above
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_rdv)
             self.sim.race_write(self._rv_posted)
-        self._rts_accepted.add(entry.rdv_id)
         req = self._match_posted(entry.src_rank, entry.tag)
         if req is None:
             if self.sim.tracing:
@@ -490,26 +361,6 @@ class NmadCore:
                 rdv=entry.rdv_id, dur=self.costs.rdv_handshake_cost,
             )
         yield from self._grant_rdv(req, entry.src_rank, entry.size, entry.rdv_id)
-
-    def _rts_duplicate(self, entry: RtsEntry) -> bool:
-        """Detect a re-sent RTS (reliability retries); answer if needed."""
-        if entry.rdv_id not in self._rts_accepted:
-            return False
-        if self.sim.tracing:
-            self.sim.record("reliab.rdv_duplicate", kind="rts",
-                            rdv=entry.rdv_id, rank=self.rank)
-        if entry.rdv_id in self._rdv_recv:
-            # already granted: the CTS must have been lost — re-issue it
-            self.strategy.push(SendItem(
-                kind="cts", dst_rank=entry.src_rank,
-                dst_node=self.rank_to_node(entry.src_rank), size=0,
-                src_rank=self.rank, rdv_id=entry.rdv_id,
-            ), priority=True)
-        # otherwise the first copy is still queued unexpected, or its
-        # grant is mid-flight, or the rendezvous already completed — in
-        # every case the normal path (or the sender's next retry) makes
-        # progress without this copy
-        return True
 
     def _reg_cost(self, way: str, peer: int, req_id: int, size: int) -> float:
         """Memory-registration cost for one rendezvous buffer.
@@ -537,7 +388,7 @@ class NmadCore:
             self.sim.record("nmad.rdv_grant", rdv=rdv_id, src=src_rank,
                             dst=self.rank, size=size, dur=reg_cost)
         yield reg_cost
-        state = _RdvRecv(req, remaining=size, src_rank=src_rank)
+        state = _RdvRecv(req, remaining=size)
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_rdv)
         self._rdv_recv[rdv_id] = state
@@ -545,9 +396,6 @@ class NmadCore:
             kind="cts", dst_rank=src_rank, dst_node=self.rank_to_node(src_rank),
             size=0, src_rank=self.rank, rdv_id=rdv_id,
         ), priority=True)
-        if self.reliability is not None and self.reliability.rdv_timeout > 0:
-            state.timer = self.sim.schedule(
-                self.reliability.rdv_timeout, self._cts_check, rdv_id)
 
     def _handle_cts(self, entry: CtsEntry, rail: str):
         yield self.costs.rdv_handshake_cost
@@ -555,22 +403,12 @@ class NmadCore:
             self.sim.race_write(self._rv_rdv)
         state = self._rdv_send.get(entry.rdv_id)
         if state is None:
-            if self.reliability is not None:
-                # rendezvous already fully injected: a retried CTS
-                if self.sim.tracing:
-                    self.sim.record("reliab.rdv_duplicate", kind="cts",
-                                    rdv=entry.rdv_id, rank=self.rank)
-                return
             raise ProtocolError(f"CTS for unknown rendezvous {entry.rdv_id}")
         if state.cts_seen:
-            if self.sim.tracing:
-                self.sim.record("reliab.rdv_duplicate", kind="cts",
-                                rdv=entry.rdv_id, rank=self.rank)
-            return
+            # a second grant would push the data a second time
+            raise ProtocolError(
+                f"duplicate CTS for rendezvous {entry.rdv_id}")
         state.cts_seen = True
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
         req = state.req
         # send-buffer registration: on the fly (paper 4.1.1) unless the
         # IB rail carries a pin-down cache
@@ -596,13 +434,7 @@ class NmadCore:
             self.sim.race_write(self._rv_rdv)
         state = self._rdv_recv.get(entry.rdv_id)
         if state is None:
-            if self.reliability is not None and entry.rdv_id in self._done_rdv:
-                return  # stale duplicate for a finished rendezvous
             raise ProtocolError(f"data for unknown rendezvous {entry.rdv_id}")
-        state.got_data = True
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
         if self.sim.tracing:
             self.sim.record("nmad.data_rx", rdv=entry.rdv_id, rail=rail,
                             dst=self.rank, size=entry.size,
@@ -623,7 +455,6 @@ class NmadCore:
                 )
             yield self.costs.match_cost + self.costs.upper_complete_cost
             del self._rdv_recv[entry.rdv_id]
-            self._done_rdv.add(entry.rdv_id)
             state.req._finish(self.sim, data=state.data)
 
     #: entry type -> handler, every one called as ``handler(core, entry,
@@ -647,8 +478,6 @@ class NmadCore:
                     continue
                 state.remaining_inject -= entry.size
                 if state.remaining_inject <= 0:
-                    if state.timer is not None:
-                        state.timer.cancel()
                     del self._rdv_send[entry.rdv_id]
                     if not state.req.complete:
                         state.req._finish(self.sim)
@@ -692,8 +521,6 @@ class NmadCore:
             raise ProtocolError(f"bad unexpected kind {ux.kind!r}")
 
     def _check_seq(self, src_rank: int, tag: Any, seq: int) -> None:
-        if not self.check_ordering:
-            return
         key = (src_rank, tag)
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_seq)

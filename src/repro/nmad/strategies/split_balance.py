@@ -40,7 +40,7 @@ class SplitBalanceStrategy(AggregStrategy):
         """How ``item.size`` bytes divide over the free rails.
 
         Subclasses override this to fold live feedback (observed link
-        contention, rail health) into the static sampled profile.
+        contention) into the static sampled profile.
         """
         return self.core.sampler.split(free, item.size)
 

@@ -15,7 +15,9 @@ The measurement layer of the reproduction (see ``docs/OBSERVABILITY.md``):
   graphs, enriched Perfetto spans);
 * :mod:`~repro.observability.engineperf` — engine/process perf
   telemetry (events/sec, heap peak, wall time, peak RSS) into the
-  metrics registry.
+  metrics registry;
+* :mod:`~repro.observability.determinism` — id-space resets and trace
+  fingerprints for byte-identical-replay regression tests.
 """
 
 from repro.observability.breakdown import (
@@ -33,6 +35,11 @@ from repro.observability.metrics import (
     TraceMetrics,
     attach_metrics,
 )
+from repro.observability.determinism import (
+    canonical_records,
+    fresh_id_space,
+    trace_fingerprint,
+)
 from repro.observability.engineperf import (
     format_engine_stats,
     peak_rss_kib,
@@ -44,7 +51,6 @@ from repro.observability.taxonomy import (
     ALL_LAYERS,
     CATEGORIES,
     COLL_LAYERS,
-    FAULT_LAYERS,
     LAYERS,
     LINK_LAYERS,
     entity_of,
@@ -71,10 +77,12 @@ __all__ = [
     "format_engine_stats",
     "peak_rss_kib",
     "record_engine_metrics",
+    "canonical_records",
+    "fresh_id_space",
+    "trace_fingerprint",
     "ALL_LAYERS",
     "CATEGORIES",
     "COLL_LAYERS",
-    "FAULT_LAYERS",
     "LAYERS",
     "LINK_LAYERS",
     "entity_of",

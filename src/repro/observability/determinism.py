@@ -6,7 +6,8 @@ global, so two runs *in the same process* see different absolute ids in
 their traces.  :func:`fresh_id_space` rewinds them, making repeated
 runs byte-comparable; :func:`trace_fingerprint` reduces a trace to a
 stable digest for exact-equality regression tests (see
-``tests/faults/test_determinism.py``).
+``tests/observability/test_determinism.py`` and
+``tests/integration/test_fingerprints.py``).
 """
 
 from __future__ import annotations

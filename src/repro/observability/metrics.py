@@ -207,9 +207,6 @@ class TraceMetrics:
         self._gauges = _Instruments(self.registry.gauge)
         self._histograms = _Instruments(self.registry.histogram)
         self._sinks: List[Trace] = []
-        # open rail outages: rail -> (down_since, bandwidth share)
-        self._rails_down: Dict[str, Tuple[float, float]] = {}
-        self._degraded_area = 0.0  # sum of share x downtime, closed downs
 
     # -- wiring ----------------------------------------------------------
     def attach(self, trace: Trace) -> "TraceMetrics":
@@ -340,51 +337,6 @@ class TraceMetrics:
         self._counters["coll.calls", label].inc()
         self._histograms["coll.time", label].observe(rec.data.get("dur", 0.0))
 
-    # -- fault / reliability ---------------------------------------------
-    def _on_fault_drop(self, rec: TraceRecord) -> None:
-        rail = rec.data.get("rail", "?")
-        self._counters["fault.drops", rail].inc()
-        self._counters["fault.dropped_bytes", rail].inc(
-            rec.data.get("size", 0))
-
-    def _on_fault_corrupt(self, rec: TraceRecord) -> None:
-        self._counters["fault.corrupts", rec.data.get("rail", "?")].inc()
-
-    def _on_fault_stall(self, rec: TraceRecord) -> None:
-        self._counters["fault.stall_time", rec.data.get("rail", "?")].inc(
-            rec.data.get("dur", 0.0))
-
-    def _on_reliab_timeout(self, rec: TraceRecord) -> None:
-        self._counters["reliab.timeouts", rec.data.get("rail", "?")].inc()
-
-    def _on_reliab_retransmit(self, rec: TraceRecord) -> None:
-        rail = rec.data.get("rail", "?")
-        self._counters["reliab.retransmits", rail].inc()
-        self._counters["reliab.retransmitted_bytes", rail].inc(
-            rec.data.get("size", 0))
-
-    def _on_reliab_duplicate(self, rec: TraceRecord) -> None:
-        self._counters["reliab.duplicates", None].inc()
-
-    def _on_reliab_rdv_timeout(self, rec: TraceRecord) -> None:
-        self._counters["reliab.rdv_timeouts", None].inc()
-
-    def _on_rail_down(self, rec: TraceRecord) -> None:
-        self._counters["reliab.rail_downs", None].inc()
-        self._rails_down[rec.data.get("rail", "?")] = (
-            rec.time, rec.data.get("share", 0.0))
-
-    def _on_rail_up(self, rec: TraceRecord) -> None:
-        rail = rec.data.get("rail", "?")
-        down = self._rails_down.pop(rail, None)
-        if down is not None:
-            self._degraded_area += down[1] * (rec.time - down[0])
-        self._histograms["reliab.recovery_time", None].observe(
-            rec.data.get("downtime", 0.0))
-
-    def _on_failover(self, rec: TraceRecord) -> None:
-        self._counters["reliab.failovers", None].inc()
-
     _HANDLERS = {
         "link.xmit": _on_link_xmit,
         "nic.tx": _on_nic_tx,
@@ -409,16 +361,6 @@ class TraceMetrics:
         "mpich2.cell_copy": _on_cell_copy,
         "mpich2.shm_send": _on_shm_send,
         "coll.end": _on_coll_end,
-        "fault.drop": _on_fault_drop,
-        "fault.corrupt": _on_fault_corrupt,
-        "fault.stall": _on_fault_stall,
-        "reliab.timeout": _on_reliab_timeout,
-        "reliab.retransmit": _on_reliab_retransmit,
-        "reliab.duplicate": _on_reliab_duplicate,
-        "reliab.rdv_timeout": _on_reliab_rdv_timeout,
-        "reliab.rail_down": _on_rail_down,
-        "reliab.rail_up": _on_rail_up,
-        "reliab.failover": _on_failover,
     }
 
     # -- derived views ----------------------------------------------------
@@ -459,27 +401,11 @@ class TraceMetrics:
         polls = self.registry.counter("pioman.polls").value
         return polls / msgs if msgs else 0.0
 
-    def degraded_bandwidth_fraction(self) -> float:
-        """Share of aggregate bandwidth x time lost to dead rails.
-
-        Sum over outages of (rail's sampled bandwidth share x downtime),
-        normalized by the traced span.  Rails still down at the end of
-        the trace are charged until ``t_last``.
-        """
-        span = (self.t_last - self.t_first) if self.t_first is not None else 0.0
-        if span <= 0:
-            return 0.0
-        area = self._degraded_area
-        for since, share in self._rails_down.values():
-            area += share * (self.t_last - since)
-        return area / span
-
     def derived(self) -> Dict[str, object]:
         return {
             "bytes_per_rail": self.bytes_per_rail(),
             "nic_busy_fraction": self.nic_busy_fraction(),
             "polls_per_message": self.polls_per_message(),
-            "degraded_bandwidth_fraction": self.degraded_bandwidth_fraction(),
         }
 
     def format_summary(self) -> str:
@@ -492,9 +418,6 @@ class TraceMetrics:
                          f"NIC busy {busy * 100:.1f}% of the traced span")
         lines.append(f"  polls per received message: "
                      f"{derived['polls_per_message']:.2f}")
-        if derived["degraded_bandwidth_fraction"] > 0:
-            lines.append(f"  degraded bandwidth fraction: "
-                         f"{derived['degraded_bandwidth_fraction'] * 100:.1f}%")
         return "\n".join(lines)
 
 

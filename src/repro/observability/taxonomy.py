@@ -19,12 +19,8 @@ __all__ = ["LAYERS", "CATEGORIES", "layer_of", "entity_of",
            "categories_of_layer"]
 
 #: layer track order (bottom-up through the stack).  These five always
-#: appear in a plain traced run; fault/reliability layers are separate
-#: (they only emit under a fault plan / reliability-armed spec).
+#: appear in a plain traced run.
 LAYERS: Tuple[str, ...] = ("nic", "nmad", "strategy", "pioman", "mpich2")
-
-#: adversity layers: the fault injector and the reliability machinery
-FAULT_LAYERS: Tuple[str, ...] = ("fault", "reliab")
 
 #: collective-dispatch layer (only emits when a program runs collectives)
 COLL_LAYERS: Tuple[str, ...] = ("coll",)
@@ -34,7 +30,7 @@ COLL_LAYERS: Tuple[str, ...] = ("coll",)
 LINK_LAYERS: Tuple[str, ...] = ("link",)
 
 #: every documented layer, in track order (links sit below the NICs)
-ALL_LAYERS: Tuple[str, ...] = LINK_LAYERS + LAYERS + COLL_LAYERS + FAULT_LAYERS
+ALL_LAYERS: Tuple[str, ...] = LINK_LAYERS + LAYERS + COLL_LAYERS
 
 #: category -> one-line description.  Common data keys: ``src``/``dst``
 #: (ranks), ``tag``, ``seq``, ``size`` (payload bytes), ``rdv``
@@ -116,30 +112,6 @@ CATEGORIES: Dict[str, str] = {
                   "(coll = collective, algo = selected algorithm, p, size)",
     "coll.end": "the dispatched collective returned on that rank "
                 "(dur = rank-local seconds inside the algorithm)",
-    # -- fault injection (repro.faults) --------------------------------
-    "fault.drop": "frame lost on the wire (reason = random|outage)",
-    "fault.corrupt": "frame delivered corrupt; discarded at the NIC CRC",
-    "fault.stall": "one injection slowed by a stall window (dur = extra)",
-    "fault.outage": "rail outage window edge (state = down|up)",
-    "fault.stall_window": "injection-stall window edge (state = on|off)",
-    # -- reliability (ack/retransmit/failover) -------------------------
-    "reliab.ack": "packet wrapper acknowledged by the receiving node "
-                  "(rtt = post-to-ack time)",
-    "reliab.timeout": "ack deadline passed for a posted wrapper "
-                      "(consec = consecutive timeouts on the rail)",
-    "reliab.retransmit": "unacked wrapper re-injected (retry = attempt)",
-    "reliab.duplicate": "received wrapper already seen; dropped by dedup",
-    "reliab.reorder": "header arrived ahead of a lost predecessor; parked "
-                      "until the retransmission fills the seq gap",
-    "reliab.rdv_timeout": "rendezvous handshake timer fired "
-                          "(kind = rts|cts, gave_up on retry exhaustion)",
-    "reliab.rdv_duplicate": "retried RTS/CTS recognized and absorbed",
-    "reliab.rail_down": "rail declared dead (pending = orphaned wrappers, "
-                        "share = its sampled bandwidth fraction)",
-    "reliab.rail_up": "dead rail answered a probe and was restored "
-                      "(downtime = dead span in seconds)",
-    "reliab.failover": "orphaned wrapper re-routed onto a surviving rail",
-    "reliab.probe": "out-of-band liveness probe of a dead rail",
 }
 
 

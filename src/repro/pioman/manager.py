@@ -46,9 +46,6 @@ class PIOManParams:
     sync_net: float = 1.55e-6
     #: cost to unblock a semaphore-waiting thread, s
     wakeup_cost: float = 0.05e-6
-    #: CPU cost of one rail health-check ltask (reliability layer:
-    #: inspecting consecutive-timeout counters and flipping rail state), s
-    health_check_cost: float = 0.10e-6
 
 
 class PIOMan:

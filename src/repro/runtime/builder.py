@@ -22,7 +22,6 @@ from repro.nmad.core import NmadCore
 from repro.nmad.drivers import make_ib_driver, make_mx_driver
 from repro.nmad.drivers.ib import RegistrationCache
 from repro.nmad.packet import PacketWrapper
-from repro.nmad.reliability import FrameReliability, RailHealthMonitor
 from repro.nmad.strategies import make_strategy
 from repro.pioman import PIOMan, make_engine
 from repro.simulator import Simulator, Trace
@@ -49,8 +48,7 @@ class MPIRuntime:
                  cluster: Optional[ClusterSpec] = None,
                  ranks_per_node: Optional[int] = None,
                  trace: Optional[Trace] = None,
-                 seed: int = 0,
-                 faults: Optional[Any] = None):
+                 seed: int = 0):
         if nprocs < 1:
             raise ValueError("need at least one process")
         self.nprocs = nprocs
@@ -81,12 +79,9 @@ class MPIRuntime:
         self.stacks: List[Any] = []
         self.compute_efficiency = stack.compute_efficiency
 
-        self.reliab: Optional[FrameReliability] = None
         self._build_nodes()
         self._build_stacks()
         self._wire_network()
-        self._wire_reliability()
-        self.injector = self._wire_faults(faults)
 
     # ------------------------------------------------------------------
     def rank_to_node(self, rank: int) -> int:
@@ -179,46 +174,11 @@ class MPIRuntime:
             for nic in node.nics.values():
                 nic.rx_notify = self._route_frame
 
-    def _wire_reliability(self) -> None:
-        """Arm ack/retransmit/failover when the spec asks for it."""
-        params = self.spec.reliability
-        if params is None or self.spec.kind != "nmad":
-            return
-        self.reliab = FrameReliability(
-            self.sim, params,
-            core_of=lambda rank: self.stacks[rank].core,
-            nic_of=lambda node_id, rail: self.cluster.fabrics[rail].nic(node_id),
-        )
-        for stack in self.stacks:
-            core = stack.core
-            core.reliability = params
-            monitor = RailHealthMonitor(
-                core, params, pioman=self.piomans[core.node_id])
-            core.health = monitor
-            for driver in core.drivers:
-                driver.reliability = params
-                driver.health = monitor
-
-    def _wire_faults(self, faults):
-        """Attach a fault plan (if any) to every fabric of the cluster."""
-        if faults is None or getattr(faults, "empty", True):
-            return None
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(self.sim, faults, seed=self.seed)
-        injector.attach(self.cluster.fabrics.values())
-        injector.schedule_markers()
-        return injector
-
     def _route_frame(self, frame) -> None:
-        # rx callbacks fire from the NIC's timeline; acks mutate driver
-        # state and deliveries touch stack inboxes on the dst node, so
-        # the whole dispatch runs under that node's virtual lock
+        # rx callbacks fire from the NIC's timeline; deliveries touch
+        # stack inboxes on the dst node, so the whole dispatch runs under
+        # that node's virtual lock
         with self.sim.sync_region(("node", frame.dst), "net.route"):
-            if frame.corrupt:
-                return  # failed its CRC at the receiving NIC
-            if self.reliab is not None and not self.reliab.on_frame(frame):
-                return  # control frame or duplicate, consumed by reliability
             payload = frame.payload
             if isinstance(payload, PacketWrapper):
                 ranks = {e.dst_rank for e in payload.entries}
@@ -264,8 +224,7 @@ def run_mpi(program: Callable, nprocs: int, stack: StackSpec,
             ranks_per_node: Optional[int] = None,
             trace: Optional[Trace] = None,
             until: Optional[float] = None,
-            seed: int = 0,
-            faults: Optional[Any] = None) -> RunResult:
+            seed: int = 0) -> RunResult:
     """Build a runtime and execute one program (the main entry point).
 
     Example
@@ -283,5 +242,5 @@ def run_mpi(program: Callable, nprocs: int, stack: StackSpec,
     """
     runtime = MPIRuntime(nprocs, stack, cluster=cluster,
                          ranks_per_node=ranks_per_node, trace=trace,
-                         seed=seed, faults=faults)
+                         seed=seed)
     return runtime.run(program, until=until)

@@ -32,8 +32,8 @@ def rng_stream(root_seed: int, *key: Key) -> np.random.Generator:
     >>> float(a.random()) == float(b.random())
     True
     """
-    # imported here: only the fault injector and the Marcel jitter draw
-    # random numbers, and numpy is half of every other run's start-up
+    # imported here: only the Marcel jitter draws random numbers, and
+    # numpy is half of every other run's start-up
     import numpy as np
 
     seq = np.random.SeedSequence([root_seed] + [_key_to_int(k) for k in key])

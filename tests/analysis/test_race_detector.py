@@ -211,35 +211,36 @@ def test_no_monitor_means_no_overhead_paths():
 # ----------------------------------------------------------------------
 # the real stacks
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("preset", ["mpich2_nmad", "mpich2_nmad_reliable"])
+@pytest.mark.parametrize("preset", ["mpich2_nmad", "mpich2_nmad_pioman"])
 def test_presets_are_race_free(preset):
-    spec = {"mpich2_nmad": config.mpich2_nmad,
-            "mpich2_nmad_reliable": config.mpich2_nmad_reliable}[preset]()
-    report = run_race(spec, size=65536, reps=3)
+    report = run_race(config.stack(preset), size=65536, reps=3)
     assert report.accesses > 100, "instrumentation did not fire"
     assert report.contexts > 10
     assert report.clean, report.format_text()
 
 
-#: (spec, run_race overrides, accesses the detector must see)
+#: (spec, run_race overrides, (accesses, contexts, sync edges) the
+#: detector must see)
 _ACCESS_COUNTS = {
-    "mpich2_nmad": (config.mpich2_nmad, {}, 264),
-    "mpich2_nmad_256B": (config.mpich2_nmad, {"size": 256}, 114),
-    "mpich2_nmad_reliable": (config.mpich2_nmad_reliable, {}, 312),
+    "mpich2_nmad": (config.mpich2_nmad, {}, (264, 111, 106)),
+    "mpich2_nmad_256B": (config.mpich2_nmad, {"size": 256}, (114, 57, 58)),
     "mpich2_nmad_pioman_ib_mx": (
         lambda: config.mpich2_nmad_pioman(rails=("ib", "mx"),
-                                          progress="pioman"), {}, 252),
+                                          progress="pioman"), {},
+        (252, 219, 184)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ACCESS_COUNTS))
 def test_guarded_hooks_still_report_every_access(case):
     """Hot paths call the race hooks only under a monitor; a guard that
-    drops a hook shows up here as a lower access count."""
-    make_spec, overrides, accesses = _ACCESS_COUNTS[case]
+    drops a hook shows up here as a lower access count, and a change to
+    who runs where or what synchronizes as a moved context or sync
+    count."""
+    make_spec, overrides, counts = _ACCESS_COUNTS[case]
     report = run_race(make_spec(), **overrides)
     assert report.clean, report.format_text()
-    assert report.accesses == accesses
+    assert (report.accesses, report.contexts, report.syncs) == counts
 
 
 def test_racy_demo_is_flagged():

@@ -7,7 +7,7 @@ a known source and once with ``MPI_ANY_SOURCE`` on the receiver, with
 the two ranks on two nodes (the network path) and on one node (shared
 memory).  Each run is reduced to three values:
 
-* ``trace``: :func:`repro.faults.determinism.trace_fingerprint` over
+* ``trace``: :func:`repro.observability.trace_fingerprint` over
   the whole record stream (times, categories, fields, in order);
 * ``events``: ``sim.events_executed``, the queue dispatches;
 * ``result``: a SHA-256 over the ranks' finish times and return values.
@@ -29,7 +29,7 @@ from typing import Dict, Iterator, Tuple
 import pytest
 
 from repro import config
-from repro.faults.determinism import fresh_id_space, trace_fingerprint
+from repro.observability.determinism import fresh_id_space, trace_fingerprint
 from repro.runtime import MPIRuntime
 from repro.simulator import Trace
 from repro.workloads.netpipe import pingpong

@@ -4,8 +4,7 @@ The program mixes everything a real MPI code uses — point-to-point with
 mixed sizes, nonblocking requests, ANY_SOURCE, probe, collectives,
 compute phases — and must produce identical *values* on every preset of
 :data:`repro.config.STACKS` (timing differs; semantics must not).  The
-presets span the three progress engines, the reliability layer and the
-registration cache.
+presets span the three progress engines and the registration cache.
 """
 
 import pytest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import config
 from repro.hardware import build_cluster, presets
 from repro.nmad import NmadCore, NmadCosts
 from repro.nmad.core import ProtocolError
@@ -17,9 +18,8 @@ from repro.nmad.packet import (
     entry_wire_size,
 )
 from repro.nmad.request import NmadRequest
+from repro.runtime import MPIRuntime
 from repro.simulator import Simulator
-
-from tests.nmad.conftest import NmadWorld
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,22 @@ def test_cts_for_unknown_rendezvous_rejected(world):
         world.sim.run()
 
 
+def test_duplicate_cts_rejected(world):
+    """A second grant for a live rendezvous would push its data twice."""
+    core = world.cores[0]
+
+    def feed():
+        yield from core.isend(1, "dup", 64 * 1024)
+        (rdv_id,) = core._rdv_send
+        # both grants arrive before the first one's data is injected
+        yield from core.handle_entry(CtsEntry(1, 0, rdv_id=rdv_id), "ib")
+        yield from core.handle_entry(CtsEntry(1, 0, rdv_id=rdv_id), "ib")
+
+    world.sim.spawn(feed())
+    with pytest.raises(ProtocolError, match="duplicate CTS for rendezvous"):
+        world.sim.run()
+
+
 def test_data_for_unknown_rendezvous_rejected(world):
     core = world.cores[0]
 
@@ -157,18 +173,6 @@ def test_out_of_order_seq_detected(world):
     world.sim.spawn(feed())
     with pytest.raises(ProtocolError, match="out-of-order"):
         world.sim.run()
-
-
-def test_ordering_check_can_be_disabled():
-    world = NmadWorld()
-    core = world.cores[1]
-    core.check_ordering = False
-
-    def feed():
-        yield from core.irecv(0, "t")
-        yield from core.handle_entry(EagerEntry(0, 1, "t", seq=5, size=4), "ib")
-
-    drive(world.sim, feed())  # no error
 
 
 def test_unknown_rail_lookup_rejected(world):
@@ -201,3 +205,34 @@ def test_rdv_overrun_detected():
     sim.spawn(overrun())
     with pytest.raises(ProtocolError, match="overran"):
         sim.run()
+
+
+# ---------------------------------------------------------------------------
+# per-message state is freed
+# ---------------------------------------------------------------------------
+
+def _rdv_pingpongs(n):
+    """Container sizes of every core after ``n`` 64 KiB ping-pongs."""
+
+    def program(comm):
+        peer = 1 - comm.rank
+        for _ in range(n):
+            if comm.rank == 0:
+                yield from comm.send(peer, tag=1, size=64 * 1024)
+                yield from comm.recv(src=peer, tag=1)
+            else:
+                yield from comm.recv(src=peer, tag=1)
+                yield from comm.send(peer, tag=1, size=64 * 1024)
+
+    runtime = MPIRuntime(2, config.mpich2_nmad(), cluster=config.xeon_pair())
+    runtime.run(program)
+    cores = [stack.core for stack in runtime.stacks]
+    for core in cores:
+        assert core._rdv_send == {} and core._rdv_recv == {}
+    return [{name: len(value) for name, value in vars(core).items()
+             if isinstance(value, (set, dict, list))} for core in cores]
+
+
+def test_rendezvous_state_is_freed():
+    """No core container grows with the number of rendezvous."""
+    assert _rdv_pingpongs(4) == _rdv_pingpongs(16)

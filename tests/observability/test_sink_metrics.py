@@ -2,24 +2,19 @@
 
 ``TraceMetrics`` subscribes only to the categories it keeps a metric
 for, so its traced span (``t_first`` / ``t_last``, which
-``nic_busy_fraction`` and ``degraded_bandwidth_fraction`` divide by)
-must come from every admitted record, handled or not.
+``nic_busy_fraction`` divides by) must come from every admitted record,
+handled or not.
 """
 
 import pytest
 
 from repro import config
-from repro.faults.determinism import fresh_id_space
-from repro.faults.plan import named_plan
-from repro.faults.report import stream_program
-from repro.observability import attach_metrics
+from repro.observability import attach_metrics, fresh_id_space
 from repro.runtime import run_mpi
 from repro.simulator import JsonlTrace, RingTrace, Trace
 from repro.workloads.netpipe import pingpong
 
 from tests.observability.helpers import EAGER_SIZE, RDV_SIZE
-
-_RELIABLE = config.mpich2_nmad_reliable(rails=("ib", "mx"))
 
 #: case -> run(sink); each is a traced preset the metrics summarize
 _CASES = {
@@ -31,12 +26,6 @@ _CASES = {
         pingpong(RDV_SIZE, reps=2, warmup=0), 2,
         config.mpich2_nmad(rails=("ib", "mx")),
         cluster=config.xeon_pair(), trace=sink),
-    # a rail dies mid-stream: degraded_bandwidth_fraction > 0
-    "faults": lambda sink: run_mpi(
-        stream_program(8, 256 * 1024), 2, _RELIABLE,
-        cluster=config.xeon_pair(), trace=sink, seed=7,
-        faults=named_plan("drop+outage", rails=_RELIABLE.rails,
-                          t_hint=2e-3, drop_prob=0.02)),
 }
 
 
@@ -56,8 +45,6 @@ def test_every_sink_feeds_the_same_metrics(case, tmp_path):
     assert want["span"] == (full.records[0].time,
                             max(rec.time for rec in full))
     assert want["derived"]["nic_busy_fraction"]
-    if case == "faults":
-        assert want["derived"]["degraded_bandwidth_fraction"] > 0.0
     assert _metrics_of(case, RingTrace(16)) == want
     with JsonlTrace(str(tmp_path / "t.jsonl")) as spill:
         assert _metrics_of(case, spill) == want
@@ -69,16 +56,12 @@ def test_span_covers_records_no_metric_is_kept_for():
     metrics = attach_metrics(trace)
     trace.append(1e-6, "nmad.seq_check", {"rank": 0})
     trace.append(2e-6, "nic.tx", {"rail": "ib", "size": 64, "dur": 1e-6})
-    trace.append(3e-6, "reliab.rail_down", {"rail": "mx", "share": 0.5})
-    trace.append(4e-6, "reliab.rail_up", {"rail": "mx", "downtime": 1e-6})
     trace.append(11e-6, "mpich2.op.end", {"rank": 0, "op": "wait"})
     assert (metrics.t_first, metrics.t_last) == (1e-6, 11e-6)
     assert metrics.nic_busy_fraction() == {"ib": pytest.approx(0.1)}
-    assert metrics.degraded_bandwidth_fraction() == pytest.approx(0.05)
 
 
 def test_span_is_empty_before_any_record():
     metrics = attach_metrics(Trace())
     assert (metrics.t_first, metrics.t_last) == (None, 0.0)
     assert metrics.nic_busy_fraction() == {}
-    assert metrics.degraded_bandwidth_fraction() == 0.0

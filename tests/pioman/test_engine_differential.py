@@ -26,7 +26,7 @@ from repro import config
 from repro.campaign import canonical_json, execute_point
 from repro.campaign.cache import _as_plain
 from repro.campaign.points import Point, stack_ref
-from repro.faults.determinism import fresh_id_space
+from repro.observability.determinism import fresh_id_space
 from repro.pioman import ENGINE_KINDS
 from repro.runtime import run_mpi
 from repro.simulator import Trace
@@ -98,20 +98,23 @@ def test_explicit_reference_point_matches_default() -> None:
 # record-by-record traced preset comparison
 # ---------------------------------------------------------------------------
 
-#: the PIOMan presets whose engine the traced comparisons swap
-PIOMAN_PRESETS = ("mpich2_nmad_pioman", "mpich2_nmad_reliable")
+#: the PIOMan stacks whose engine the traced comparisons swap: case ->
+#: rails (one rail, and two under the split_balance strategy)
+PIOMAN_PRESETS = {"mpich2_nmad_pioman": ("ib",),
+                  "mpich2_nmad_ib_mx": ("ib", "mx")}
 
 
 def _traced_pingpong(preset: str, engine: str) -> Tuple[object, Trace]:
     fresh_id_space()
     trace = Trace()
-    result = run_mpi(pingpong(16384, reps=4, warmup=1), 2,
-                     config.stack(preset, progress=engine),
+    spec = config.mpich2_nmad_pioman(rails=PIOMAN_PRESETS[preset],
+                                     progress=engine)
+    result = run_mpi(pingpong(16384, reps=4, warmup=1), 2, spec,
                      cluster=config.xeon_pair(), trace=trace)
     return result, trace
 
 
-@pytest.mark.parametrize("preset", PIOMAN_PRESETS)
+@pytest.mark.parametrize("preset", sorted(PIOMAN_PRESETS))
 @pytest.mark.parametrize("engine", sorted(ENGINE_KINDS))
 def test_each_engine_is_deterministic(preset: str, engine: str) -> None:
     first_result, first_trace = _traced_pingpong(preset, engine)
@@ -122,7 +125,7 @@ def test_each_engine_is_deterministic(preset: str, engine: str) -> None:
     assert div is None, f"{preset}/{engine}: nondeterministic at {div}"
 
 
-@pytest.mark.parametrize("preset", PIOMAN_PRESETS)
+@pytest.mark.parametrize("preset", sorted(PIOMAN_PRESETS))
 @pytest.mark.parametrize("engine", sorted(ALTERNATIVES))
 def test_alternative_engines_genuinely_diverge(
         preset: str, engine: str) -> None:

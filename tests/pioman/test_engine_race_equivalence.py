@@ -3,7 +3,7 @@
 Every engine reshuffles *when* protocol work runs (background worker,
 application thread, dedicated stealer), so each one exercises different
 interleavings of the same shared state — and all of them must stay
-race-free on both stack presets.  A seeded true positive routed
+race-free on both stacks.  A seeded true positive routed
 *through* each engine's ltask path proves the detector still sees real
 races identically whichever engine carried the racy write: the engines
 may not hide a race behind their own queue handling.
@@ -14,6 +14,8 @@ Mirrors PR 9's scheduler race-equivalence suite
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro import config
@@ -23,8 +25,13 @@ from repro.pioman import ENGINE_KINDS, make_engine
 from repro.simulator import Simulator
 from repro.threads import MarcelScheduler
 
-#: the presets run under the detector, once per engine
-RACE_PRESETS = ("mpich2_nmad", "mpich2_nmad_reliable")
+#: the stacks run under the detector, once per engine: case -> stack
+#: factory (the two-rail PIOMan stack runs split_balance over IB and MX)
+RACE_PRESETS = {
+    "mpich2_nmad": config.mpich2_nmad,
+    "mpich2_nmad_pioman_ib_mx": partial(config.mpich2_nmad_pioman,
+                                        rails=("ib", "mx")),
+}
 
 
 def _report_shape(report):
@@ -42,10 +49,10 @@ def _report_shape(report):
     }
 
 
-@pytest.mark.parametrize("preset", RACE_PRESETS)
+@pytest.mark.parametrize("preset", sorted(RACE_PRESETS))
 @pytest.mark.parametrize("engine", sorted(ENGINE_KINDS))
 def test_presets_race_free_under_every_engine(preset, engine) -> None:
-    report = run_race(config.stack(preset, progress=engine),
+    report = run_race(RACE_PRESETS[preset](progress=engine),
                       size=16384, reps=2)
     assert report.accesses > 50, \
         f"{engine}: instrumentation did not fire"

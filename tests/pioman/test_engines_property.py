@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
-from repro.faults.determinism import fresh_id_space
+from repro.observability.determinism import fresh_id_space
 from repro.hardware.params import MemParams, NodeParams
 from repro.nmad.drivers.ib import RegistrationCache
 from repro.pioman import DedicatedThreadEngine, PIOManParams

@@ -18,6 +18,7 @@ Two zoom levels:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, List, Optional, Tuple
 
 import pytest
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro import config
 from repro.analysis.race import RaceDetector
-from repro.faults.determinism import fresh_id_space
+from repro.observability.determinism import fresh_id_space
 from repro.runtime import MPIRuntime
 from repro.simulator import Semaphore, Simulator, Trace
 from repro.workloads.netpipe import pingpong
@@ -168,22 +169,29 @@ def test_a_bare_delay_takes_the_timers_slot(programs) -> None:
 # ----------------------------------------------------------------------
 # the traced stack presets
 # ----------------------------------------------------------------------
-TRACED_PRESETS = ("mpich2_nmad", "mpich2_nmad_pioman", "mpich2_nmad_reliable")
+#: case -> stack factory; the two-rail PIOMan stack runs the
+#: split_balance strategy over IB and MX
+TRACED_PRESETS = {
+    "mpich2_nmad": config.mpich2_nmad,
+    "mpich2_nmad_pioman": config.mpich2_nmad_pioman,
+    "mpich2_nmad_pioman_ib_mx": partial(config.mpich2_nmad_pioman,
+                                        rails=("ib", "mx")),
+}
 
 
 def _run_preset(preset: str, size: int, traced: bool,
                 sliced: bool, monitored: bool):
     fresh_id_space()     # frame/pw/rdv ids are process-global counters
     trace = Trace() if traced else None
-    runtime = MPIRuntime(2, config.stack(preset), cluster=config.xeon_pair(),
-                         trace=trace)
+    runtime = MPIRuntime(2, TRACED_PRESETS[preset](),
+                         cluster=config.xeon_pair(), trace=trace)
     _attach(runtime.sim, sliced, monitored, window=0.7e-6)
     result = runtime.run(pingpong(size, reps=3, warmup=1))
     return result, trace, runtime.sim.events_executed
 
 
 @pytest.mark.parametrize("size", [256, 65536])
-@pytest.mark.parametrize("preset", TRACED_PRESETS)
+@pytest.mark.parametrize("preset", sorted(TRACED_PRESETS))
 def test_presets_dispatch_identically_however_driven(preset: str,
                                                      size: int) -> None:
     ref, _, ref_events = _run_preset(preset, size, False, False, False)

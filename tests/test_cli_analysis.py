@@ -80,7 +80,6 @@ _BAD_INPUT = [
     ["topo", "sweep", "flat", "--reps", "0"],
     ["coll-tune", "--reps", "0"],
     ["nas", "--procs", "0"],
-    ["faults", "--messages", "0"],
     ["profile", "mpich2_nmad", "collbench", "--np", "0"],
     ["topo", "sweep", "flat", "--nprocs", "0"],
     ["campaign", "--workers", "0"],
