@@ -5,9 +5,9 @@ Runs the same 8 MiB transfer under three configurations and shows, for
 each one, the full observability pipeline (``docs/OBSERVABILITY.md``):
 
 * which trace categories each layer emitted (the taxonomy view),
-* the frame-level wire traffic and activity timeline,
 * the per-message critical-path latency breakdown,
-* the headline metrics (bytes per rail, NIC busy fraction, polls/msg),
+* the headline metrics (frames and bytes per rail, NIC busy fraction,
+  polls/msg),
 
 and writes one Perfetto JSON per configuration — load them at
 https://ui.perfetto.dev to see every layer as its own track group.
@@ -18,7 +18,6 @@ Run:  python examples/trace_wire_traffic.py
 from collections import defaultdict
 
 from repro import config
-from repro.analysis import format_timeline, format_traffic, summarize_traffic
 from repro.observability import (attach_metrics, format_breakdown, layer_of,
                                  message_lives, write_perfetto)
 from repro.runtime import run_mpi
@@ -51,17 +50,15 @@ def show(title, spec, out):
         print(f"  {layer:<9} {', '.join(by_layer[layer])}")
 
     print()
-    print(format_traffic(summarize_traffic(trace)))
-    print(format_timeline(trace, buckets=8, width=40))
-    print()
     print(format_breakdown(message_lives(trace)))
 
     derived = metrics.derived()
     print()
     for rail, nbytes in sorted(derived["bytes_per_rail"].items()):
+        frames = metrics.registry.counter("nic.tx_frames", rail).value
         busy = derived["nic_busy_fraction"].get(rail, 0.0)
-        print(f"rail {rail}: {int(nbytes)} bytes on the wire, "
-              f"NIC busy {busy * 100:.1f}%")
+        print(f"rail {rail}: {int(frames)} frames, {int(nbytes)} bytes on "
+              f"the wire, NIC busy {busy * 100:.1f}%")
     if derived["polls_per_message"]:
         print(f"pioman polls per received message: "
               f"{derived['polls_per_message']:.2f}")

@@ -1,26 +1,34 @@
-"""Package-wide contract passes over the effect-annotated call graph.
+"""Per-module and per-class contract passes over the parsed package.
 
-Each pass yields :class:`~repro.analysis.reporting.Violation` findings
-with stable RPC codes:
+Every pass reads one module's syntax tree (RPC004 one class at a time)
+and yields :class:`~repro.analysis.reporting.Violation` findings with
+stable RPC codes.  Only the taxonomy round-trip (RPC005/RPC006) compares
+across modules, and only string literals.
 
-RPC001 callback-blocks
-    A blocking/yielding effect is reachable from a non-process context:
-    a ``Trace.subscribe``/``add_done_callback`` callback or a strategy
-    ``_shares`` hook.  These run inline in the engine or in a
-    subscriber sweep — suspending or re-entering the scheduler there
-    deadlocks or corrupts simulated time.
+RPC001 generator-callback
+    A callable registered via ``.subscribe(...)`` /
+    ``.add_done_callback(...)``, or a strategy ``_shares`` hook, is a
+    generator function.  These run inline in the engine or in a
+    subscriber sweep; calling a generator runs none of its body, and a
+    callback must not yield to the scheduler.  The registered callable
+    is resolved in its own module: ``self.m`` of the enclosing class, a
+    module-level ``def`` or a lambda.  Re-entering the scheduler from
+    such a callback is a runtime :class:`SimulationError` raised by
+    ``Simulator.run``/``step``.
 RPC002 raw-clock-escape
-    A host wall-clock read outside the audited
-    ``repro.simulator.hostclock`` funnel — resolved through import
-    aliases, so wrappers cannot launder ``time.time``.
+    A host wall-clock read, or a host ``time.sleep``, outside the
+    audited ``repro.simulator.hostclock`` funnel — resolved through the
+    module's import aliases, so ``from time import time as now`` is
+    still caught.
 RPC003 stray-rng
     A process-global RNG draw outside the seeded
-    ``repro.simulator.rng.rng_stream`` funnel.
+    ``repro.simulator.rng.rng_stream`` funnel (alias-resolved too).
 RPC004 unguarded-shared-write
     In a race-instrumented class, a method mutates shared ``self``
-    state with no ``race_write``/``sync_region`` in its own body nor in
-    every in-package caller — a coverage gap the dynamic detector
-    cannot see.
+    state with no ``race_read``/``race_write``/``sync_region`` in its
+    own body, and is not covered by its class: it needs at least one
+    ``self.<method>()`` caller in the same class, and every such caller
+    instrumented — a coverage gap the dynamic detector cannot see.
 RPC005 unregistered-category
     A trace emission whose literal category is missing from
     ``observability/taxonomy.py``.
@@ -43,38 +51,36 @@ RPC010 timer-for-a-charge
     ``yield <expr>.timeout(<delay>)`` outside the simulator package: a
     CPU charge yielded on the spot is a bare ``float`` delay (one heap
     entry), not a timer Event (DESIGN.md §7, hot-path rule 4).
-
-RPC007–RPC010 are per-module passes over the trees the call graph
-already parsed; the rest read the propagated effects.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import os
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import (DefaultDict, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
-from repro.analysis.reporting import Violation, normalize_path
-from repro.analysis.static.callgraph import (CallGraph, FunctionInfo,
-                                             _dotted)
-from repro.analysis.static.effects import (BLOCKS, MUTATES_SHARED, RAW_CLOCK,
-                                           RAW_RNG, YIELDS, EffectAnalysis,
-                                           _category_like)
+from repro.analysis.reporting import (Violation, normalize_path,
+                                      parse_pragmas, suppressed_by_pragma)
 
-__all__ = ["CONTRACTS", "contract_catalog", "run_contracts",
-           "dead_public_functions"]
+__all__ = ["CONTRACTS", "Module", "Registration", "callback_registrations",
+           "contract_catalog", "parse_package", "run_contracts"]
 
 Finding = Tuple[int, int, str]  # (line, col, message)
+Coded = Tuple[str, int, int, str]  # (code, line, col, message)
 
 #: (code, summary) — the full catalog, stable order
 CONTRACTS: Tuple[Tuple[str, str], ...] = (
-    ("RPC001", "blocking or yielding effect reachable from a "
-               "non-process callback context"),
-    ("RPC002", "host wall-clock read outside the audited hostclock "
-               "funnel (alias-resolved)"),
+    ("RPC001", "generator function registered as a callback "
+               "(subscribe / add_done_callback) or strategy _shares hook"),
+    ("RPC002", "host wall-clock read or host sleep outside the audited "
+               "hostclock funnel (alias-resolved)"),
     ("RPC003", "process-global RNG draw outside the seeded rng_stream "
                "funnel"),
     ("RPC004", "shared-state write in a race-instrumented class with no "
-               "instrumentation coverage"),
+               "instrumentation in the method or its same-class callers"),
     ("RPC005", "trace emission with a category missing from the "
                "taxonomy registry"),
     ("RPC006", "taxonomy category never mentioned by any literal in "
@@ -95,163 +101,366 @@ ALLOW_PATHS: Dict[str, Tuple[str, ...]] = {
     "RPC010": ("simulator/",),
 }
 
+#: call attributes that register a callback run later from a
+#: non-process context (trace subscribers, event done-callbacks)
+CALLBACK_REGISTRARS = ("subscribe", "add_done_callback")
+
 #: method names that are callback hooks by convention even without a
 #: visible registration site
 HOOK_METHOD_NAMES = ("_shares",)
+
+#: external dotted names that read the host wall clock, matched after
+#: import-alias resolution
+RAW_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.process_time", "time.process_time_ns",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
+
+#: dotted-prefix matches for process-global RNG draws
+RAW_RNG_PREFIXES = ("random.", "numpy.random.", "np.random.")
+
+#: method names that mutate their receiver container in place
+_MUTATORS = frozenset({
+    "append", "appendleft", "extend", "add", "insert", "remove",
+    "discard", "pop", "popleft", "popitem", "update", "clear",
+    "setdefault", "push",
+})
+
+_RACE_HOOKS = ("race_read", "race_write", "sync_region")
+
+_TRACE_METHODS = frozenset({"record", "count", "filter"})
+
+#: methods whose writes build the object rather than share it
+_CONSTRUCTORS = ("__init__", "__new__", "reset")
+
+_Def = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: node classes the indexer handles itself (scopes and imports)
+_INDEXED = frozenset({*_Def, ast.ClassDef, ast.Import, ast.ImportFrom})
 
 
 def contract_catalog() -> List[Tuple[str, str]]:
     return list(CONTRACTS)
 
 
-def _allowed(code: str, path: str) -> bool:
-    posix = path.replace("\\", "/")
-    return any(("/" + entry in posix) if entry.endswith("/")
-               else posix.endswith(entry)
-               for entry in ALLOW_PATHS.get(code, ()))
-
-
-def _snippet(graph: CallGraph, path: str, line: int) -> str:
-    for name in sorted(graph.modules):
-        mod = graph.modules[name]
-        if mod.path == path:
-            if 0 < line <= len(mod.lines):
-                return mod.lines[line - 1].strip()
-            return ""
-    return ""
-
-
-def _violation(graph: CallGraph, path: str, line: int, col: int,
-               code: str, message: str) -> Violation:
-    return Violation(path=path, line=line, col=col, code=code,
-                     message=message,
-                     snippet=_snippet(graph, path, line))
-
-
 # ----------------------------------------------------------------------
-# RPC001 — no blocking/yielding reachable from callback contexts
+# Parsing
 # ----------------------------------------------------------------------
-def _callback_roots(graph: CallGraph,
-                    ) -> List[Tuple[str, str, str, int]]:
-    """(callback qname, how-registered, report path, report line)."""
-    roots: List[Tuple[str, str, str, int]] = []
-    seen: Set[Tuple[str, str]] = set()
-    for reg in graph.registrations:
-        key = (reg.callback, reg.via)
-        if key in seen:
-            continue
-        seen.add(key)
-        roots.append((reg.callback, f"registered via .{reg.via}()",
-                      reg.path, reg.line))
-    for name in HOOK_METHOD_NAMES:
-        for qname in graph.methods_named(name):
-            info = graph.functions[qname]
-            roots.append((qname, f"strategy {name} hook",
-                          info.path, info.line))
-    return roots
+#: (node, owner, class): ``owner`` is the qualified name of the def
+#: whose code the node runs in, ``class`` that of the innermost
+#: enclosing class (or None)
+_Scoped = Tuple[ast.AST, str, Optional[str]]
 
 
-def _check_callbacks(graph: CallGraph,
-                     analysis: EffectAnalysis) -> Iterator[Violation]:
-    for callback, how, path, line in _callback_roots(graph):
-        fx = analysis.functions.get(callback)
-        if fx is None:
-            continue
-        for effect, verb in ((BLOCKS, "block the host"),
-                             (YIELDS, "yield to the scheduler")):
-            if effect not in fx.out:
+@dataclass
+class Module:
+    """One parsed source module and its lexical index."""
+
+    name: str
+    path: str
+    source: str
+    tree: ast.Module
+    lines: List[str]
+    #: alias -> imported dotted name (absolute imports only)
+    imports: Dict[str, str] = field(default_factory=dict)
+    #: every node below the module (``ctx`` markers aside) with its
+    #: lexical scope, binned by AST class
+    nodes: DefaultDict[type, List[_Scoped]] = field(
+        default_factory=lambda: defaultdict(list))
+    #: class qualified name -> definition
+    classes: Dict[str, ast.ClassDef] = field(default_factory=dict)
+
+
+def _children(node: ast.AST) -> List[ast.AST]:
+    """``ast.iter_child_nodes`` as a list, without the ``ctx`` markers
+    (a plain loop: child iteration dominates a check's run time)."""
+    out: List[ast.AST] = []
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if isinstance(value, list):
+            out.extend(child for child in value
+                       if isinstance(child, ast.AST))
+        elif isinstance(value, ast.AST) and name != "ctx":
+            out.append(value)
+    return out
+
+
+def _index(mod: Module) -> None:
+    """Fill ``mod.imports``, ``mod.nodes`` and ``mod.classes``."""
+    bins = mod.nodes
+    # one work item per lexical scope: (roots, owner, prefix, class)
+    scopes: List[Tuple[List[ast.AST], str, str, Optional[str]]] = [
+        (list(mod.tree.body), f"{mod.name}.<module>", mod.name, None)]
+    while scopes:
+        stack, owner, prefix, cls = scopes.pop()
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            bins[kind].append((node, owner, cls))
+            if kind not in _INDEXED:
+                stack.extend(_children(node))
+            elif isinstance(node, _Def):
+                name = f"{prefix}.{node.name}"
+                scopes.append((_children(node), name, name, cls))
+            elif isinstance(node, ast.ClassDef):
+                name = f"{prefix}.{node.name}"
+                mod.classes[name] = node
+                scopes.append((_children(node), owner, name, name))
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    head = alias.name.split(".")[0]
+                    mod.imports[alias.asname or head] = \
+                        alias.name if alias.asname else head
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                for alias in node.names:
+                    mod.imports[alias.asname or alias.name] = \
+                        f"{node.module}.{alias.name}"
+
+
+def parse_package(root: str) -> List[Module]:
+    """Parse every ``.py`` under the package directory ``root``.
+
+    The package name is the directory's basename; modules come back in
+    a deterministic (sorted walk) order.
+    """
+    root = os.path.abspath(root)
+    package = os.path.basename(root.rstrip(os.sep))
+    modules: List[Module] = []
+    for dirpath, dirs, files in os.walk(root):
+        dirs.sort()
+        rel = os.path.relpath(dirpath, root)
+        parts = [package] + ([] if rel == "." else rel.split(os.sep))
+        for fname in sorted(files):
+            if not fname.endswith(".py"):
                 continue
-            chain = analysis.chain(callback, effect)
-            via = " -> ".join(q.rsplit(".", 1)[-1] if "." in q else q
-                              for q in chain)
-            yield _violation(
-                graph, path, line, 0, "RPC001",
-                f"callback '{callback}' ({how}) can {verb}: {via}")
-            break     # one finding per root is enough
+            path = os.path.join(dirpath, fname)
+            name = ".".join(parts if fname == "__init__.py"
+                            else parts + [fname[:-3]])
+            with open(path, "r", encoding="utf-8") as fh:
+                source = fh.read()
+            mod = Module(name=name, path=path, source=source,
+                         tree=ast.parse(source, filename=path),
+                         lines=source.splitlines())
+            _index(mod)
+            modules.append(mod)
+    return modules
+
+
+def _dotted(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _external_name(imports: Dict[str, str], dotted: str) -> str:
+    """Rewrite the head of ``dotted`` through the module's import map so
+    aliased externals (``from time import time as now``) still match."""
+    head, _, rest = dotted.partition(".")
+    target = imports.get(head)
+    if target is None:
+        return dotted
+    return f"{target}.{rest}" if rest else target
+
+
+def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of a def's or lambda's own body, not descending into
+    nested def/class/lambda scopes."""
+    stack: List[ast.AST] = ([fn.body] if isinstance(fn, ast.Lambda)
+                            else list(getattr(fn, "body", ())))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*_Def, ast.ClassDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(_children(node))
+
+
+def _is_generator(fn: ast.AST) -> bool:
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom))
+               for node in _own_nodes(fn))
+
+
+def _methods(cls: ast.ClassDef) -> Dict[str, ast.AST]:
+    return {node.name: node for node in cls.body if isinstance(node, _Def)}
+
+
+# ----------------------------------------------------------------------
+# RPC001 — a callback is never a generator
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Registration:
+    """A callable passed to a callback-registering call.
+
+    ``via`` is the registering attribute (``subscribe``); ``callback``
+    the qualified name of the registered def, or
+    ``<owner>.<lambda@line>`` for a lambda.
+    """
+
+    via: str
+    callback: str
+    line: int
+    node: ast.AST
+
+
+def callback_registrations(mod: Module) -> List[Registration]:
+    """Every registration in ``mod`` whose callable resolves lexically."""
+    top = {node.name: node for node in mod.tree.body
+           if isinstance(node, _Def)}
+    found: List[Registration] = []
+    for node, owner, cls in mod.nodes[ast.Call]:
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in CALLBACK_REGISTRARS):
+            continue
+        via = node.func.attr
+        for arg in list(node.args) + [kw.value for kw in node.keywords]:
+            if isinstance(arg, ast.Lambda):
+                found.append(Registration(
+                    via, f"{owner}.<lambda@{arg.lineno}>", node.lineno, arg))
+                continue
+            dotted = _dotted(arg)
+            if dotted in top:
+                found.append(Registration(
+                    via, f"{mod.name}.{dotted}", node.lineno, top[dotted]))
+            elif cls is not None and dotted is not None \
+                    and dotted.startswith("self.") and dotted.count(".") == 1:
+                method = _methods(mod.classes[cls]).get(dotted[5:])
+                if method is not None:
+                    found.append(Registration(
+                        via, f"{cls}.{dotted[5:]}", node.lineno, method))
+    return found
+
+
+def _check_callbacks(mod: Module) -> Iterator[Coded]:
+    roots = [(r.callback, f"registered via .{r.via}()", r.line, r.node)
+             for r in callback_registrations(mod)]
+    for cls_name, cls in mod.classes.items():
+        for name in HOOK_METHOD_NAMES:
+            hook = _methods(cls).get(name)
+            if hook is not None:
+                roots.append((f"{cls_name}.{name}", f"strategy {name} hook",
+                              hook.lineno, hook))
+    for callback, how, line, fn in roots:
+        if _is_generator(fn):
+            yield ("RPC001", line, 0,
+                   f"callback '{callback}' ({how}) is a generator: calling "
+                   f"it runs none of its body, and a callback must not "
+                   f"yield to the scheduler")
 
 
 # ----------------------------------------------------------------------
 # RPC002 / RPC003 — funnel escapes
 # ----------------------------------------------------------------------
-def _check_funnels(graph: CallGraph,
-                   analysis: EffectAnalysis) -> Iterator[Violation]:
-    specs = (("RPC002", RAW_CLOCK,
-              "read via the repro.simulator.hostclock.host_clock funnel"),
-             ("RPC003", RAW_RNG,
-              "draw via repro.simulator.rng.rng_stream(seed, *key)"))
-    for qname in sorted(analysis.functions):
-        info = graph.functions[qname]
-        fx = analysis.functions[qname]
-        for code, effect, fix in specs:
-            if effect not in fx.local or _allowed(code, info.path):
-                continue
-            via, line = fx.witness.get(effect, ("", info.line))
-            what = via or "a raw call"
-            yield _violation(
-                graph, info.path, line, 0, code,
-                f"'{qname}' calls {what} outside the audited funnel; "
-                f"{fix}")
+def _check_funnels(mod: Module) -> Iterator[Coded]:
+    for node, owner, _cls in mod.nodes[ast.Call]:
+        if not isinstance(node, ast.Call):
+            continue
+        dotted = _dotted(node.func)
+        if dotted is None:
+            continue
+        name = _external_name(mod.imports, dotted)
+        if name in RAW_CLOCK_CALLS:
+            yield ("RPC002", node.lineno, 0,
+                   f"'{owner}' calls {name} outside the audited funnel; "
+                   f"read via the repro.simulator.hostclock.host_clock "
+                   f"funnel")
+        elif name == "time.sleep":
+            yield ("RPC002", node.lineno, 0,
+                   f"'{owner}' calls time.sleep: a simulated component "
+                   f"never blocks the host; yield a float delay to charge "
+                   f"simulated time")
+        elif name.startswith(RAW_RNG_PREFIXES):
+            yield ("RPC003", node.lineno, 0,
+                   f"'{owner}' calls {name} outside the audited funnel; "
+                   f"draw via repro.simulator.rng.rng_stream(seed, *key)")
 
 
 # ----------------------------------------------------------------------
-# RPC004 — race-instrumentation coverage
+# RPC004 — race-instrumentation coverage, per class
 # ----------------------------------------------------------------------
-def _race_aware_classes(graph: CallGraph,
-                        analysis: EffectAnalysis) -> Set[str]:
-    """Classes where at least one own method is race-instrumented."""
-    aware: Set[str] = set()
-    for cls_qname in sorted(graph.classes):
-        for name in sorted(graph.classes[cls_qname].methods):
-            method = graph.classes[cls_qname].methods[name]
-            fx = analysis.functions.get(method.qname)
-            if fx is not None and fx.instrumented:
-                aware.add(cls_qname)
-                break
-    return aware
+class _MethodFacts(NamedTuple):
+    instrumented: bool
+    mutations: List[Tuple[int, str]]     # (line, what)
+    self_calls: Set[str]                 # names called as self.<name>()
 
 
-def _check_shared_writes(graph: CallGraph,
-                         analysis: EffectAnalysis) -> Iterator[Violation]:
-    aware = _race_aware_classes(graph, analysis)
-    for cls_qname in sorted(aware):
-        cls = graph.classes[cls_qname]
-        for name in sorted(cls.methods):
-            method = cls.methods[name]
-            if method.is_dunder:
+def _method_facts(name: str, fn: ast.AST) -> _MethodFacts:
+    instrumented = False
+    mutations: List[Tuple[int, str]] = []
+    self_calls: Set[str] = set()
+    building = name in _CONSTRUCTORS
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            attr = func.attr if isinstance(func, ast.Attribute) \
+                else _dotted(func)
+            if attr in _RACE_HOOKS:
+                instrumented = True
+            if not isinstance(func, ast.Attribute):
                 continue
-            fx = analysis.functions.get(method.qname)
-            if fx is None or MUTATES_SHARED not in fx.local \
-                    or fx.instrumented:
+            if isinstance(func.value, ast.Name) and func.value.id == "self":
+                self_calls.add(func.attr)
+            receiver = _dotted(func.value)
+            if func.attr in _MUTATORS and not building \
+                    and receiver is not None and receiver.startswith("self."):
+                mutations.append((node.lineno, f"{receiver}.{func.attr}"))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)) \
+                and not building:
+            targets = [node.target] if isinstance(node, ast.AugAssign) \
+                else node.targets
+            for target in targets:
+                receiver = _dotted(target.value) \
+                    if isinstance(target, ast.Subscript) else None
+                if receiver is not None and receiver.startswith("self."):
+                    mutations.append((node.lineno, f"{receiver}[...]"))
+    return _MethodFacts(instrumented, mutations, self_calls)
+
+
+def _check_shared_writes(mod: Module) -> Iterator[Coded]:
+    if not any(hook in mod.source for hook in _RACE_HOOKS):
+        return                    # no class here can be race-aware
+    for cls_name, cls in mod.classes.items():
+        facts = {name: _method_facts(name, fn)
+                 for name, fn in _methods(cls).items()}
+        if not any(f.instrumented for f in facts.values()):
+            continue
+        for name, fact in facts.items():
+            if name.startswith("__") and name.endswith("__") \
+                    or not fact.mutations or fact.instrumented:
                 continue
-            callers = [e for e in graph.calls_to(method.qname)
-                       if e.kind == "call"]
-            if callers and all(
-                    analysis.functions[e.caller].instrumented
-                    for e in callers
-                    if e.caller in analysis.functions):
-                continue          # every call site covers the write
-            for line, what in fx.mutations:
-                yield _violation(
-                    graph, method.path, line, 0, "RPC004",
-                    f"'{method.qname}' writes shared state ({what}) in "
-                    f"race-instrumented class '{cls.name}' with no "
-                    f"race_write()/sync_region() in body or callers")
+            callers = [f for f in facts.values() if name in f.self_calls]
+            if callers and all(f.instrumented for f in callers):
+                continue          # every same-class caller covers the write
+            for line, what in fact.mutations:
+                yield ("RPC004", line, 0,
+                       f"'{cls_name}.{name}' writes shared state ({what}) "
+                       f"in race-instrumented class '{cls.name}' with no "
+                       f"race_write()/sync_region() in body or same-class "
+                       f"callers")
 
 
 # ----------------------------------------------------------------------
 # RPC005 / RPC006 — trace taxonomy contract
 # ----------------------------------------------------------------------
-def _taxonomy_module(graph: CallGraph) -> Optional[str]:
-    target = f"{graph.package}.observability.taxonomy"
-    return target if target in graph.modules else None
+def _category_like(value: str) -> bool:
+    """Looks like ``layer.event_name``, in any case (``Nmad.Bogus`` is a
+    typo to flag, not a string to ignore)."""
+    return "." in value and value.replace(".", "").replace("_", "").isalnum()
 
 
-def _registered_categories(graph: CallGraph,
-                           taxonomy: str) -> Dict[str, int]:
+def _registered_categories(taxonomy: Module) -> Dict[str, int]:
     """category -> taxonomy source line, from the CATEGORIES literal."""
-    mod = graph.modules[taxonomy]
     out: Dict[str, int] = {}
-    for node in mod.tree.body:
+    for node in taxonomy.tree.body:
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
@@ -269,49 +478,37 @@ def _registered_categories(graph: CallGraph,
     return out
 
 
-def _literal_mentions(graph: CallGraph, taxonomy: str) -> Set[str]:
-    """Every category-like string literal outside the taxonomy module."""
-    mentions: Set[str] = set()
-    for name in sorted(graph.modules):
-        if name == taxonomy:
+def _check_emissions(mod: Module, registered: Dict[str, int],
+                     ) -> Iterator[Coded]:
+    for node, _owner, _cls in mod.nodes[ast.Call]:
+        if not isinstance(node, ast.Call) or not node.args:
             continue
-        for node in ast.walk(graph.modules[name].tree):
-            if isinstance(node, ast.Constant) \
-                    and isinstance(node.value, str) \
-                    and _category_like(node.value):
-                mentions.add(node.value)
-    return mentions
+        func = node.func
+        attr = func.attr if isinstance(func, ast.Attribute) else _dotted(func)
+        first = node.args[0]
+        if attr in _TRACE_METHODS and isinstance(first, ast.Constant) \
+                and isinstance(first.value, str) \
+                and _category_like(first.value) \
+                and first.value not in registered:
+            root = first.value.split(".", 1)[0]
+            yield ("RPC005", node.lineno, 0,
+                   f"category '{first.value}' (root '{root}') is not "
+                   f"registered in observability/taxonomy.py")
 
 
-def _check_taxonomy(graph: CallGraph,
-                    analysis: EffectAnalysis) -> Iterator[Violation]:
-    taxonomy = _taxonomy_module(graph)
-    if taxonomy is None:
-        return
-    registered = _registered_categories(graph, taxonomy)
-    tax_mod = graph.modules[taxonomy]
-
-    for qname in sorted(analysis.functions):
-        info = graph.functions[qname]
-        if info.module == taxonomy:
-            continue
-        for category, line in analysis.functions[qname].categories:
-            if category in registered:
-                continue
-            root = category.split(".", 1)[0]
-            yield _violation(
-                graph, info.path, line, 0, "RPC005",
-                f"category '{category}' (root '{root}') is not "
-                f"registered in observability/taxonomy.py")
-
-    mentions = _literal_mentions(graph, taxonomy)
-    for category in sorted(registered):
-        if category in mentions:
-            continue
-        yield _violation(
-            graph, tax_mod.path, registered[category], 0, "RPC006",
-            f"taxonomy category '{category}' is never mentioned by any "
-            f"literal in the package (dead registry entry)")
+def _check_dead_categories(modules: Sequence[Module], taxonomy: Module,
+                           registered: Dict[str, int]) -> Iterator[Coded]:
+    """RPC006: a category no literal outside the taxonomy mentions."""
+    mentions = {node.value for mod in modules if mod is not taxonomy
+                for node, _owner, _cls in mod.nodes[ast.Constant]
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _category_like(node.value)}
+    for category, line in sorted(registered.items()):
+        if category not in mentions:
+            yield ("RPC006", line, 0,
+                   f"taxonomy category '{category}' is never mentioned by "
+                   f"any literal in the package (dead registry entry)")
 
 
 # ----------------------------------------------------------------------
@@ -333,13 +530,14 @@ def _is_set_expr(node: ast.AST, setvars: Set[str]) -> bool:
 
 
 def _iter_scope(node: ast.AST) -> Iterator[ast.AST]:
-    """Child nodes in source order; nested defs are yielded (so the
+    """Descendants in source order; nested defs are yielded (so the
     scanner can queue them) but not descended into."""
-    for child in ast.iter_child_nodes(node):
+    stack = _children(node)[::-1]
+    while stack:
+        child = stack.pop()
         yield child
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-            yield from _iter_scope(child)
+        if not isinstance(child, (*_Def, ast.Lambda)):
+            stack.extend(_children(child)[::-1])
 
 
 def _scan_scope(body: List[ast.stmt],
@@ -380,8 +578,15 @@ def _scan_scope(body: List[ast.stmt],
         yield from _scan_scope(fn.body, snapshot)
 
 
-def _iteration_order(tree: ast.Module) -> Iterator[Finding]:
-    yield from _scan_scope(tree.body)
+def _iteration_order(mod: Module) -> Iterator[Finding]:
+    # a finding needs a set expression or a key= argument somewhere in
+    # the module; most modules have neither and skip the ordered walk
+    if mod.nodes[ast.Set] or mod.nodes[ast.SetComp] or any(
+            _dotted(call.func) in ("set", "frozenset")
+            or any(kw.arg == "key" for kw in call.keywords)
+            for call, _owner, _cls in mod.nodes[ast.Call]
+            if isinstance(call, ast.Call)):
+        yield from _scan_scope(mod.tree.body)
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +608,8 @@ def _timey(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _float_eq_time(tree: ast.Module) -> Iterator[Finding]:
-    for node in ast.walk(tree):
+def _float_eq_time(nodes: Iterable[ast.AST]) -> Iterator[Finding]:
+    for node in nodes:
         if not isinstance(node, ast.Compare):
             continue
         if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
@@ -439,8 +644,8 @@ def _mutable(node: ast.AST) -> bool:
     return False
 
 
-def _mutable_defaults(tree: ast.Module) -> Iterator[Finding]:
-    for node in ast.walk(tree):
+def _mutable_defaults(nodes: Iterable[ast.AST]) -> Iterator[Finding]:
+    for node in nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
             continue
@@ -456,8 +661,8 @@ def _mutable_defaults(tree: ast.Module) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # RPC010 — a charge yielded on the spot is a bare delay
 # ----------------------------------------------------------------------
-def _timer_for_a_charge(tree: ast.Module) -> Iterator[Finding]:
-    for node in ast.walk(tree):
+def _timer_for_a_charge(nodes: Iterable[ast.AST]) -> Iterator[Finding]:
+    for node in nodes:
         if not isinstance(node, ast.Yield):
             continue
         call = node.value
@@ -470,95 +675,65 @@ def _timer_for_a_charge(tree: ast.Module) -> Iterator[Finding]:
                    "itself (a float) — one heap entry, no Event")
 
 
-_MODULE_PASSES = (("RPC007", _iteration_order),
-                  ("RPC008", _float_eq_time),
-                  ("RPC009", _mutable_defaults),
-                  ("RPC010", _timer_for_a_charge))
-
-
-def _check_modules(graph: CallGraph,
-                   analysis: EffectAnalysis) -> Iterator[Violation]:
-    for name in sorted(graph.modules):
-        mod = graph.modules[name]
-        for code, scan in _MODULE_PASSES:
-            if _allowed(code, mod.path):
-                continue
-            for line, col, message in scan(mod.tree):
-                yield _violation(graph, mod.path, line, col, code, message)
-
-
-# ----------------------------------------------------------------------
-# Dead-code report (advisory, not part of the exit-status contracts)
-# ----------------------------------------------------------------------
-def dead_public_functions(graph: CallGraph) -> List[FunctionInfo]:
-    """Public functions unreachable from module bodies and exports.
-
-    Roots: every module's top-level code, every ``__all__`` export and
-    every dunder.  Methods additionally stay alive when their bare name
-    is mentioned as an attribute anywhere (conservative dynamic-dispatch
-    evidence), or when their class is named in its module's ``__all__``
-    — an exported class's public methods are declared API surface.
-    Advisory only — dynamic imports (``importlib``) and out-of-package
-    callers (tests, notebooks) are invisible here.
-    """
-    roots: List[str] = []
-    for name in sorted(graph.modules):
-        roots.append(graph.module_entry(name))
-        mod = graph.modules[name]
-        for export in mod.exports:
-            candidate = f"{name}.{export}"
-            if candidate in graph.functions:
-                roots.append(candidate)
-            resolved = _export_target(graph, name, export)
-            if resolved is not None:
-                roots.append(resolved)
-    for qname in sorted(graph.functions):
-        if graph.functions[qname].is_dunder:
-            roots.append(qname)
-    live = graph.reachable(roots)
-    dead: List[FunctionInfo] = []
-    for qname in sorted(graph.functions):
-        info = graph.functions[qname]
-        if qname in live or not info.is_public or info.is_lambda \
-                or info.name == "<module>":
-            continue
-        if info.name in graph.mentioned_names:
-            continue
-        if info.cls is not None and _class_exported(graph, info):
-            continue
-        dead.append(info)
-    return dead
-
-
-def _class_exported(graph: CallGraph, info: FunctionInfo) -> bool:
-    mod = graph.modules.get(info.module)
-    if mod is None or info.cls is None:
-        return False
-    return info.cls.rsplit(".", 1)[-1] in mod.exports
-
-
-def _export_target(graph: CallGraph, module: str,
-                   export: str) -> Optional[str]:
-    mod = graph.modules[module]
-    target = mod.imports.get(export)
-    if target is not None and target in graph.functions:
-        return target
-    if target is not None and target in graph.classes:
-        inits = graph.overrides_of(target, "__init__")
-        return inits[0] if inits else None
-    return None
+#: passes over the nodes of some AST classes, in any order
+_NODE_PASSES = (("RPC008", (ast.Compare,), _float_eq_time),
+                ("RPC009", (*_Def, ast.Lambda), _mutable_defaults),
+                ("RPC010", (ast.Yield,), _timer_for_a_charge))
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run_contracts(graph: CallGraph,
-                  analysis: EffectAnalysis) -> List[Violation]:
-    """All contract passes, deterministically ordered."""
+def _allowed(code: str, path: str) -> bool:
+    posix = path.replace("\\", "/")
+    return any(("/" + entry in posix) if entry.endswith("/")
+               else posix.endswith(entry)
+               for entry in ALLOW_PATHS.get(code, ()))
+
+
+def _module_findings(mod: Module, registered: Optional[Dict[str, int]],
+                     ) -> Iterator[Coded]:
+    yield from _check_callbacks(mod)
+    yield from _check_funnels(mod)
+    yield from _check_shared_writes(mod)
+    if registered is not None:
+        yield from _check_emissions(mod, registered)
+    for line, col, message in _iteration_order(mod):
+        yield "RPC007", line, col, message
+    for code, kinds, scan in _NODE_PASSES:
+        nodes = [node for kind in kinds
+                 for node, _owner, _cls in mod.nodes[kind]]
+        for line, col, message in scan(nodes):
+            yield code, line, col, message
+
+
+def run_contracts(modules: Sequence[Module]) -> List[Violation]:
+    """All contract passes, pragma suppression applied, in a
+    deterministic order."""
+    taxonomy: Optional[Module] = None
+    registered: Optional[Dict[str, int]] = None
+    if modules:
+        package = modules[0].name.split(".")[0]
+        for mod in modules:
+            if mod.name == f"{package}.observability.taxonomy":
+                taxonomy = mod
+                registered = _registered_categories(mod)
     found: List[Violation] = []
-    for check in (_check_callbacks, _check_funnels, _check_shared_writes,
-                  _check_taxonomy, _check_modules):
-        found.extend(check(graph, analysis))
+    for mod in modules:
+        findings = list(_module_findings(
+            mod, registered if mod is not taxonomy else None))
+        if mod is taxonomy and registered is not None:
+            findings.extend(_check_dead_categories(modules, mod, registered))
+        pragmas = parse_pragmas(mod.lines)
+        for code, line, col, message in findings:
+            if _allowed(code, mod.path) \
+                    or suppressed_by_pragma(pragmas, line, code):
+                continue
+            snippet = mod.lines[line - 1].strip() \
+                if 0 < line <= len(mod.lines) else ""
+            found.append(Violation(path=mod.path, line=line, col=col,
+                                   code=code, message=message,
+                                   snippet=snippet))
     found.sort(key=lambda v: (normalize_path(v.path), v.line, v.code,
                               v.message))
     return found

@@ -13,11 +13,11 @@ Commands
                   flame graph and an enriched Perfetto trace
 ``perf``          render the campaign run-telemetry trajectory
                   (points, cache hits, wall time) across runs
-``check``         static determinism and contract checker: call-graph +
-                  effect propagation enforcing RPC001.. (no blocking in
-                  callbacks, audited clock/RNG funnels, race coverage,
-                  taxonomy round-trip, iteration order, timestamp
-                  equality, mutable defaults), plus a dead-code report
+``check``         static determinism and contract checker: per-module
+                  and per-class passes enforcing RPC001.. (no generator
+                  callbacks, audited clock/RNG funnels and no host
+                  sleep, race coverage, taxonomy round-trip, iteration
+                  order, timestamp equality, mutable defaults)
 ``race``          simulated-concurrency race detector: run a preset
                   under happens-before tracking and report conflicts
 ``campaign``      run the paper-figure reproductions (all or by name):
@@ -362,7 +362,7 @@ def cmd_check(args) -> int:
         return 0
     root = args.root or default_target()
     if args.update_baseline:
-        found, _graph, _analysis, _dead = check_package(root)
+        found = check_package(root)
         save_baseline(args.update_baseline, found)
         print(f"baseline of {len(found)} finding(s) written "
               f"to {args.update_baseline}")
@@ -371,7 +371,7 @@ def cmd_check(args) -> int:
     if baseline_path is None and os.path.exists(".repro-check-baseline.json"):
         baseline_path = ".repro-check-baseline.json"
     baseline = load_baseline(baseline_path) if baseline_path else None
-    result = run_check(root, baseline=baseline, dead_code=args.dead_code)
+    result = run_check(root, baseline=baseline)
     if args.format == "text" and args.output is None:
         for violation in result.violations:
             print(violation.format())
@@ -385,26 +385,6 @@ def cmd_check(args) -> int:
                 fh.write(document + "\n")
             print(f"{args.format} report ({len(result.violations)} "
                   f"finding(s)) written to {args.output}")
-    if args.dead_code:
-        for info in result.dead:
-            kind = "method" if info.is_method else "function"
-            print(f"dead: {info.qname} ({kind}, {info.path}:{info.line})")
-        print(f"dead-code report: {len(result.dead)} unreachable public "
-              f"function(s)")
-    if args.stats:
-        analysis = result.analysis
-        edges = sum(len(result.graph.edges[k])
-                    for k in sorted(result.graph.edges))
-        print(f"call graph: {len(result.graph.functions)} function(s), "
-              f"{edges} edge(s), "
-              f"{len(result.graph.registrations)} callback "
-              f"registration(s) across {result.files} module(s)")
-        blocking = sum(1 for q in sorted(analysis.functions)
-                       if "BLOCKS" in analysis.functions[q].out)
-        generators = sum(1 for q in sorted(analysis.functions)
-                         if analysis.functions[q].is_generator)
-        print(f"effects: {generators} generator(s), {blocking} "
-              f"host-blocking function(s)")
     status = "clean" if result.clean else \
         f"{len(result.violations)} violation(s)"
     suppressed = f", {len(result.baselined)} baselined" if result.baselined \
@@ -651,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_perf)
 
     p = sub.add_parser("check", help="static determinism and contract "
-                                     "checker (call graph + effects)")
+                                     "checker (per-module passes)")
     p.add_argument("root", nargs="?", default=None,
                    help="package directory to analyze (default: the "
                         "installed repro package)")
@@ -667,11 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", metavar="PATH", default=None,
                    help="write the findings report to a file instead of "
                         "stdout")
-    p.add_argument("--dead-code", action="store_true",
-                   help="also report unreachable public functions "
-                        "(advisory; does not affect the exit status)")
-    p.add_argument("--stats", action="store_true",
-                   help="print call-graph and effect statistics")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("race", help="happens-before race detector run")

@@ -80,15 +80,6 @@ class RegistrationCache:
             self.pinned_bytes += size
         return cost, self._info(hit=False, evicted=evicted)
 
-    def deregister(self, buffer_key: object, size: int) -> Optional[float]:
-        """Explicitly unpin a region; returns its cost, None if absent."""
-        key = (buffer_key, size)
-        if key not in self._regions:
-            return None
-        del self._regions[key]
-        self.pinned_bytes -= size
-        return self.params.dereg_base
-
     def _info(self, hit: bool, evicted: int) -> Dict[str, int]:
         return {"hit": hit, "evicted": evicted,
                 "pinned": self.pinned_bytes, "regions": len(self._regions)}

@@ -44,7 +44,6 @@ Engine contract (duck-typed; ``PIOMan`` is the reference implementation):
 * ``sync_cost(shm)`` — per-message synchronization overhead charged by
   the stack on each send/recv half.  A pure function of the frozen
   ``params``: the stack reads both halves once, when it is built.
-* ``teardown()`` — drop pending ltasks and stop background work.
 """
 
 from __future__ import annotations
@@ -92,9 +91,6 @@ class ProgressEngine:
         p = self.params
         return (p.sync_shm if shm else p.sync_net) / 2.0
 
-    def teardown(self) -> None:
-        """Drop pending ltasks and stop background work."""
-
     # -- shared machinery ------------------------------------------------
     def _run_ltask(self, work: Callable[[], Generator],
                    pending: int) -> Generator:
@@ -140,13 +136,10 @@ class ManualPollEngine(ProgressEngine):
         super().__init__(sim, scheduler, params)
         self._queue: Deque[Callable[[], Generator]] = deque()
         self._signal: Optional[Event] = None
-        self._torn_down = False
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_queue, "submit")
-        if self._torn_down:
-            return
         self._queue.append(work)
         if self._signal is not None and self._signal._state == _PENDING:
             self._signal.succeed()
@@ -184,11 +177,6 @@ class ManualPollEngine(ProgressEngine):
     def sync_cost(self, shm: bool) -> float:
         return 0.0
 
-    def teardown(self) -> None:
-        self._torn_down = True
-        # repro-check: allow[RPC004] shutdown path, no tasks are active
-        self._queue.clear()
-
 
 class DedicatedThreadEngine(ProgressEngine):
     """One dedicated progress task per node, stealing across rank queues.
@@ -214,14 +202,11 @@ class DedicatedThreadEngine(ProgressEngine):
         self._pending = 0
         self._wake: Optional[Event] = None
         self._worker_spawned = False
-        self._stopped = False
         self.steals = 0
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
         if self.sim.monitor is not None:
             self.sim.race_write(self._rv_queue, "submit")
-        if self._stopped:
-            return
         queue = self._queues.get(rank)
         if queue is None:
             queue = self._queues[rank] = deque()
@@ -251,12 +236,10 @@ class DedicatedThreadEngine(ProgressEngine):
 
     def _worker(self) -> Generator:
         node = self.scheduler.node_id
-        while not self._stopped:
+        while True:
             if not self._pending:
                 self._wake = self.sim.event()
                 yield self._wake
-                if self._stopped:
-                    break
             # Dedicated thread: it is always polling, so work is noticed
             # immediately — no poll_period charge, unlike the reference.
             if not self.scheduler.try_acquire_core():
@@ -267,7 +250,7 @@ class DedicatedThreadEngine(ProgressEngine):
             elif self.sim.tracing:
                 self.sim.record("pioman.poll", node=node,
                                 mode="idle_core", pending=self._pending)
-            while self._pending and not self._stopped:
+            while self._pending:
                 rank, work, stolen = self._take()
                 if stolen:
                     self.steals += 1
@@ -279,14 +262,6 @@ class DedicatedThreadEngine(ProgressEngine):
 
     #: the reference engine's blocking-wait model, shared not copied
     semaphore_wait = PIOMan.semaphore_wait
-
-    def teardown(self) -> None:
-        self._stopped = True
-        for queue in self._queues.values():
-            queue.clear()
-        self._pending = 0
-        if self._wake is not None and self._wake._state == _PENDING:
-            self._wake.succeed()
 
 
 #: registry: kind name -> engine class (PIOMan is the reference)

@@ -168,8 +168,3 @@ class PIOMan:
     def sync_cost(self, shm: bool) -> float:
         """Per-message synchronization overhead (one half, send or recv)."""
         return (self.params.sync_shm if shm else self.params.sync_net) / 2.0
-
-    def teardown(self) -> None:
-        """Drop pending ltasks; the worker exits at its next queue check."""
-        # repro-check: allow[RPC004] shutdown path, no tasks are active
-        self._queue.clear()

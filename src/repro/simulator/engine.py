@@ -31,7 +31,7 @@ batched pass when cancelled entries outnumber live ones.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, NoReturn, Optional, Tuple
 
 from repro.simulator.errors import DeadlockError, SimulationError
 from repro.simulator.events import Event
@@ -128,6 +128,10 @@ class Simulator:
         self._cancelled = 0          # cancelled handles still queued
         self._running_tasks = 0
         self._failed_tasks: list = []
+        #: ``"run()"`` / ``"step()"`` while that call dispatches, else
+        #: None: callbacks, subscribers and ltasks run inside it and must
+        #: not re-enter the scheduler
+        self._dispatching: Optional[str] = None
         self._trace: Optional[Trace] = None
         #: truthy fast-path flag: hot call sites check this before even
         #: building the kwargs dict for :attr:`record`
@@ -284,6 +288,23 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending callback.  Returns False when empty."""
+        if self._dispatching is not None:
+            self._reentered("step()")
+        self._dispatching = "step()"
+        try:
+            return self._step()
+        finally:
+            self._dispatching = None
+
+    def _reentered(self, call: str) -> NoReturn:
+        raise SimulationError(
+            f"Simulator.{call} re-entered while Simulator."
+            f"{self._dispatching} is dispatching at t={self._now}: a "
+            f"callback, trace subscriber or ltask must not drive the "
+            f"scheduler")
+
+    def _step(self) -> bool:
+        """:meth:`step` without the re-entry guard (``run`` holds it)."""
         queue = self._queue
         while True:
             pending = len(queue)
@@ -324,6 +345,9 @@ class Simulator:
         a :class:`DeadlockError` is raised if live tasks remain when the
         queue drains (tasks blocked on events nobody will trigger).
         """
+        if self._dispatching is not None:
+            self._reentered("run()")
+        self._dispatching = "run()"
         queue = self._queue
         wall_start = host_clock()
         if until is None and self.monitor is None:
@@ -360,6 +384,7 @@ class Simulator:
                 self.batches_executed += batches
                 self.queue_peak = peak
                 self.run_wall_seconds += host_clock() - wall_start
+                self._dispatching = None
         else:
             try:
                 while queue:
@@ -370,9 +395,10 @@ class Simulator:
                         self._now = max(self._now, until)
                         self._raise_unobserved_failures()
                         return self._now
-                    self.step()
+                    self._step()
             finally:
                 self.run_wall_seconds += host_clock() - wall_start
+                self._dispatching = None
         self._raise_unobserved_failures()
         if detect_deadlock and self._running_tasks > 0:
             raise DeadlockError(

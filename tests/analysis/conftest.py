@@ -9,7 +9,7 @@ import pytest
 def make_pkg(tmp_path):
     """Materialize ``{relpath: source}`` as a package dir named ``pkg``.
 
-    Returns the package root path (suitable for ``build_package``).
+    Returns the package root path (suitable for ``check_package``).
     Sources are dedented; intermediate ``__init__.py`` files must be
     listed explicitly (an empty string is fine).
     """

@@ -2,7 +2,7 @@
 dedicated-thread engine's work stealing.
 
 The registration cache is checked against an independently written LRU
-oracle over random register/deregister interleavings: cost accounting,
+oracle over random registration sequences: cost accounting,
 hit/miss/evict counters, capacity, and eviction *order* must all match,
 and re-registering a resident region must never charge a second pin.
 The cache-off mode is proven inert by record-level trace comparison
@@ -10,8 +10,7 @@ against a default (knob-less) stack.
 
 The dedicated-thread engine is driven with random submission schedules
 across several ranks' queues: no ltask may be lost or executed twice,
-per-rank FIFO order must survive stealing, and a teardown at an
-arbitrary time may only truncate — never duplicate or reorder.
+and per-rank FIFO order must survive stealing.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from repro.workloads.netpipe import pingpong
 MEM = MemParams()
 CAPACITY = 4096
 
-#: ops: ("reg", key, size) | ("dereg", key, size)
-_op = st.tuples(st.sampled_from(["reg", "reg", "reg", "dereg"]),
-                st.integers(min_value=0, max_value=5),
+#: ops: (key, size) registrations
+_op = st.tuples(st.integers(min_value=0, max_value=5),
                 st.sampled_from([256, 512, 1024, 2048, 4096, 8192]))
 
 
@@ -66,25 +64,17 @@ class _LruOracle:
             self.regions[full] = size
         return cost
 
-    def deregister(self, key, size):
-        return self.regions.pop((key, size), None)
-
 
 @given(ops=st.lists(_op, max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_registration_cache_matches_lru_oracle(ops) -> None:
     cache = RegistrationCache(MEM, CAPACITY)
     oracle = _LruOracle(MEM, CAPACITY)
-    for kind, key, size in ops:
-        if kind == "reg":
-            cost, info = cache.lookup(key, size)
-            assert cost == pytest.approx(oracle.lookup(key, size))
-            assert info["pinned"] == sum(oracle.regions.values())
-            assert info["regions"] == len(oracle.regions)
-        else:
-            removed = cache.deregister(key, size)
-            expected = oracle.deregister(key, size)
-            assert (removed is None) == (expected is None)
+    for key, size in ops:
+        cost, info = cache.lookup(key, size)
+        assert cost == pytest.approx(oracle.lookup(key, size))
+        assert info["pinned"] == sum(oracle.regions.values())
+        assert info["regions"] == len(oracle.regions)
         # invariants after every op
         assert cache.pinned_bytes == sum(oracle.regions.values())
         assert cache.pinned_bytes <= cache.capacity
@@ -156,7 +146,7 @@ _submission = st.tuples(st.integers(min_value=0, max_value=40),
                         st.integers(min_value=0, max_value=3))
 
 
-def _run_dedicated(schedule, teardown_at=None):
+def _run_dedicated(schedule):
     """Drive the engine with a timed submission schedule; returns
     (executed ids in order, submitted ids per rank)."""
     sim = Simulator()
@@ -177,8 +167,6 @@ def _run_dedicated(schedule, teardown_at=None):
 
     for i, (delay, rank) in enumerate(schedule):
         sim.schedule(delay * 1e-6, submit, i, rank)
-    if teardown_at is not None:
-        sim.schedule(teardown_at * 1e-6, engine.teardown)
     sim.run()
     return executed, submitted
 
@@ -192,19 +180,6 @@ def test_no_lost_or_double_executed_ltasks(schedule) -> None:
     for rank, ids in submitted.items():
         ran = [i for i in executed if i in set(ids)]
         assert ran == ids
-
-
-@given(schedule=st.lists(_submission, max_size=30),
-       teardown_at=st.integers(min_value=0, max_value=50))
-@settings(max_examples=100, deadline=None)
-def test_teardown_only_truncates(schedule, teardown_at) -> None:
-    executed, submitted = _run_dedicated(schedule, teardown_at=teardown_at)
-    assert len(executed) == len(set(executed))              # never twice
-    assert len(executed) <= len(schedule)
-    for rank, ids in submitted.items():
-        ran = [i for i in executed if i in set(ids)]
-        # a (possibly empty) prefix of the rank's submissions, in order
-        assert ran == ids[:len(ran)]
 
 
 def test_steals_are_counted_across_rank_queues() -> None:

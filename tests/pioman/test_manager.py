@@ -253,51 +253,6 @@ def test_dedicated_completion_during_steal():
     assert woke_at == pytest.approx(completed_at + 0.05e-6)  # wakeup_cost
 
 
-@pytest.mark.parametrize("kind", ["pioman", "manual_poll",
-                                  "dedicated_thread"])
-def test_teardown_with_inflight_ltask(kind):
-    """Tearing the engine down with an ltask still queued must drop it
-    cleanly: the ltask never runs and the simulation is not wedged."""
-    sim, sched, engine = make_engine_under_test(kind)
-    ran = []
-
-    def work():
-        yield 0.10e-6
-        ran.append(sim.now)
-
-    engine.submit(work)                          # queued...
-    engine.teardown()                            # ...and dropped
-    sim.run()
-    assert ran == []
-    assert engine.ltasks_run == 0
-
-
-@pytest.mark.parametrize("kind", ["pioman", "manual_poll",
-                                  "dedicated_thread"])
-def test_submit_after_teardown_is_ignored(kind):
-    sim, sched, engine = make_engine_under_test(kind)
-    engine.teardown()
-    ran = []
-
-    def work():
-        ran.append(sim.now)
-        yield sim.timeout(0)
-
-    def app():
-        yield sim.timeout(1e-6)
-        engine.submit(work, rank=0)
-        yield from engine.progress()
-
-    sim.spawn(app())
-    sim.run()
-    # pioman's reference teardown only clears the queue (its worker drains
-    # on the spot), so a post-teardown submit may still run there; the
-    # alternative engines must drop it
-    if kind != "pioman":
-        assert ran == []
-    assert sim.now >= 1e-6
-
-
 def test_manual_poll_two_waiters_share_the_arrival_signal():
     """Regression: two threads parked in semaphore_wait on the same
     node engine must both wake on a submit — a fresh signal per waiter

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator import Simulator, SimulationError
+from repro.simulator import Simulator, SimulationError, Trace
 from repro.simulator.errors import DeadlockError
 
 
@@ -177,3 +177,51 @@ def test_raising_callback_leaves_the_rest_queued():
     assert len(sim._queue) == 3
     assert sim.run() == 2.0
     assert seen == ["a", "boom", "b", "c", "d"]
+
+
+# ---------------------------------------------------------------------------
+# scheduler re-entry: callbacks run inside run()/step() and must not drive it
+# ---------------------------------------------------------------------------
+
+def _reentering(sim, call):
+    def reenter(*_args):
+        getattr(sim, call)()
+    return reenter
+
+
+@pytest.mark.parametrize("call", ["run", "step"])
+@pytest.mark.parametrize("driver", ["run", "step"])
+def test_subscriber_reentering_the_scheduler_raises(call, driver):
+    trace = Trace()
+    sim = Simulator(trace)
+    reenter = _reentering(sim, call)
+    trace.subscribe(reenter)
+    sim.schedule(1.0, lambda: sim.record("nic.tx", size=4))
+    sim.schedule(2.0, lambda: sim.record("nic.tx", size=4))
+    getattr(sim, driver)()
+    # the sink isolates a raising subscriber: it keeps the error and
+    # detaches the subscriber, and the dispatch it re-entered goes on
+    [(fn, exc)] = trace.subscriber_errors
+    assert fn is reenter and isinstance(exc, SimulationError)
+    assert f"Simulator.{call}() re-entered while Simulator.{driver}() " \
+           f"is dispatching at t=1.0" in str(exc)
+    assert sim.run() == 2.0 and len(trace) == 2
+
+
+@pytest.mark.parametrize("call", ["run", "step"])
+def test_done_callback_reentering_the_scheduler_raises(call):
+    sim = Simulator()
+    evt = sim.timeout(1.0)
+    evt.add_done_callback(_reentering(sim, call))
+    with pytest.raises(SimulationError, match=rf"Simulator\.{call}\(\) "
+                                              r"re-entered .* at t=1\.0"):
+        sim.run(until=5.0)
+
+
+def test_run_after_run_is_not_reentry():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    assert sim.run() == 1.0
+    sim.schedule(1.0, lambda: None)
+    assert sim.step() is True
+    assert sim.run() == 2.0

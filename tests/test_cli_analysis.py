@@ -1,9 +1,9 @@
-"""CLI commands and trace-analysis utilities."""
+"""CLI commands, and the per-rail traffic counters of a traced run."""
 
 import pytest
 
-from repro.analysis import format_timeline, format_traffic, summarize_traffic
 from repro.cli import _parse_size, main
+from repro.observability import attach_metrics
 from repro.simulator import Trace
 
 
@@ -161,25 +161,8 @@ def test_cli_check_sarif_artifact(tmp_path, capsys):
     assert doc["runs"][0]["results"][0]["ruleId"] == "RPC003"
 
 
-def test_cli_check_dead_code_report(tmp_path, capsys):
-    root = tmp_path / "pkg"
-    root.mkdir()
-    (root / "__init__.py").write_text("")
-    (root / "a.py").write_text("def orphan():\n    pass\n")
-    assert main(["check", str(root), "--dead-code"]) == 0
-    out = capsys.readouterr().out
-    assert "pkg.a.orphan" in out
-    assert "1 unreachable" in out
-
-
-def test_cli_check_stats(capsys):
-    assert main(["check", "--stats"]) == 0
-    out = capsys.readouterr().out
-    assert "call graph:" in out and "generator(s)" in out
-
-
 # ---------------------------------------------------------------------------
-# trace analysis
+# per-rail traffic
 # ---------------------------------------------------------------------------
 
 def traced_run():
@@ -187,6 +170,7 @@ def traced_run():
     from repro.runtime import run_mpi
 
     trace = Trace(categories={"nic.tx"})
+    metrics = attach_metrics(trace)
 
     def program(comm):
         if comm.rank == 0:
@@ -198,36 +182,20 @@ def traced_run():
 
     run_mpi(program, 2, config.mpich2_nmad(rails=("ib", "mx")),
             cluster=config.xeon_pair(), trace=trace)
-    return trace
+    return trace, metrics
 
 
-def test_summarize_traffic_counts_everything():
-    trace = traced_run()
-    summary = summarize_traffic(trace)
-    assert summary.total_frames == len(trace.filter("nic.tx"))
-    assert summary.total_bytes > 1 << 20
-    assert "ib" in summary.rails
-    assert summary.rail("ib").frames >= 3  # rts + cts + data + eager
-
-
-def test_rail_summary_bandwidth():
-    trace = traced_run()
-    summary = summarize_traffic(trace)
-    assert summary.rail("ib").effective_bandwidth > 0
-
-
-def test_format_traffic_readable():
-    text = format_traffic(summarize_traffic(traced_run()))
-    assert "total:" in text
-    assert "rail ib:" in text
-
-
-def test_format_timeline_histogram():
-    text = format_timeline(traced_run(), buckets=5)
-    assert text.count("\n") == 4
-    assert "#" in text
-    assert "us |" in text
-
-
-def test_format_timeline_empty():
-    assert format_timeline(Trace()) == "(no records)"
+def test_trace_metrics_count_every_frame_per_rail():
+    trace, metrics = traced_run()
+    registry = metrics.registry
+    rails = registry.labels_of("nic.tx_frames")
+    frames = {rail: registry.counter("nic.tx_frames", rail).value
+              for rail in rails}
+    sent = {rail: registry.counter("nic.tx_bytes", rail).value
+            for rail in rails}
+    records = trace.filter("nic.tx")
+    assert sum(frames.values()) == len(records)
+    assert sum(sent.values()) == sum(r.data["size"] for r in records)
+    assert sum(sent.values()) > 1 << 20
+    assert frames["ib"] >= 3  # rts + cts + data + eager
+    assert sent == metrics.bytes_per_rail()
