@@ -152,7 +152,7 @@ def test_nested_def_scopes_stay_separate(make_pkg):
     assert v.code == "RPC002" and "'pkg.a.on_record.later'" in v.message
 
 
-def test_callback_registrations_resolve_lexically(make_pkg):
+def test_callback_registration_is_captured(make_pkg):
     root = make_pkg({"a.py": """
         def module_level(rec):
             pass
@@ -162,7 +162,7 @@ def test_callback_registrations_resolve_lexically(make_pkg):
                 pass
 
             def attach(self, trace, evt):
-                trace.subscribe(self.on_record, categories=("nic.tx",))
+                trace.subscribe(self.on_record)
                 trace.subscribe(module_level)
                 evt.add_done_callback(lambda e: self.on_record(e))
                 evt.add_done_callback(self.missing)
@@ -174,6 +174,20 @@ def test_callback_registrations_resolve_lexically(make_pkg):
         ("subscribe", "pkg.a.Listener.on_record", 10),
         ("subscribe", "pkg.a.module_level", 11),
     ]
+
+
+def test_category_routed_registration_is_captured(make_pkg):
+    root = make_pkg({"a.py": """
+        class Listener:
+            def on_record(self, rec):
+                pass
+
+            def attach(self, trace):
+                trace.subscribe(self.on_record, categories=("nic.tx",))
+        """})
+    [mod] = [m for m in parse_package(root) if m.name == "pkg.a"]
+    regs = [(r.via, r.callback) for r in callback_registrations(mod)]
+    assert regs == [("subscribe", "pkg.a.Listener.on_record")]
 
 
 def test_trace_metrics_feed_is_a_callback_root():
@@ -221,6 +235,19 @@ def test_wrapped_host_clock_detected(make_pkg):
         """})
     [v] = [v for v in found if v.code == "RPC002"]
     assert "time.time" in v.message and "my_clock" in v.message
+
+
+def test_raw_clock_detected_through_alias(make_pkg):
+    # an aliased class, read through an attribute of the alias
+    found = check(make_pkg, {"a.py": """
+        from datetime import datetime as dt
+
+        def stamp():
+            return dt.now()
+        """})
+    [v] = found
+    assert v.code == "RPC002" and v.line == 5
+    assert "datetime.datetime.now" in v.message and "stamp" in v.message
 
 
 def test_funnel_module_is_exempt(make_pkg):
@@ -290,6 +317,19 @@ def test_rpc002_flags_sleep_but_not_sim_clock(make_pkg):
             time.sleep(0)  # blocks the host while simulated time stands
     """})
     assert [(v.code, v.line) for v in found] == [("RPC002", 5)]
+
+
+def test_time_sleep_blocks(make_pkg):
+    found = check(make_pkg, {"a.py": """
+        from time import sleep
+
+        class Poller:
+            def wait(self):
+                sleep(0.1)
+        """})
+    [v] = found
+    assert v.code == "RPC002" and v.line == 6
+    assert "time.sleep" in v.message and "Poller.wait" in v.message
 
 
 def test_aliased_sleep_and_rng_detected(make_pkg):
