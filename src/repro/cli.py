@@ -23,9 +23,6 @@ Commands
 ``campaign``      run the paper-figure reproductions (all or by name):
                   decompose experiments into points, execute across a
                   process pool, memoize in a content-addressed cache
-``coll-tune``     collective-algorithm autotuner: sweep every registered
-                  algorithm over a (p x size) grid through the campaign
-                  cache and emit a tuned selection table
 ``topo``          routed network topologies: list presets, describe and
                   visualize a link/switch graph, or sweep one collective
                   across topologies and report per-link hot spots
@@ -72,11 +69,6 @@ def _positive_int(text: str) -> int:
 def _sizes(text: str) -> List[int]:
     """Comma list of sizes (argparse type)."""
     return [_parse_size(item) for item in text.split(",")]
-
-
-def _counts(text: str) -> List[int]:
-    """Comma list of counts >= 1 (argparse type)."""
-    return [_positive_int(item) for item in text.split(",")]
 
 
 def _stack_name(name: str) -> str:
@@ -506,31 +498,6 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def cmd_coll_tune(args) -> int:
-    import json
-
-    from repro.campaign import ResultCache
-    from repro.coll.tuning import tune
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    report = tune(stack_preset=args.stack, procs=args.procs, sizes=args.sizes,
-                  reps=args.reps, fast=args.fast, workers=args.workers,
-                  cache=cache, force=args.force)
-    # artifacts land before the summary so a closed stdout can't lose them
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.table.dumps())
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    print(report.format_summary())
-    if args.out:
-        print(f"tuned selection table written to {args.out}")
-    if args.report:
-        print(f"tuning report written to {args.report}")
-    return 0
-
-
 def _add_sink_options(p: argparse.ArgumentParser) -> None:
     """The shared trace-sink/sampling option block (trace + profile)."""
     p.add_argument("--sink", default="full",
@@ -704,30 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write merged results + stats as JSON to PATH")
     p.set_defaults(fn=cmd_campaign)
-
-    p = sub.add_parser("coll-tune", help="autotune collective-algorithm "
-                                         "selection over a (p x size) grid")
-    p.add_argument("--stack", type=_stack_name, default="mpich2_nmad")
-    p.add_argument("--procs", type=_counts, default=None,
-                   help="comma list of process counts (default 4,8,16)")
-    p.add_argument("--sizes", type=_sizes, default=None,
-                   help="comma list of sizes, K/M suffixes allowed")
-    p.add_argument("--reps", type=_positive_int, default=3)
-    p.add_argument("--fast", action="store_true",
-                   help="shrunken grid (one p, two sizes) for smoke runs")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process-pool width (1 = in-process)")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="content-addressed result cache directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the result cache entirely")
-    p.add_argument("--force", action="store_true",
-                   help="recompute every cell even on a cache hit")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the tuned selection table JSON to PATH")
-    p.add_argument("--report", default=None, metavar="PATH",
-                   help="write winners + measurements as JSON to PATH")
-    p.set_defaults(fn=cmd_coll_tune)
     return parser
 
 

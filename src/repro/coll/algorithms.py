@@ -5,8 +5,8 @@ The classic MPICH-style *small-message* algorithms live in
 allreduce, dissemination barrier, ring allgather, pairwise alltoall).
 This module adds the *large-message* and *latency-optimized*
 counterparts whose winning regions flip with message size and process
-count — the crossover behaviour the selection table and the
-``repro coll-tune`` autotuner pin down:
+count — the crossover behaviour the selection table encodes and the
+``ext_collectives`` experiment measures:
 
 * ``allreduce/ring`` — ring reduce-scatter + ring allgather,
   ``2(p-1)`` steps of ``size/p`` bytes (bandwidth-optimal, any p);
@@ -98,7 +98,8 @@ class _Opaque:
 # ---------------------------------------------------------------------------
 
 def allreduce_ring(comm, size: int, value: Any = None, op=None):
-    """Ring reduce-scatter + ring allgather (bandwidth-optimal, any p)."""
+    """Ring reduce-scatter + ring allgather (bandwidth-optimal, any p):
+    ``2(p-1)`` steps of ``size/p`` bytes each."""
     tag = comm._next_coll_tag("allreduce")
     op = op or _default_op
     p, r = comm.size, comm.rank
@@ -134,7 +135,8 @@ def allreduce_ring(comm, size: int, value: Any = None, op=None):
 
 
 def allreduce_rabenseifner(comm, size: int, value: Any = None, op=None):
-    """Recursive-halving reduce-scatter + recursive-doubling allgather.
+    """Recursive-halving reduce-scatter + recursive-doubling allgather:
+    ``2 log2 p`` halving/doubling steps moving ``2·size`` bytes total.
 
     Non-power-of-two process counts use Rabenseifner's pre-fold: the
     first ``2·rem`` ranks pair up (even ranks fold their contribution
@@ -237,7 +239,8 @@ def allreduce_rabenseifner(comm, size: int, value: Any = None, op=None):
 # ---------------------------------------------------------------------------
 
 def bcast_scatter_allgather(comm, size: int, data: Any = None, root: int = 0):
-    """Binomial scatter of blocks + ring allgather (van de Geijn).
+    """Binomial scatter of blocks + ring allgather (van de Geijn):
+    ``~2·size`` bytes moved, against ``log2 p · size`` for binomial.
 
     A list payload is split into ``p`` element blocks; any other
     payload rides opaquely in block 0 (the wire sizes still follow the
@@ -353,7 +356,8 @@ def allgather_bruck(comm, size: int, value: Any = None):
 
 def alltoall_bruck(comm, size: int, values: Optional[list] = None):
     """Bruck alltoall: log rounds; each item forwarded once per set bit
-    of its rank distance (≈ ``log2 p / 2`` extra wire traffic)."""
+    of its rank distance (≈ ``log2 p / 2`` extra wire traffic, which
+    buys ``ceil(log2 p)`` messages instead of ``p - 1``)."""
     tag = comm._next_coll_tag("alltoall")
     p, r = comm.size, comm.rank
     if p == 1:
@@ -397,7 +401,9 @@ def alltoall_bruck(comm, size: int, values: Optional[list] = None):
 # ---------------------------------------------------------------------------
 
 def barrier_tree(comm):
-    """Binomial gather-to-0 + binomial release (2 log2 p critical path)."""
+    """Binomial gather-to-0 + binomial release (2 log2 p critical path):
+    ``2(p-1)`` messages in all, against dissemination's
+    ``p·ceil(log2 p)``."""
     tag = comm._next_coll_tag("barrier")
     p, r = comm.size, comm.rank
     if p == 1:
@@ -423,26 +429,10 @@ def barrier_tree(comm):
 # registration
 # ---------------------------------------------------------------------------
 
-registry.register(
-    "allreduce", "ring", allreduce_ring, needs_vector=True,
-    summary="2(p-1) steps of size/p bytes; bandwidth-optimal, any p")
-registry.register(
-    "allreduce", "rabenseifner", allreduce_rabenseifner, needs_vector=True,
-    summary="2 log2 p halving/doubling steps, 2*size bytes total; "
-            "non-pow2 via pre-fold")
-registry.register(
-    "bcast", "scatter_allgather", bcast_scatter_allgather,
-    summary="binomial scatter + ring allgather (van de Geijn), "
-            "~2*size bytes vs log2 p * size")
-registry.register(
-    "allgather", "bruck", allgather_bruck,
-    summary="ceil(log2 p) doubling rounds; latency-optimal, "
-            "pays pack/rotate copies")
-registry.register(
-    "alltoall", "bruck", alltoall_bruck,
-    summary="ceil(log2 p) rounds; ~log2(p)/2 x extra wire bytes "
-            "buys p -> log p messages")
-registry.register(
-    "barrier", "tree", barrier_tree,
-    summary="binomial gather + release; p-1 messages total vs "
-            "dissemination's p log2 p")
+registry.register("allreduce", "ring", allreduce_ring, needs_vector=True)
+registry.register("allreduce", "rabenseifner", allreduce_rabenseifner,
+                  needs_vector=True)
+registry.register("bcast", "scatter_allgather", bcast_scatter_allgather)
+registry.register("allgather", "bruck", allgather_bruck)
+registry.register("alltoall", "bruck", alltoall_bruck)
+registry.register("barrier", "tree", barrier_tree)

@@ -34,8 +34,6 @@ class Algorithm:
     fn: Callable
     #: True when the payload must be None or a list (segmented algorithm)
     needs_vector: bool = False
-    #: one-line cost/shape note (docs and ``repro coll-tune`` output)
-    summary: str = ""
 
 
 _REGISTRY: Dict[str, Dict[str, Algorithm]] = {c: {} for c in COLLECTIVES}
@@ -44,8 +42,8 @@ _FALLBACK: Dict[str, str] = {}
 
 
 def register(collective: str, name: str, fn: Callable, *,
-             needs_vector: bool = False, fallback: bool = False,
-             summary: str = "") -> Algorithm:
+             needs_vector: bool = False,
+             fallback: bool = False) -> Algorithm:
     """Register ``fn`` as algorithm ``name`` of ``collective``.
 
     ``fallback=True`` marks it as the payload-compatible default the
@@ -56,8 +54,7 @@ def register(collective: str, name: str, fn: Callable, *,
                          f"known: {', '.join(COLLECTIVES)}")
     if name in _REGISTRY[collective]:
         raise ValueError(f"algorithm {collective}/{name} already registered")
-    algo = Algorithm(collective, name, fn, needs_vector=needs_vector,
-                     summary=summary)
+    algo = Algorithm(collective, name, fn, needs_vector=needs_vector)
     _REGISTRY[collective][name] = algo
     if fallback:
         if needs_vector:
@@ -90,8 +87,3 @@ def names_of(collective: str) -> List[str]:
     """Registered algorithm names of a collective, registration order."""
     return list(_REGISTRY.get(collective, {}))
 
-
-def all_algorithms() -> List[Algorithm]:
-    """Every registered algorithm, grouped by collective."""
-    return [algo for coll in COLLECTIVES
-            for algo in _REGISTRY[coll].values()]

@@ -1,11 +1,10 @@
 """Size/p-aware collective algorithm selection.
 
-A :class:`SelectionTable` maps each collective to an ordered rule list;
-the first rule matching ``(p, size)`` names the algorithm, in the style
-of MPICH's ``MPIR_*_intra_auto`` cutoff tables.  The module holds one
-*active* table (the default below, or a tuned one loaded from the JSON
-emitted by ``repro coll-tune``) that :mod:`repro.mpi.collectives`
-consults on every dispatch.
+:data:`TABLE` maps each collective to an ordered rule list; the first
+rule matching ``(p, size)`` names the algorithm, in the style of
+MPICH's ``MPIR_*_intra_auto`` cutoff tables.  :func:`choose` reads it
+and :mod:`repro.mpi.collectives` consults it, through :func:`resolve`,
+on every dispatch; :func:`forced` overrides it for one collective.
 
 Selection must be identical on every rank of a collective — it depends
 only on ``(collective, p, size)``, never on the local payload.  The
@@ -17,21 +16,20 @@ timing skeletons, all-list for data runs), so the retreat is
 rank-uniform too; bcast — whose payload genuinely differs between root
 and non-roots — only registers payload-agnostic algorithms.
 
-The default table is deliberately conservative: it keeps the classic
-(seed) algorithm everywhere the committed goldens tread, and switches
-to the large-message algorithms only in regions the seed experiments
-never exercise (allreduce >= 8 KiB — the largest application allreduce
-is NAS IS at 4 KiB — and bcast >= 32 KiB, which no workload calls).
-``repro coll-tune`` measures the real crossovers for a given stack and
-emits a table to replace it.
+The table is deliberately conservative: it keeps the classic (seed)
+algorithm everywhere the committed goldens tread, and switches to the
+large-message algorithms only in regions the seed experiments never
+exercise (allreduce >= 8 KiB — the largest application allreduce is
+NAS IS at 4 KiB — and bcast >= 32 KiB, which no workload calls).  The
+``ext_collectives`` experiment measures every algorithm across a
+(p x size) grid and prints each cell's winner beside this table's pick.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.coll import registry
 from repro.coll.registry import Algorithm
@@ -41,24 +39,20 @@ from repro.coll.registry import Algorithm
 class Rule:
     """One selection-table entry: algorithm + its (p, size) region.
 
-    ``max_size``/``max_p`` are exclusive; ``None`` means unbounded.
+    ``max_size``/``max_p`` are exclusive upper bounds; ``None`` means
+    unbounded.  There are no lower bounds: rules are tried in order, so
+    an earlier rule already takes the calls below a later one's region.
     ``pow2`` restricts the rule to power-of-two (True) or
     non-power-of-two (False) process counts.
     """
 
     algorithm: str
-    min_size: int = 0
     max_size: Optional[int] = None
-    min_p: int = 1
     max_p: Optional[int] = None
     pow2: Optional[bool] = None
 
     def matches(self, p: int, size: int) -> bool:
-        if size < self.min_size:
-            return False
         if self.max_size is not None and size >= self.max_size:
-            return False
-        if p < self.min_p:
             return False
         if self.max_p is not None and p >= self.max_p:
             return False
@@ -66,112 +60,38 @@ class Rule:
             return False
         return True
 
-    def to_json(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"algorithm": self.algorithm}
-        if self.min_size:
-            out["min_size"] = self.min_size
-        if self.max_size is not None:
-            out["max_size"] = self.max_size
-        if self.min_p != 1:
-            out["min_p"] = self.min_p
-        if self.max_p is not None:
-            out["max_p"] = self.max_p
-        if self.pow2 is not None:
-            out["pow2"] = self.pow2
-        return out
 
-    @classmethod
-    def from_json(cls, doc: Dict[str, Any]) -> "Rule":
-        return cls(algorithm=doc["algorithm"],
-                   min_size=doc.get("min_size", 0),
-                   max_size=doc.get("max_size"),
-                   min_p=doc.get("min_p", 1),
-                   max_p=doc.get("max_p"),
-                   pow2=doc.get("pow2"))
+#: the MPICH-style cutoff table (see module docstring); the last rule
+#: of every collective is a catch-all, so every call has an algorithm
+TABLE: Dict[str, Tuple[Rule, ...]] = {
+    "barrier": (Rule("dissemination"),),
+    "bcast": (
+        Rule("binomial", max_size=32 * 1024),
+        Rule("binomial", max_p=8, max_size=128 * 1024),
+        Rule("scatter_allgather"),
+    ),
+    "reduce": (Rule("binomial"),),
+    "allreduce": (
+        Rule("recursive_doubling", max_size=8 * 1024),
+        Rule("rabenseifner", pow2=True),
+        Rule("ring"),
+    ),
+    "allgather": (Rule("ring"),),
+    "alltoall": (Rule("pairwise"),),
+}
 
-
-@dataclass
-class SelectionTable:
-    """Ordered per-collective rule lists; first match wins."""
-
-    rules: Dict[str, Tuple[Rule, ...]] = field(default_factory=dict)
-    #: provenance note carried into the JSON dump (e.g. tuner settings)
-    origin: str = "default"
-
-    def choose(self, collective: str, p: int, size: int) -> str:
-        """The algorithm name for a ``(collective, p, size)`` call."""
-        for rule in self.rules.get(collective, ()):
-            if rule.matches(p, size):
-                return rule.algorithm
-        raise LookupError(
-            f"selection table {self.origin!r} has no rule matching "
-            f"{collective} at p={p}, size={size} — the last rule of "
-            "every collective should be unbounded")
-
-    def validate(self) -> None:
-        """Check every named algorithm is registered and every
-        collective's rule list ends with a catch-all."""
-        for coll, rules in self.rules.items():
-            if coll not in registry.COLLECTIVES:
-                raise ValueError(f"unknown collective {coll!r} in table")
-            if not rules:
-                raise ValueError(f"empty rule list for {coll!r}")
-            for rule in rules:
-                registry.get(coll, rule.algorithm)
-            last = rules[-1]
-            if (last.min_size or last.max_size is not None
-                    or last.min_p != 1 or last.max_p is not None
-                    or last.pow2 is not None):
-                raise ValueError(
-                    f"last rule of {coll!r} is not a catch-all; calls "
-                    "outside its region would have no algorithm")
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"version": 1, "origin": self.origin,
-                "rules": {coll: [r.to_json() for r in rules]
-                          for coll, rules in self.rules.items()}}
-
-    @classmethod
-    def from_json(cls, doc: Dict[str, Any]) -> "SelectionTable":
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported table version {doc.get('version')!r}")
-        table = cls(rules={coll: tuple(Rule.from_json(r) for r in rules)
-                           for coll, rules in doc["rules"].items()},
-                    origin=doc.get("origin", "loaded"))
-        return table
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "SelectionTable":
-        table = cls.from_json(json.loads(text))
-        table.validate()
-        return table
-
-
-def default_table() -> SelectionTable:
-    """The built-in MPICH-style cutoff table (see module docstring)."""
-    return SelectionTable(origin="default", rules={
-        "barrier": (Rule("dissemination"),),
-        "bcast": (
-            Rule("binomial", max_size=32 * 1024),
-            Rule("binomial", max_p=8, max_size=128 * 1024),
-            Rule("scatter_allgather"),
-        ),
-        "reduce": (Rule("binomial"),),
-        "allreduce": (
-            Rule("recursive_doubling", max_size=8 * 1024),
-            Rule("rabenseifner", pow2=True),
-            Rule("ring"),
-        ),
-        "allgather": (Rule("ring"),),
-        "alltoall": (Rule("pairwise"),),
-    })
-
-
-_active: Optional[SelectionTable] = None
 _forced: Dict[str, str] = {}
+
+
+def choose(collective: str, p: int, size: int) -> str:
+    """The table's algorithm name for a ``(collective, p, size)`` call
+    (a ``LookupError`` when no rule matches or the collective is unknown).
+    """
+    for rule in TABLE[collective]:
+        if rule.matches(p, size):
+            return rule.algorithm
+    raise LookupError(f"no selection rule matches {collective} at "
+                      f"p={p}, size={size}")
 
 
 def _ensure_registered() -> None:
@@ -179,29 +99,9 @@ def _ensure_registered() -> None:
 
     The classic small-message algorithms register at the bottom of
     :mod:`repro.mpi.collectives`, which imports this module — so the
-    import here must be lazy (it is a no-op on the dispatch path, where
-    that module is loaded by definition).
+    import here must be lazy.
     """
     import repro.mpi.collectives  # noqa: F401  (registers on import)
-
-
-def active_table() -> SelectionTable:
-    """The table consulted by dispatch (default until one is loaded)."""
-    global _active
-    if _active is None:
-        _ensure_registered()
-        _active = default_table()
-        _active.validate()
-    return _active
-
-
-def set_table(table: Optional[SelectionTable]) -> None:
-    """Install ``table`` as the active one (None restores the default)."""
-    global _active
-    if table is not None:
-        _ensure_registered()
-        table.validate()
-    _active = table
 
 
 @contextmanager
@@ -233,7 +133,7 @@ def resolve(collective: str, p: int, size: int,
     """The algorithm to run for this call (force > table > fallback)."""
     name = _forced.get(collective)
     if name is None:
-        name = active_table().choose(collective, p, size)
+        name = choose(collective, p, size)
     algo = registry.get(collective, name)
     if not _payload_ok(algo, payload):
         algo = registry.fallback_of(collective)

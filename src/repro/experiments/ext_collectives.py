@@ -8,8 +8,9 @@ messages on round count, bandwidth-optimized ones (ring/Rabenseifner
 reduce-scatter pipelines, scatter-allgather) win large messages on
 bytes moved per link.  This sweep forces every registered algorithm of
 each multi-algorithm collective across a (p x size) grid on the
-MPICH2-Nmad stack and pins the crossovers the
-:mod:`repro.coll.selector` default table encodes.
+MPICH2-Nmad stack, pins the crossovers, and prints each cell's winner
+(``*``) beside the pick of the fixed :data:`repro.coll.selector.TABLE`
+(``s``).
 
 Run: ``python -m repro campaign ext_collectives``
 """
@@ -63,10 +64,9 @@ def points(fast: bool = False) -> List[Point]:
 
 def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
     """Per-cell winners + per-(collective, p) crossover flags."""
-    from repro.coll.selector import default_table
+    from repro.coll.selector import choose
 
     procs, sizes = _grid(fast)
-    table = default_table()
     per_op = {key: results[key]["per_op"] for key in sorted(results)}
     winners: Dict[str, str] = {}
     selected: Dict[str, str] = {}
@@ -79,7 +79,7 @@ def merge(results: Dict[str, dict], fast: bool = False) -> Dict:
                     key=lambda a: (results[f"{coll}/{a}/p{p}/{size}"]["per_op"],
                                    algos.index(a)))
                 winners[f"{coll}/p{p}/{size}"] = cell
-                selected[f"{coll}/p{p}/{size}"] = table.choose(coll, p, size)
+                selected[f"{coll}/p{p}/{size}"] = choose(coll, p, size)
             crossover[f"{coll}/p{p}"] = (
                 winners[f"{coll}/p{p}/{sizes[0]}"]
                 != winners[f"{coll}/p{p}/{sizes[-1]}"])
@@ -94,7 +94,7 @@ def render(data: Dict) -> None:
     for coll, algos in data["algorithms"].items():
         for p in data["procs"]:
             print(f"\n{coll} at p={p} (us/op; * = cell winner, "
-                  f"s = default-table pick)")
+                  f"s = table pick)")
             header = f"  {'algorithm':<20}" + "".join(
                 f"{s:>14}" for s in sizes)
             print(header)

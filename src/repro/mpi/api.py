@@ -382,28 +382,6 @@ class Communicator:
         result = yield from _coll.scan(self, size, value, op)
         return result
 
-    def exscan(self, size: int, value: Any = None, op=None):
-        result = yield from _coll.exscan(self, size, value, op)
-        return result
-
-    def reduce_scatter(self, size: int, values: Optional[list] = None, op=None):
-        result = yield from _coll.reduce_scatter(self, size, values, op)
-        return result
-
-    def gatherv(self, size: int, value: Any = None, root: int = 0):
-        result = yield from _coll.gatherv(self, size, value, root)
-        return result
-
-    def scatterv(self, sizes: Optional[list] = None,
-                 values: Optional[list] = None, root: int = 0):
-        result = yield from _coll.scatterv(self, sizes, values, root)
-        return result
-
-    def alltoallv(self, sizes: Optional[list] = None,
-                  values: Optional[list] = None):
-        result = yield from _coll.alltoallv(self, sizes, values)
-        return result
-
     # ------------------------------------------------------------------
     # self-messaging (rank -> same rank)
     # ------------------------------------------------------------------

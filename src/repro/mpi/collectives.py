@@ -8,8 +8,7 @@ Classic MPICH-style small-message algorithms live here:
 * gather / scatter — linear to/from root (sufficient at skeleton scale);
 * allgather — ring;
 * alltoall — pairwise exchange;
-* scan / exscan — linear chain (inclusive/exclusive prefix);
-* reduce_scatter — reduce-to-root then scatter.
+* scan — linear chain (inclusive prefix).
 
 The large-message counterparts (ring/Rabenseifner allreduce,
 scatter-allgather bcast, Bruck allgather/alltoall, tree barrier) live
@@ -17,8 +16,8 @@ in :mod:`repro.coll.algorithms`.  Both sets register with
 :mod:`repro.coll.registry`, and the public entry points below for
 barrier/bcast/reduce/allreduce/allgather/alltoall are *dispatchers*:
 they pick the algorithm through :mod:`repro.coll.selector` (size/p
-cutoff table, overridable by ``selector.forced`` or a tuned table) and
-emit ``coll.begin``/``coll.end`` trace records around the run.
+cutoff table, overridable by ``selector.forced``) and emit
+``coll.begin``/``coll.end`` trace records around the run.
 
 Every collective draws a fresh tag from the communicator's collective
 sequence, so overlapping collectives in one program cannot cross-match
@@ -117,7 +116,8 @@ def alltoall(comm, size: int, values: Optional[list] = None):
 # ----------------------------------------------------------------------
 
 def barrier_dissemination(comm):
-    """Dissemination barrier."""
+    """Dissemination barrier: ``ceil(log2 p)`` rounds of ``p``
+    simultaneous pairwise signals."""
     tag = comm._next_coll_tag("barrier")
     p, r = comm.size, comm.rank
     if p == 1:
@@ -131,7 +131,8 @@ def barrier_dissemination(comm):
 
 
 def bcast_binomial(comm, size: int, data: Any = None, root: int = 0):
-    """Binomial-tree broadcast; returns the broadcast data."""
+    """Binomial-tree broadcast (``log2 p`` tree hops of the full
+    payload); returns the broadcast data."""
     tag = comm._next_coll_tag("bcast")
     p = comm.size
     if p == 1:
@@ -156,7 +157,8 @@ def bcast_binomial(comm, size: int, data: Any = None, root: int = 0):
 
 def reduce_binomial(comm, size: int, value: Any = None, root: int = 0,
                     op=None):
-    """Binomial-tree reduction; the root returns the combined value."""
+    """Binomial-tree reduction (``log2 p`` tree hops of the full
+    payload); the root returns the combined value."""
     tag = comm._next_coll_tag("reduce")
     op = op or _default_op
     p = comm.size
@@ -180,7 +182,8 @@ def reduce_binomial(comm, size: int, value: Any = None, root: int = 0,
 
 
 def allreduce_recursive_doubling(comm, size: int, value: Any = None, op=None):
-    """Recursive doubling when p is a power of two, else reduce+bcast."""
+    """Recursive doubling when p is a power of two, else reduce+bcast:
+    ``log2 p`` exchanges of the full payload."""
     tag = comm._next_coll_tag("allreduce")
     op = op or _default_op
     p, r = comm.size, comm.rank
@@ -246,7 +249,8 @@ def scatter(comm, size: int, values: Optional[list] = None, root: int = 0):
 
 
 def allgather_ring(comm, size: int, value: Any = None):
-    """Ring allgather; returns the list indexed by rank."""
+    """Ring allgather (``p-1`` neighbour steps of one contribution
+    each); returns the list indexed by rank."""
     tag = comm._next_coll_tag("allgather")
     p, r = comm.size, comm.rank
     out: list = [None] * p
@@ -264,7 +268,8 @@ def allgather_ring(comm, size: int, value: Any = None):
 
 
 def alltoall_pairwise(comm, size: int, values: Optional[list] = None):
-    """Pairwise-exchange all-to-all; returns the list indexed by source."""
+    """Pairwise-exchange all-to-all (``p-1`` exchanges of the full
+    per-pair payload); returns the list indexed by source."""
     tag = comm._next_coll_tag("alltoall")
     p, r = comm.size, comm.rank
     out: list = [None] * p
@@ -292,124 +297,15 @@ def scan(comm, size: int, value: Any = None, op=None):
     return acc
 
 
-def exscan(comm, size: int, value: Any = None, op=None):
-    """Exclusive prefix reduction: rank r returns op(v_0, ..., v_{r-1}).
-
-    Rank 0 returns None (undefined in MPI; None here).
-    """
-    tag = comm._next_coll_tag("exscan")
-    op = op or _default_op
-    prefix = None
-    if comm.rank > 0:
-        msg = yield from comm.recv(src=comm.rank - 1, tag=tag)
-        prefix = msg.data
-    if comm.rank < comm.size - 1:
-        carry = value if prefix is None else op(prefix, value)
-        yield from comm.send(comm.rank + 1, tag=tag, size=size, data=carry)
-    return prefix
-
-
-def reduce_scatter(comm, size: int, values: Optional[list] = None, op=None):
-    """Element-wise reduce of per-rank vectors, block-scattered back.
-
-    ``values`` is a list of ``comm.size`` contributions (one destined to
-    each rank); rank r returns the combination of everyone's r-th entry.
-    """
-    op = op or _default_op
-    combined = yield from reduce_binomial(
-        comm, size * comm.size,
-        value=list(values) if values is not None else None,
-        root=0,
-        op=lambda a, b: (None if a is None and b is None
-                         else [op(x, y) for x, y in zip(a, b)]
-                         if a is not None and b is not None
-                         else (a if b is None else b)))
-    out = yield from scatter(comm, size, values=combined, root=0)
-    return out
-
-
-def gatherv(comm, size: int, value: Any = None, root: int = 0):
-    """Variable-size gather: each rank contributes ``size`` bytes of its
-    own choosing; the root returns ``[(size, value), ...]`` by rank."""
-    tag = comm._next_coll_tag("gatherv")
-    if comm.size == 1:
-        return [(size, value)]
-    if comm.rank == root:
-        out: list = [None] * comm.size
-        out[root] = (size, value)
-        for src in range(comm.size):
-            if src == root:
-                continue
-            msg = yield from comm.recv(src=src, tag=(tag, src))
-            out[src] = (msg.size, msg.data)
-        return out
-    yield from comm.send(root, tag=(tag, comm.rank), size=size, data=value)
-    return None
-
-
-def scatterv(comm, sizes: Optional[list] = None,
-             values: Optional[list] = None, root: int = 0):
-    """Variable-size scatter: the root ships ``sizes[d]`` bytes to each
-    destination; every rank returns its element."""
-    tag = comm._next_coll_tag("scatterv")
-    if comm.size == 1:
-        return values[0] if values else None
-    if comm.rank == root:
-        reqs = []
-        for dst in range(comm.size):
-            if dst == root:
-                continue
-            size = sizes[dst] if sizes else 0
-            data = values[dst] if values else None
-            req = yield from comm.isend(dst, tag=(tag, dst), size=size,
-                                        data=data)
-            reqs.append(req)
-        for req in reqs:
-            yield from comm.wait(req)
-        return values[root] if values else None
-    msg = yield from comm.recv(src=root, tag=(tag, comm.rank))
-    return msg.data
-
-
-def alltoallv(comm, sizes: Optional[list] = None,
-              values: Optional[list] = None):
-    """Variable-size all-to-all: rank r sends ``sizes[d]`` bytes to each
-    destination d; returns the received list indexed by source."""
-    tag = comm._next_coll_tag("alltoallv")
-    p, r = comm.size, comm.rank
-    out: list = [None] * p
-    out[r] = values[r] if values else None
-    for step in range(1, p):
-        dst = (r + step) % p
-        src = (r - step) % p
-        size = sizes[dst] if sizes else 0
-        data = values[dst] if values else None
-        msg = yield from comm.sendrecv(dst, src, tag=(tag, step),
-                                       size=size, data=data)
-        out[src] = msg.data
-    return out
-
-
 # ----------------------------------------------------------------------
 # registration (the classic algorithms are the payload-safe fallbacks)
 # ----------------------------------------------------------------------
 
-_registry.register(
-    "barrier", "dissemination", barrier_dissemination, fallback=True,
-    summary="ceil(log2 p) rounds of p simultaneous pairwise signals")
-_registry.register(
-    "bcast", "binomial", bcast_binomial, fallback=True,
-    summary="log2 p tree hops of the full payload")
-_registry.register(
-    "reduce", "binomial", reduce_binomial, fallback=True,
-    summary="log2 p tree hops of the full payload")
-_registry.register(
-    "allreduce", "recursive_doubling", allreduce_recursive_doubling,
-    fallback=True,
-    summary="log2 p exchanges of the full payload (reduce+bcast non-pow2)")
-_registry.register(
-    "allgather", "ring", allgather_ring, fallback=True,
-    summary="p-1 neighbour steps of one contribution each")
-_registry.register(
-    "alltoall", "pairwise", alltoall_pairwise, fallback=True,
-    summary="p-1 pairwise exchanges of the full per-pair payload")
+_registry.register("barrier", "dissemination", barrier_dissemination,
+                   fallback=True)
+_registry.register("bcast", "binomial", bcast_binomial, fallback=True)
+_registry.register("reduce", "binomial", reduce_binomial, fallback=True)
+_registry.register("allreduce", "recursive_doubling",
+                   allreduce_recursive_doubling, fallback=True)
+_registry.register("allgather", "ring", allgather_ring, fallback=True)
+_registry.register("alltoall", "pairwise", alltoall_pairwise, fallback=True)

@@ -21,7 +21,10 @@ Live consumers (e.g. the metrics registry of
 appended — or, with ``categories=``, only the records of those
 categories.  A subscriber that raises is detached (and the error kept
 in :attr:`Trace.subscriber_errors`) instead of poisoning every
-subsequent record.
+subsequent record — except for a
+:class:`~repro.simulator.errors.SimulationError` (e.g. a subscriber
+re-entering ``Simulator.run()``/``step()``), which propagates out of
+the run as it does from an event's done-callback.
 
 Every sink admits records through one path, :meth:`Trace.append`:
 category filter, sampler, the sink's own store (a list, a ring, a
@@ -45,6 +48,8 @@ from collections import defaultdict, deque
 from typing import (Any, Callable, DefaultDict, Deque, Dict, FrozenSet,
                     Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
+
+from repro.simulator.errors import SimulationError
 
 __all__ = ["TraceRecord", "TraceSampler", "Trace", "RingTrace", "JsonlTrace",
            "load_trace_jsonl"]
@@ -197,6 +202,8 @@ class Trace:
         for fn in self._routes[category]:
             try:
                 fn(rec)
+            except SimulationError:
+                raise
             except Exception as exc:
                 self.subscriber_errors.append((fn, exc))
                 self.unsubscribe(fn)

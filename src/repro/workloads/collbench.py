@@ -7,8 +7,8 @@ started by a preliminary sync so stragglers count.  The reported
 application would observe.
 
 ``algorithm`` forces one registered implementation through
-:func:`repro.coll.selector.forced`; ``None`` exercises the active
-selection table (what real applications get).
+:func:`repro.coll.selector.forced`; ``None`` exercises the selection
+table (what real applications get).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def run_collbench(stack: StackSpec, nprocs: int, collective: str, size: int,
                   seed: int = 0) -> CollbenchResult:
     """Measure one collective at one size (one rank per node by default)."""
     resolved = (algorithm if algorithm is not None
-                else selector.active_table().choose(collective, nprocs, size))
+                else selector.choose(collective, nprocs, size))
 
     def execute():
         return run_mpi(collbench(collective, size, reps, warmup),

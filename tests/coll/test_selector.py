@@ -1,11 +1,14 @@
-"""Selection table semantics: rules, dispatch resolution, JSON round-trip."""
+"""Selection table semantics: rules, the fixed table, dispatch resolution."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import config
+from repro.campaign.executors import execute_point
+from repro.campaign.points import Point, stack_ref
 from repro.coll import registry, selector
-from repro.coll.selector import Rule, SelectionTable, default_table
+from repro.coll.selector import TABLE, Rule, choose
 
 import repro.mpi.collectives  # noqa: F401  (registers classic algorithms)
 
@@ -15,13 +18,11 @@ import repro.mpi.collectives  # noqa: F401  (registers classic algorithms)
 # ---------------------------------------------------------------------------
 
 def test_rule_bounds_are_half_open():
-    rule = Rule("ring", min_size=64, max_size=1024, min_p=4, max_p=16)
-    assert rule.matches(4, 64)
+    rule = Rule("ring", max_size=1024, max_p=16)
+    assert rule.matches(1, 0)
     assert rule.matches(15, 1023)
     assert not rule.matches(4, 1024)      # max_size exclusive
     assert not rule.matches(16, 64)       # max_p exclusive
-    assert not rule.matches(3, 64)
-    assert not rule.matches(4, 63)
 
 
 def test_rule_pow2_restriction():
@@ -32,89 +33,65 @@ def test_rule_pow2_restriction():
     assert only_odd.matches(6, 0) and not only_odd.matches(8, 0)
 
 
-def test_rule_json_round_trip_drops_defaults():
-    rule = Rule("ring")
-    assert rule.to_json() == {"algorithm": "ring"}
-    full = Rule("ring", min_size=1, max_size=2, min_p=3, max_p=4, pow2=False)
-    assert Rule.from_json(full.to_json()) == full
-
-
 # ---------------------------------------------------------------------------
-# table choose / validate / serialization
+# the fixed table
 # ---------------------------------------------------------------------------
 
-def test_first_matching_rule_wins():
-    table = SelectionTable(rules={"allreduce": (
+def test_first_matching_rule_wins(monkeypatch):
+    # at p=8 both later rules match a large call: the earlier one wins
+    monkeypatch.setitem(TABLE, "allreduce", (
         Rule("recursive_doubling", max_size=1024),
         Rule("rabenseifner", pow2=True),
         Rule("ring"),
-    )})
-    assert table.choose("allreduce", 8, 512) == "recursive_doubling"
-    assert table.choose("allreduce", 8, 4096) == "rabenseifner"
-    assert table.choose("allreduce", 6, 4096) == "ring"
+    ))
+    assert choose("allreduce", 8, 512) == "recursive_doubling"
+    assert choose("allreduce", 8, 4096) == "rabenseifner"
+    assert choose("allreduce", 6, 4096) == "ring"
 
 
-def test_choose_without_catch_all_raises():
-    table = SelectionTable(rules={"allreduce": (
-        Rule("recursive_doubling", max_size=1024),)})
+def test_choose_without_catch_all_raises(monkeypatch):
+    monkeypatch.setitem(TABLE, "allreduce",
+                        (Rule("recursive_doubling", max_size=1024),))
+    with pytest.raises(LookupError, match="allreduce at p=8, size=4096"):
+        choose("allreduce", 8, 4096)
     with pytest.raises(LookupError):
-        table.choose("allreduce", 8, 4096)
+        choose("allsum", 8, 64)
 
 
-def test_validate_rejects_missing_catch_all():
-    table = SelectionTable(rules={"allreduce": (
-        Rule("recursive_doubling", max_size=1024),)})
-    with pytest.raises(ValueError, match="catch-all"):
-        table.validate()
-
-
-def test_validate_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown collective"):
-        SelectionTable(rules={"allsum": (Rule("ring"),)}).validate()
-    with pytest.raises(KeyError):
-        SelectionTable(rules={"allreduce": (Rule("quantum"),)}).validate()
-
-
-def test_default_table_validates_and_covers_all_collectives():
-    table = default_table()
-    table.validate()
-    assert set(table.rules) == set(registry.COLLECTIVES)
-    for coll in registry.COLLECTIVES:
+def test_table_covers_every_collective_with_registered_algorithms():
+    assert set(TABLE) == set(registry.COLLECTIVES)
+    for coll, rules in TABLE.items():
+        assert rules, coll
+        for rule in rules:
+            registry.get(coll, rule.algorithm)  # raises on unknown names
+        # the last rule is a catch-all: calls outside every other
+        # region still get an algorithm
+        assert rules[-1] == Rule(rules[-1].algorithm), coll
         for p in (1, 2, 3, 7, 8, 64):
             for size in (0, 1, 8192, 32 * 1024, 10**9):
-                assert table.choose(coll, p, size) in \
-                    registry.names_of(coll)
+                assert choose(coll, p, size) in registry.names_of(coll)
 
 
-def test_default_table_encodes_documented_cutoffs():
-    table = default_table()
-    assert table.choose("allreduce", 8, 4096) == "recursive_doubling"
-    assert table.choose("allreduce", 8, 64 * 1024) == "rabenseifner"
-    assert table.choose("allreduce", 6, 64 * 1024) == "ring"
-    assert table.choose("bcast", 16, 4096) == "binomial"
-    assert table.choose("bcast", 16, 1 << 20) == "scatter_allgather"
-    assert table.choose("bcast", 4, 64 * 1024) == "binomial"
+def test_table_encodes_documented_cutoffs():
+    assert choose("allreduce", 8, 4096) == "recursive_doubling"
+    assert choose("allreduce", 8, 64 * 1024) == "rabenseifner"
+    assert choose("allreduce", 6, 64 * 1024) == "ring"
+    assert choose("bcast", 16, 4096) == "binomial"
+    assert choose("bcast", 16, 1 << 20) == "scatter_allgather"
+    assert choose("bcast", 4, 64 * 1024) == "binomial"
 
 
-def test_table_json_round_trip():
-    table = default_table()
-    again = SelectionTable.loads(table.dumps())
-    assert again.rules == table.rules
-    assert again.origin == table.origin
-    with pytest.raises(ValueError, match="version"):
-        SelectionTable.from_json({"version": 99, "rules": {}})
-
-
-def test_set_table_swaps_the_active_table():
-    tuned = SelectionTable(origin="test", rules={
-        **default_table().rules, "allgather": (Rule("bruck"),)})
-    assert selector.active_table().choose("allgather", 8, 64) == "ring"
-    try:
-        selector.set_table(tuned)
-        assert selector.active_table().choose("allgather", 8, 64) == "bruck"
-    finally:
-        selector.set_table(None)
-    assert selector.active_table().choose("allgather", 8, 64) == "ring"
+@pytest.mark.parametrize("preset", sorted(config.STACKS))
+def test_coll_point_runs_on_every_preset(preset):
+    """A ``coll`` campaign point builds and runs on every ``repro
+    stacks`` preset (the multirail ones included)."""
+    point = Point("test", f"allreduce/p4/1024/{preset}", "coll",
+                  {"stack": stack_ref(preset), "nprocs": 4,
+                   "collective": "allreduce", "size": 1024,
+                   "reps": 1, "warmup": 0})
+    result = execute_point(point.config())
+    assert result["algorithm"] == "recursive_doubling"
+    assert result["per_op"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Edge cases for the classic collectives: odd p, zero-size v-variants.
+"""Edge cases for the classic collectives: odd p.
 
 The base suite in ``test_collectives.py`` sweeps the common process
 counts; this file pins the awkward corners — every odd (non-power-of
-two) count for the log-structured algorithms, the p=1 degenerate forms,
-and v-variants where some ranks contribute zero bytes.
+two) count for the log-structured algorithms and the p=1 degenerate
+forms.
 """
 
 from __future__ import annotations
@@ -57,103 +57,3 @@ def test_scan_inclusive_prefix(p):
     r = run_coll(program, p)
     for rank, got in enumerate(r.rank_results):
         assert got == list(range(rank + 1))
-
-
-@pytest.mark.parametrize("p", ODD_PROCS)
-def test_exscan_exclusive_prefix(p):
-    def program(comm):
-        out = yield from comm.exscan(64, value=[comm.rank],
-                                     op=lambda a, b: a + b)
-        return out
-
-    r = run_coll(program, p)
-    assert r.rank_results[0] is None      # undefined on rank 0
-    for rank in range(1, p):
-        assert r.rank_results[rank] == list(range(rank))
-
-
-@pytest.mark.parametrize("p", ODD_PROCS)
-def test_scan_exscan_agree(p):
-    """scan(r) == op(exscan(r), v_r) for every rank beyond 0."""
-
-    def program(comm):
-        inc = yield from comm.scan(16, value=comm.rank + 1)
-        exc = yield from comm.exscan(16, value=comm.rank + 1)
-        return inc, exc
-
-    r = run_coll(program, p)
-    for rank, (inc, exc) in enumerate(r.rank_results):
-        if rank == 0:
-            assert exc is None
-        else:
-            assert inc == exc + (rank + 1)
-
-
-@pytest.mark.parametrize("p", [1, 3, 5])
-def test_gatherv_zero_size_contributions(p):
-    """Even ranks contribute real bytes, odd ranks contribute nothing."""
-
-    def program(comm):
-        size = 128 if comm.rank % 2 == 0 else 0
-        data = f"chunk{comm.rank}" if size else None
-        out = yield from comm.gatherv(size, value=data, root=0)
-        return out
-
-    r = run_coll(program, p)
-    got = r.rank_results[0]
-    assert len(got) == p
-    for rank, (size, data) in enumerate(got):
-        if rank % 2 == 0:
-            assert (size, data) == (128, f"chunk{rank}")
-        else:
-            assert (size, data) == (0, None)
-    assert all(res is None for res in r.rank_results[1:])
-
-
-@pytest.mark.parametrize("p", [1, 3, 5])
-def test_scatterv_zero_size_slots(p):
-    def program(comm):
-        sizes = values = None
-        if comm.rank == 0:
-            sizes = [64 if d % 2 == 0 else 0 for d in range(p)]
-            values = [f"slot{d}" if d % 2 == 0 else None for d in range(p)]
-        out = yield from comm.scatterv(sizes=sizes, values=values, root=0)
-        return out
-
-    r = run_coll(program, p)
-    for rank, got in enumerate(r.rank_results):
-        assert got == (f"slot{rank}" if rank % 2 == 0 else None)
-
-
-@pytest.mark.parametrize("p", [1, 3, 5, 7])
-def test_alltoallv_zero_size_lanes(p):
-    """Rank r ships data only to ranks below it; the rest are empty."""
-
-    def program(comm):
-        sizes = [32 if dst < comm.rank else 0 for dst in range(p)]
-        values = [(comm.rank, dst) if dst < comm.rank else None
-                  for dst in range(p)]
-        out = yield from comm.alltoallv(sizes=sizes, values=values)
-        return out
-
-    r = run_coll(program, p)
-    for rank, got in enumerate(r.rank_results):
-        assert len(got) == p
-        for src in range(p):
-            if rank < src:
-                assert got[src] == (src, rank)
-            else:
-                assert got[src] is None
-
-
-def test_reduce_scatter_p1_and_odd():
-    for p in (1, 3, 5):
-        def program(comm):
-            values = [10 * comm.rank + dst for dst in range(comm.size)]
-            out = yield from comm.reduce_scatter(32, values=values,
-                                                 op=lambda a, b: a + b)
-            return out
-
-        r = run_coll(program, p)
-        for rank, got in enumerate(r.rank_results):
-            assert got == sum(10 * src + rank for src in range(p))

@@ -1,4 +1,4 @@
-"""waitany, wtime, and the v-variant collectives."""
+"""waitany and wtime."""
 
 import pytest
 
@@ -91,52 +91,3 @@ def test_wtime_tracks_simulated_clock():
 
     r = run_p(program, 1)
     assert r.result(0) == pytest.approx(5e-3)
-
-
-def test_gatherv_collects_sizes_and_values():
-    def program(comm):
-        size = 100 * (comm.rank + 1)
-        out = yield from comm.gatherv(size, value=f"r{comm.rank}", root=0)
-        return out
-
-    r = run_p(program, 3)
-    assert r.result(0) == [(100, "r0"), (200, "r1"), (300, "r2")]
-    assert r.result(1) is None
-
-
-def test_scatterv_distributes_unequal_blocks():
-    def program(comm):
-        sizes = [64 * (d + 1) for d in range(comm.size)] if comm.rank == 0 else None
-        values = [f"v{d}" for d in range(comm.size)] if comm.rank == 0 else None
-        out = yield from comm.scatterv(sizes=sizes, values=values, root=0)
-        return out
-
-    r = run_p(program, 3)
-    assert r.rank_results == ["v0", "v1", "v2"]
-
-
-def test_alltoallv_transposes_unequal():
-    def program(comm):
-        p = comm.size
-        sizes = [64 * (d + 1) for d in range(p)]
-        values = [f"{comm.rank}->{d}" for d in range(p)]
-        out = yield from comm.alltoallv(sizes=sizes, values=values)
-        return out
-
-    r = run_p(program, 4)
-    for rank, got in enumerate(r.rank_results):
-        assert got == [f"{s}->{rank}" for s in range(4)]
-
-
-def test_vcolls_larger_blocks_cost_more():
-    def make(block):
-        def program(comm):
-            t0 = comm.sim.now
-            sizes = [block] * comm.size if comm.rank == 0 else None
-            yield from comm.scatterv(sizes=sizes, root=0)
-            return comm.sim.now - t0
-        return program
-
-    small = run_p(make(64), 4).elapsed
-    big = run_p(make(1 << 20), 4).elapsed
-    assert big > small * 5

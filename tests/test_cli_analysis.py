@@ -78,7 +78,6 @@ _BAD_INPUT = [
     ["overlap", "--reps", "0"],
     ["race", "--reps", "0"],
     ["topo", "sweep", "flat", "--reps", "0"],
-    ["coll-tune", "--reps", "0"],
     ["nas", "--procs", "0"],
     ["profile", "mpich2_nmad", "collbench", "--np", "0"],
     ["topo", "sweep", "flat", "--nprocs", "0"],
