@@ -8,7 +8,9 @@ happens-before edge is a real bug that a different event ordering (new
 timing parameters, added jitter) will expose.  The detector builds
 vector clocks from engine causality (schedule edges, event completion,
 semaphore/channel handoffs, virtual lock regions) and reports
-conflicting accesses that no edge orders.
+conflicting accesses that no edge orders.  The accesses come from the
+runtime's shared containers, swapped for recording ones by
+:func:`~repro.analysis.race.watch.watch_runtime`.
 
 See :mod:`repro.analysis.race.detector` for the model and
 ``docs/ANALYSIS.md`` for the rules of engagement and its limits.
@@ -22,6 +24,7 @@ from repro.analysis.race.detector import (
     RaceReport,
 )
 from repro.analysis.race.harness import run_race, run_racy_demo
+from repro.analysis.race.watch import watch_runtime
 
 __all__ = [
     "Access",
@@ -31,4 +34,5 @@ __all__ = [
     "RaceReport",
     "run_race",
     "run_racy_demo",
+    "watch_runtime",
 ]

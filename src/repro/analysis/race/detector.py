@@ -187,8 +187,10 @@ class RaceDetector:
 
     Install with :meth:`install` (sets ``sim.monitor``); the engine then
     feeds ``on_schedule`` / ``before_step`` / ``after_step``, sync
-    primitives feed ``sync_acquire`` / ``sync_release``, and the
-    instrumented stack feeds ``on_access`` and ``region``.
+    primitives feed ``sync_acquire`` / ``sync_release``, virtual lock
+    regions feed ``region``, and the containers
+    :func:`~repro.analysis.race.watch.watch_runtime` swaps in (or a
+    direct :meth:`read` / :meth:`write`) feed ``on_access``.
     """
 
     def __init__(self, max_reports: int = 25):
@@ -318,7 +320,7 @@ class RaceDetector:
                   detail: Optional[str] = None) -> None:
         ctx = self.current
         self.accesses += 1
-        frame = sys._getframe(2)   # caller -> Simulator.race_* -> here
+        frame = sys._getframe(2)   # caller -> recorder -> here
         where = f"{frame.f_code.co_filename}:{frame.f_lineno}"
         access = Access(ctx_name=ctx.name, ctx_kind=ctx.kind, cid=ctx.cid,
                         tick=ctx.vc[ctx.cid], write=write,
@@ -345,6 +347,14 @@ class RaceDetector:
             if prev is not None and prev.cid != ctx.cid and not ordered(prev):
                 self._report(name, prev, access)
             var.reads[ctx.cid] = access
+
+    def read(self, name: str, detail: Optional[str] = None) -> None:
+        """Record a read of ``name`` by the running context."""
+        self.on_access(name, False, detail)
+
+    def write(self, name: str, detail: Optional[str] = None) -> None:
+        """Record a write of ``name`` by the running context."""
+        self.on_access(name, True, detail)
 
     def _report(self, name: str, first: Access, second: Access) -> None:
         key = (name, first.where, second.where, first.write, second.write)

@@ -2,8 +2,10 @@
 
 ``run_race`` wires a :class:`~repro.analysis.race.detector.RaceDetector`
 into a freshly built :class:`~repro.runtime.builder.MPIRuntime` *before*
-the job starts (the monitor must see every schedule from t=0) and runs a
-small inter-node ping-pong — the workload that exercises every shared
+the job starts (the monitor must see every schedule from t=0), watches
+the runtime's shared containers
+(:func:`~repro.analysis.race.watch.watch_runtime`) and runs a small
+inter-node ping-pong — the workload that exercises every shared
 structure the detector watches: posted/unexpected queues, the strategy
 window and driver submission state.
 
@@ -19,6 +21,7 @@ from typing import Optional
 
 from repro import config
 from repro.analysis.race.detector import RaceDetector, RaceReport
+from repro.analysis.race.watch import watch_runtime
 from repro.config import ClusterSpec, StackSpec
 from repro.runtime.builder import MPIRuntime
 from repro.workloads.netpipe import pingpong
@@ -44,6 +47,7 @@ def run_race(spec: StackSpec, *, size: int = 65536, reps: int = 3,
                          else config.xeon_pair(),
                          seed=seed)
     detector.install(runtime.sim)
+    watch_runtime(detector, runtime)
     runtime.run(pingpong(size, reps=reps, warmup=0))
     return detector.report()
 
@@ -63,10 +67,11 @@ def run_racy_demo(*, size: int = 4096, reps: int = 2,
     detector = RaceDetector()
     runtime = MPIRuntime(2, spec, cluster=config.xeon_pair(), seed=seed)
     detector.install(runtime.sim)
+    watch_runtime(detector, runtime)
     sim = runtime.sim
 
     def rogue_peek() -> None:
-        sim.race_read("nmad.posted@r1", detail="rogue monitor peek")
+        len(runtime.stacks[1].core.posted)
 
     for i in range(8):
         sim.schedule(2e-6 * (i + 1), rogue_peek)

@@ -1,10 +1,10 @@
 """The static determinism and contract checker (``repro check``).
 
 :mod:`~repro.analysis.static.contracts` parses every module of
-``src/repro`` and runs the contracts (RPC001–RPC010) as per-module and
-per-class passes over the syntax trees: nothing is imported, no call
-graph is built, and each name is resolved in its own module (import
-aliases, the enclosing class, module-level defs).
+``src/repro`` and runs the contracts (nine codes, RPC001–RPC010)
+as per-module passes over the syntax trees: nothing is imported, no
+call graph is built, and each name is resolved in its own module
+(import aliases, the enclosing class, module-level defs).
 
 Suppression goes through the :mod:`repro.analysis.reporting`
 machinery: inline ``# repro-check: allow[RPC...]`` pragmas and a

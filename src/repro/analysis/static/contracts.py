@@ -1,8 +1,8 @@
-"""Per-module and per-class contract passes over the parsed package.
+"""Per-module contract passes over the parsed package.
 
-Every pass reads one module's syntax tree (RPC004 one class at a time)
-and yields :class:`~repro.analysis.reporting.Violation` findings with
-stable RPC codes.  Only the taxonomy round-trip (RPC005/RPC006) compares
+Every pass reads one module's syntax tree and yields
+:class:`~repro.analysis.reporting.Violation` findings with stable RPC
+codes.  Only the taxonomy round-trip (RPC005/RPC006) compares
 across modules, and only string literals.
 
 RPC001 generator-callback
@@ -23,12 +23,6 @@ RPC002 raw-clock-escape
 RPC003 stray-rng
     A process-global RNG draw outside the seeded
     ``repro.simulator.rng.rng_stream`` funnel (alias-resolved too).
-RPC004 unguarded-shared-write
-    In a race-instrumented class, a method mutates shared ``self``
-    state with no ``race_read``/``race_write``/``sync_region`` in its
-    own body, and is not covered by its class: it needs at least one
-    ``self.<method>()`` caller in the same class, and every such caller
-    instrumented — a coverage gap the dynamic detector cannot see.
 RPC005 unregistered-category
     A trace emission whose literal category is missing from
     ``observability/taxonomy.py``.
@@ -59,8 +53,8 @@ import ast
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (DefaultDict, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (DefaultDict, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.analysis.reporting import (Violation, normalize_path,
                                       parse_pragmas, suppressed_by_pragma)
@@ -79,8 +73,6 @@ CONTRACTS: Tuple[Tuple[str, str], ...] = (
                "hostclock funnel (alias-resolved)"),
     ("RPC003", "process-global RNG draw outside the seeded rng_stream "
                "funnel"),
-    ("RPC004", "shared-state write in a race-instrumented class with no "
-               "instrumentation in the method or its same-class callers"),
     ("RPC005", "trace emission with a category missing from the "
                "taxonomy registry"),
     ("RPC006", "taxonomy category never mentioned by any literal in "
@@ -122,19 +114,7 @@ RAW_CLOCK_CALLS = frozenset({
 #: dotted-prefix matches for process-global RNG draws
 RAW_RNG_PREFIXES = ("random.", "numpy.random.", "np.random.")
 
-#: method names that mutate their receiver container in place
-_MUTATORS = frozenset({
-    "append", "appendleft", "extend", "add", "insert", "remove",
-    "discard", "pop", "popleft", "popitem", "update", "clear",
-    "setdefault", "push",
-})
-
-_RACE_HOOKS = ("race_read", "race_write", "sync_region")
-
 _TRACE_METHODS = frozenset({"record", "count", "filter"})
-
-#: methods whose writes build the object rather than share it
-_CONSTRUCTORS = ("__init__", "__new__", "reset")
 
 _Def = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -161,7 +141,6 @@ class Module:
 
     name: str
     path: str
-    source: str
     tree: ast.Module
     lines: List[str]
     #: alias -> imported dotted name (absolute imports only)
@@ -241,7 +220,7 @@ def parse_package(root: str) -> List[Module]:
                             else parts + [fname[:-3]])
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
-            mod = Module(name=name, path=path, source=source,
+            mod = Module(name=name, path=path,
                          tree=ast.parse(source, filename=path),
                          lines=source.splitlines())
             _index(mod)
@@ -382,70 +361,6 @@ def _check_funnels(mod: Module) -> Iterator[Coded]:
             yield ("RPC003", node.lineno, 0,
                    f"'{owner}' calls {name} outside the audited funnel; "
                    f"draw via repro.simulator.rng.rng_stream(seed, *key)")
-
-
-# ----------------------------------------------------------------------
-# RPC004 — race-instrumentation coverage, per class
-# ----------------------------------------------------------------------
-class _MethodFacts(NamedTuple):
-    instrumented: bool
-    mutations: List[Tuple[int, str]]     # (line, what)
-    self_calls: Set[str]                 # names called as self.<name>()
-
-
-def _method_facts(name: str, fn: ast.AST) -> _MethodFacts:
-    instrumented = False
-    mutations: List[Tuple[int, str]] = []
-    self_calls: Set[str] = set()
-    building = name in _CONSTRUCTORS
-    for node in _own_nodes(fn):
-        if isinstance(node, ast.Call):
-            func = node.func
-            attr = func.attr if isinstance(func, ast.Attribute) \
-                else _dotted(func)
-            if attr in _RACE_HOOKS:
-                instrumented = True
-            if not isinstance(func, ast.Attribute):
-                continue
-            if isinstance(func.value, ast.Name) and func.value.id == "self":
-                self_calls.add(func.attr)
-            receiver = _dotted(func.value)
-            if func.attr in _MUTATORS and not building \
-                    and receiver is not None and receiver.startswith("self."):
-                mutations.append((node.lineno, f"{receiver}.{func.attr}"))
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)) \
-                and not building:
-            targets = [node.target] if isinstance(node, ast.AugAssign) \
-                else node.targets
-            for target in targets:
-                receiver = _dotted(target.value) \
-                    if isinstance(target, ast.Subscript) else None
-                if receiver is not None and receiver.startswith("self."):
-                    mutations.append((node.lineno, f"{receiver}[...]"))
-    return _MethodFacts(instrumented, mutations, self_calls)
-
-
-def _check_shared_writes(mod: Module) -> Iterator[Coded]:
-    if not any(hook in mod.source for hook in _RACE_HOOKS):
-        return                    # no class here can be race-aware
-    for cls_name, cls in mod.classes.items():
-        facts = {name: _method_facts(name, fn)
-                 for name, fn in _methods(cls).items()}
-        if not any(f.instrumented for f in facts.values()):
-            continue
-        for name, fact in facts.items():
-            if name.startswith("__") and name.endswith("__") \
-                    or not fact.mutations or fact.instrumented:
-                continue
-            callers = [f for f in facts.values() if name in f.self_calls]
-            if callers and all(f.instrumented for f in callers):
-                continue          # every same-class caller covers the write
-            for line, what in fact.mutations:
-                yield ("RPC004", line, 0,
-                       f"'{cls_name}.{name}' writes shared state ({what}) "
-                       f"in race-instrumented class '{cls.name}' with no "
-                       f"race_write()/sync_region() in body or same-class "
-                       f"callers")
 
 
 # ----------------------------------------------------------------------
@@ -695,7 +610,6 @@ def _module_findings(mod: Module, registered: Optional[Dict[str, int]],
                      ) -> Iterator[Coded]:
     yield from _check_callbacks(mod)
     yield from _check_funnels(mod)
-    yield from _check_shared_writes(mod)
     if registered is not None:
         yield from _check_emissions(mod, registered)
     for line, col, message in _iteration_order(mod):

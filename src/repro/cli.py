@@ -14,12 +14,13 @@ Commands
 ``perf``          render the campaign run-telemetry trajectory
                   (points, cache hits, wall time) across runs
 ``check``         static determinism and contract checker: per-module
-                  and per-class passes enforcing RPC001.. (no generator
-                  callbacks, audited clock/RNG funnels and no host
-                  sleep, race coverage, taxonomy round-trip, iteration
-                  order, timestamp equality, mutable defaults)
+                  passes enforcing RPC001.. (no generator callbacks,
+                  audited clock/RNG funnels and no host sleep, taxonomy
+                  round-trip, iteration order, timestamp equality,
+                  mutable defaults, bare-float CPU charges)
 ``race``          simulated-concurrency race detector: run a preset
-                  under happens-before tracking and report conflicts
+                  with its shared containers watched under
+                  happens-before tracking and report conflicts
 ``campaign``      run the paper-figure reproductions (all or by name):
                   decompose experiments into points, execute across a
                   process pool, memoize in a content-addressed cache

@@ -29,26 +29,20 @@ class AnySourceBook:
     def __init__(self, stack):
         self.stack = stack
         self._lists: Dict[Any, Deque[Tuple[str, MPIRequest]]] = {}
-        # race-detector name of the shared request lists (Fig. 3)
-        self._rv = f"mpich2.anysource@r{stack.rank}"
 
     # -- bookkeeping -----------------------------------------------------
     def has_pending(self, tag: Any) -> bool:
         """True when an ANY_SOURCE entry exists for ``tag``."""
-        if self.stack.sim.monitor is not None:
-            self.stack.sim.race_read(self._rv)
         sub = self._lists.get(tag)
         return bool(sub) and any(kind == _AS for kind, _ in sub)
 
     def add_any_source(self, tag: Any, req: MPIRequest) -> None:
-        self.stack.sim.race_write(self._rv)
         self._lists.setdefault(tag, deque()).append((_AS, req))
 
     def defer_regular(self, tag: Any, req: MPIRequest) -> None:
         """Queue a known-source receive behind pending ANY_SOURCE entries."""
         if not self.has_pending(tag):
             raise RuntimeError("defer_regular without a pending ANY_SOURCE")
-        self.stack.sim.race_write(self._rv)
         self._lists[tag].append((_REGULAR, req))
 
     # -- resolution --------------------------------------------------------
@@ -59,7 +53,6 @@ class AnySourceBook:
 
     def poll_tag(self, tag: Any):
         """Advance one tag's sublist as far as possible."""
-        self.stack.sim.race_write(self._rv)
         sub = self._lists.get(tag)
         while sub:
             kind, req = sub[0]
@@ -88,7 +81,6 @@ class AnySourceBook:
         Generator: flushing deferred regular receives posts them to
         NewMadeleine, which costs CPU.
         """
-        self.stack.sim.race_write(self._rv)
         sub = self._lists.get(tag)
         if sub is not None:
             try:

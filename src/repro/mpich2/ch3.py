@@ -86,11 +86,7 @@ class CH3Stack(BaseStack):
         self.posted = PostedQueue()
         self.unexpected = UnexpectedQueue()
         self.book = AnySourceBook(self)
-        # race-detector names for the shared CH3 state, plus the region
-        # labels of the legitimate synchronized entry points
-        self._rv_posted = f"mpich2.posted@r{rank}"
-        self._rv_unexpected = f"mpich2.unexpected@r{rank}"
-        self._rv_ch3rdv = f"mpich2.ch3rdv@r{rank}"
+        # region labels of the synchronized CH3 entry points
         self._lbl_isend = f"mpich2.isend@r{rank}"
         self._lbl_irecv = f"mpich2.irecv@r{rank}"
         self._lbl_probe = f"mpich2.probe@r{rank}"
@@ -130,7 +126,6 @@ class CH3Stack(BaseStack):
                 vc.send_fn = self._send_direct
             else:
                 vc.send_fn = self._send_netmod
-            # repro-check: allow[RPC004] build-time wiring, sim not running
             self.vcs[peer] = vc
 
     # ------------------------------------------------------------------
@@ -185,12 +180,10 @@ class CH3Stack(BaseStack):
             if overhead > 0.0:
                 yield overhead
             with self.sim.sync_region(self._region, self._lbl_irecv):
-                self.sim.race_write(self._rv_unexpected)
                 env = self.unexpected.match(src, tag)
                 if env is not None:
                     yield from self._deliver_env(req, env)
                 else:
-                    self.sim.race_write(self._rv_posted)
                     self.posted.post(req)
         else:
             if self.costs.recv_overhead > 0.0:
@@ -263,7 +256,6 @@ class CH3Stack(BaseStack):
             # data message below will trigger NewMadeleine's *own*
             # rendezvous — the nested handshake of Fig. 2.
             rid = next(self._ch3_rdv_ctr)
-            self.sim.race_write(self._rv_ch3rdv)
             self._ch3_rdv_send[rid] = req
             env = Envelope(src=self.rank, tag=req.tag, size=req.size)
             if self.sim.tracing:
@@ -295,24 +287,20 @@ class CH3Stack(BaseStack):
             # the central CH3 queues match wildcards natively
             if self.costs.recv_overhead > 0.0:
                 yield self.costs.recv_overhead
-            self.sim.race_write(self._rv_unexpected)
             env = self.unexpected.match(ANY_SOURCE, req.tag)
             if env is not None:
                 yield from self._deliver_env(req, env)
             else:
-                self.sim.race_write(self._rv_posted)
                 self.posted.post(req)
             return
         overhead = (self.costs.recv_overhead + self.costs.anysource_post
                     + self._sync_net)
         if overhead > 0.0:
             yield overhead
-        self.sim.race_write(self._rv_unexpected)
         env = self.unexpected.match(ANY_SOURCE, req.tag)
         if env is not None:  # an intra-node message was already waiting
             yield from self._deliver_env(req, env)
             return
-        self.sim.race_write(self._rv_posted)
         self.posted.post(req)            # visible to shared-memory matching
         self.book.add_any_source(req.tag, req)
         yield from self.book.poll_tag(req.tag)  # may already sit in nmad buffers
@@ -321,7 +309,6 @@ class CH3Stack(BaseStack):
         """Probe hit: create the NewMadeleine request a posteriori."""
         if self.costs.anysource_complete > 0.0:
             yield self.costs.anysource_complete
-        self.sim.race_write(self._rv_posted)
         self.posted.remove(req)
         nm = yield from self.core.irecv(src, ("mpi", req.tag))
         req.nmad_req = nm
@@ -359,7 +346,6 @@ class CH3Stack(BaseStack):
     # ------------------------------------------------------------------
     def probe_unexpected(self, src, tag):
         with self.sim.sync_region(self._region, self._lbl_probe):
-            self.sim.race_read(self._rv_unexpected)
             env = self.unexpected.peek(src, tag)
             if env is not None:
                 return (env.src, env.size)
@@ -423,10 +409,8 @@ class CH3Stack(BaseStack):
             # the receiver's poll copies the message out of the queue
             # cells, which then return to the sender's free queue
             msg.cells.release()
-        self.sim.race_write(self._rv_posted)
         req = self.posted.match(env.src, env.tag)
         if req is None:
-            self.sim.race_write(self._rv_unexpected)
             self.unexpected.add(env)
             return
         if req.peer is ANY_SOURCE and self.mode == "direct":
@@ -451,25 +435,20 @@ class CH3Stack(BaseStack):
                                 size=env.size, dur=copy)
             if copy > 0.0:
                 yield copy
-            self.sim.race_write(self._rv_posted)
             req = self.posted.match(env.src, env.tag)
             if req is None:
-                self.sim.race_write(self._rv_unexpected)
                 self.unexpected.add(env)
             else:
                 req._finish(self.sim, data=env.data, size=env.size,
                             source=env.src, tag=env.tag)
         elif kind == "rts":
-            self.sim.race_write(self._rv_posted)
             req = self.posted.match(env.src, env.tag)
             if req is None:
                 env.proto = ("rts", env.src, rid)
-                self.sim.race_write(self._rv_unexpected)
                 self.unexpected.add(env)
             else:
                 yield from self._ch3_grant(req, env.src, rid, env)
         elif kind == "cts":
-            self.sim.race_write(self._rv_ch3rdv)
             sreq = self._ch3_rdv_send.pop(rid)
             # the data message goes through plain nmad send; being larger
             # than nmad's eager threshold it triggers nmad's *own*

@@ -61,7 +61,6 @@ class BaseStack:
         # virtual progress-lock region of this stack's node (race detector)
         self._region = ("node", node.node_id)
         self._lbl_progress = f"mpich2.progress@r{rank}"
-        self._rv_inbox = f"mpich2.inbox@r{rank}"
         # stats
         self.messages_sent = 0
         self.messages_received = 0
@@ -76,8 +75,6 @@ class BaseStack:
             self.pioman.submit(partial(self._progress_item, item),
                                rank=self.rank)
         else:
-            if self.sim.monitor is not None:
-                self.sim.race_write(self._rv_inbox, "deliver")
             self.inbox.append(item)
         if self._signal is not None:   # probe loops listen for arrivals too
             _fire(self._signal)

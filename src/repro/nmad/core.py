@@ -147,22 +147,13 @@ class NmadCore:
         self._send_seq: Dict[Tuple[int, Any], int] = {}
         self._recv_seq: Dict[Tuple[int, Any], int] = {}
 
-        # race-detector names of the shared protocol state
-        self._rv_posted = f"nmad.posted@r{rank}"
-        self._rv_unexpected = f"nmad.unexpected@r{rank}"
-        self._rv_rdv = f"nmad.rdv@r{rank}"
-        self._rv_seq = f"nmad.seq@r{rank}"
-
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
     def add_driver(self, driver: NmadDriver) -> None:
         driver.on_injected = self._on_pw_injected
-        driver.race_name = f"nmad.pending@r{self.rank}:{driver.name}"
-        # repro-check: allow[RPC004] build-time wiring, sim not running
         self.drivers.append(driver)
         if driver.reg_cache is not None:
-            # repro-check: allow[RPC004] build-time wiring, sim not running
             self.reg_cache = driver.reg_cache
         self._preferred = self.sampler.ordered(self.drivers)
 
@@ -196,8 +187,6 @@ class NmadCore:
         """
         req = NmadRequest(self.sim, "send", dst_rank, tag, size, data)
         key = (dst_rank, tag)
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_seq)
         req.seq = self._send_seq.get(key, 0)
         self._send_seq[key] = req.seq + 1
 
@@ -227,8 +216,6 @@ class NmadCore:
         else:
             yield self.costs.send_post
             state = _RdvSend(req, remaining_inject=size)
-            if self.sim.monitor is not None:
-                self.sim.race_write(self._rv_rdv)
             self._rdv_send[rdv_id] = state
             self.strategy.push(SendItem(
                 kind="rts", dst_rank=dst_rank, dst_node=dst_node,
@@ -256,10 +243,6 @@ class NmadCore:
                             tag=tag, dur=self.costs.recv_post)
         yield self.costs.recv_post
         idx = self._find_unexpected(src_rank, tag)
-        if self.sim.monitor is not None:
-            self.sim.race_read(self._rv_unexpected)
-            self.sim.race_write(self._rv_unexpected if idx is not None
-                                else self._rv_posted)
         if idx is None:
             self.posted.append(req)
             return req
@@ -274,7 +257,6 @@ class NmadCore:
         NewMadeleine function" the MPICH2 module polls for ANY_SOURCE
         support (paper Section 3.1.3/3.2.2).
         """
-        self.sim.race_read(self._rv_unexpected)
         for ux in self.unexpected:
             if ux.tag == tag and (src is ANY or ux.src_rank == src):
                 return (ux.src_rank, ux.size)
@@ -300,8 +282,6 @@ class NmadCore:
     # -- eager ------------------------------------------------------------
     def _handle_eager(self, entry: EagerEntry, rail: str):
         yield self.costs.match_cost
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_posted)
         req = self._match_posted(entry.src_rank, entry.tag)
         if req is None:
             if self.sim.tracing:
@@ -310,8 +290,6 @@ class NmadCore:
                     dst=self.rank, tag=entry.tag, seq=entry.seq,
                     size=entry.size, depth=len(self.unexpected) + 1,
                 )
-            if self.sim.monitor is not None:
-                self.sim.race_write(self._rv_unexpected)
             self.unexpected.append(_Unexpected(
                 kind="eager", src_rank=entry.src_rank, tag=entry.tag,
                 seq=entry.seq, size=entry.size, data=entry.data,
@@ -334,9 +312,6 @@ class NmadCore:
     # -- rendezvous ---------------------------------------------------------
     def _handle_rts(self, entry: RtsEntry, rail: str):
         yield self.costs.rdv_handshake_cost
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_rdv)
-            self.sim.race_write(self._rv_posted)
         req = self._match_posted(entry.src_rank, entry.tag)
         if req is None:
             if self.sim.tracing:
@@ -345,8 +320,6 @@ class NmadCore:
                     dst=self.rank, tag=entry.tag, seq=entry.seq,
                     size=entry.size, depth=len(self.unexpected) + 1,
                 )
-            if self.sim.monitor is not None:
-                self.sim.race_write(self._rv_unexpected)
             self.unexpected.append(_Unexpected(
                 kind="rts", src_rank=entry.src_rank, tag=entry.tag,
                 seq=entry.seq, size=entry.size, rdv_id=entry.rdv_id,
@@ -389,8 +362,6 @@ class NmadCore:
                             dst=self.rank, size=size, dur=reg_cost)
         yield reg_cost
         state = _RdvRecv(req, remaining=size)
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_rdv)
         self._rdv_recv[rdv_id] = state
         self.strategy.push(SendItem(
             kind="cts", dst_rank=src_rank, dst_node=self.rank_to_node(src_rank),
@@ -399,8 +370,6 @@ class NmadCore:
 
     def _handle_cts(self, entry: CtsEntry, rail: str):
         yield self.costs.rdv_handshake_cost
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_rdv)
         state = self._rdv_send.get(entry.rdv_id)
         if state is None:
             raise ProtocolError(f"CTS for unknown rendezvous {entry.rdv_id}")
@@ -430,8 +399,6 @@ class NmadCore:
         driver = self.driver_for_rail(rail)
         if not driver.rdma:
             yield self.costs.data_chunk_cost
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_rdv)
         state = self._rdv_recv.get(entry.rdv_id)
         if state is None:
             raise ProtocolError(f"data for unknown rendezvous {entry.rdv_id}")
@@ -466,8 +433,6 @@ class NmadCore:
     # injection completions (callback context: no CPU charged)
     # ------------------------------------------------------------------
     def _on_pw_injected(self, pw: PacketWrapper, driver: NmadDriver) -> None:
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_rdv)
         for entry in pw.entries:
             if isinstance(entry, EagerEntry):
                 if entry.req is not None and not entry.req.complete:
@@ -522,8 +487,6 @@ class NmadCore:
 
     def _check_seq(self, src_rank: int, tag: Any, seq: int) -> None:
         key = (src_rank, tag)
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_seq)
         expected = self._recv_seq.get(key, 0)
         if self.sim.tracing:
             self.sim.record("nmad.seq_check", rank=self.rank, src=src_rank,

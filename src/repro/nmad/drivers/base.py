@@ -33,9 +33,6 @@ class NmadDriver:
         self.pws_posted = 0
         #: pin-down registration cache (IB rails only; None = on the fly)
         self.reg_cache = None
-        # race-detector name of the submission state; the
-        # owning NmadCore overwrites it with a rank-qualified name
-        self.race_name = f"nmad.pending@{nic.params.name}"
         self._region = ("node", nic.node_id)
 
     @property
@@ -43,8 +40,6 @@ class NmadDriver:
         return self.nic.params.name
 
     def window_free(self) -> bool:
-        if self.nic.sim.monitor is not None:
-            self.nic.sim.race_read(self.race_name)
         return self.inflight < self.window
 
     def small_latency(self) -> float:
@@ -59,8 +54,6 @@ class NmadDriver:
         """Submit a packet wrapper; requires window space."""
         if not self.window_free():
             raise RuntimeError(f"driver {self.name} window full")
-        if self.nic.sim.monitor is not None:
-            self.nic.sim.race_write(self.race_name)
         self.inflight += 1
         self.pws_posted += 1
         frame = Frame(
@@ -74,8 +67,6 @@ class NmadDriver:
         # injection completions fire from the NIC's timeline; they touch
         # the window under the node's virtual progress lock
         with self.nic.sim.sync_region(self._region, "nmad.injected"):
-            if self.nic.sim.monitor is not None:
-                self.nic.sim.race_write(self.race_name)
             self.inflight -= 1
             if self.on_injected is not None:
                 self.on_injected(pw, self)

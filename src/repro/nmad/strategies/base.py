@@ -61,9 +61,6 @@ class DefaultStrategy:
     def __init__(self, core):
         self.core = core
         self.queue: Deque[SendItem] = deque()
-        # race-detector name of the shared optimization window
-        # (tests build strategies with core=None to inspect them)
-        self._rv_queue = f"nmad.strategy@r{core.rank if core else '?'}"
 
     # -- feeding ---------------------------------------------------------
     def push(self, item: SendItem, priority: bool = False,
@@ -74,8 +71,6 @@ class DefaultStrategy:
         — how a library without a progress thread behaves when the
         application is about to leave for a compute phase (Fig. 7).
         """
-        if self.core.sim.monitor is not None:
-            self.core.sim.race_write(self._rv_queue)
         if priority:
             self.queue.appendleft(item)
         else:
@@ -95,8 +90,6 @@ class DefaultStrategy:
     # -- draining ----------------------------------------------------------
     def pump(self) -> None:
         """Feed idle drivers until windows are full or the queue drains."""
-        if self.core.sim.monitor is not None:
-            self.core.sim.race_write(self._rv_queue)
         progressed = True
         while progressed and self.queue:
             progressed = False
@@ -132,8 +125,6 @@ class DefaultStrategy:
     def _build_pw(self, driver: NmadDriver) -> Optional[PacketWrapper]:
         if not self.queue:
             return None
-        if self.core.sim.monitor is not None:
-            self.core.sim.race_write(self._rv_queue)
         return self._new_pw(self.queue.popleft())
 
     # -- helpers -----------------------------------------------------------

@@ -72,7 +72,6 @@ class ProgressEngine:
         self.scheduler = scheduler
         self.params = params
         self.ltasks_run = 0
-        self._rv_queue = f"pioman.queue@n{scheduler.node_id}"
 
     # -- contract --------------------------------------------------------
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
@@ -138,8 +137,6 @@ class ManualPollEngine(ProgressEngine):
         self._signal: Optional[Event] = None
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_queue, "submit")
         self._queue.append(work)
         if self._signal is not None and self._signal._state == _PENDING:
             self._signal.succeed()
@@ -153,7 +150,6 @@ class ManualPollEngine(ProgressEngine):
         while self._queue:
             # drain runs on the calling thread; each pop is serialized
             # by _run_ltask's progression lock
-            # repro-check: allow[RPC004] calling-thread drain under piom_lock
             work = self._queue.popleft()
             yield from self._run_ltask(work, pending=len(self._queue))
 
@@ -205,8 +201,6 @@ class DedicatedThreadEngine(ProgressEngine):
         self.steals = 0
 
     def submit(self, work: Callable[[], Generator], rank: int = 0) -> None:
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_queue, "submit")
         queue = self._queues.get(rank)
         if queue is None:
             queue = self._queues[rank] = deque()

@@ -70,7 +70,6 @@ class PIOMan:
         self._queue: Deque[Callable[[], Generator]] = deque()
         self._worker_running = False
         self.ltasks_run = 0
-        self._rv_queue = f"pioman.queue@n{scheduler.node_id}"
         self._worker_name = f"pioman-{scheduler.node_id}"
 
     # -- background work -------------------------------------------------
@@ -83,8 +82,6 @@ class PIOMan:
         ``rank`` is accepted for engine-contract compatibility and
         ignored: the reference engine keeps one shared per-node queue.
         """
-        if self.sim.monitor is not None:
-            self.sim.race_write(self._rv_queue, "submit")
         self._queue.append(work)
         if not self._worker_running:
             self._worker_running = True

@@ -99,15 +99,12 @@ class MPIRuntime:
             sched = MarcelScheduler(self.sim, node.params,
                                     node_id=node.node_id, seed=self.seed)
             node.scheduler = sched
-            # repro-check: allow[RPC004] build-time wiring, sim not running
             self.schedulers[node.node_id] = sched
             if self.spec.pioman:
                 node.pioman = make_engine(self.spec.progress, self.sim,
                                           sched, self.spec.pioman_params)
-            # repro-check: allow[RPC004] build-time wiring, sim not running
             self.piomans[node.node_id] = node.pioman
             if self.spec.kind == "nmad":
-                # repro-check: allow[RPC004] build-time wiring
                 self.shms[node.node_id] = NemesisShm(
                     self.sim, node.params.mem, self.spec.shm_costs)
 
@@ -115,10 +112,8 @@ class MPIRuntime:
         for rank in range(self.nprocs):
             node = self.cluster.node(self.rank_to_node(rank))
             if self.spec.kind == "nmad":
-                # repro-check: allow[RPC004] build-time wiring
                 self.stacks.append(self._build_nmad_stack(rank, node))
             elif self.spec.kind == "native":
-                # repro-check: allow[RPC004] build-time wiring
                 self.stacks.append(self._build_native_stack(rank, node))
             else:
                 raise ValueError(f"unknown stack kind {self.spec.kind!r}")

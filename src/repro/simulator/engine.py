@@ -447,7 +447,7 @@ class Simulator:
         }
 
     # ------------------------------------------------------------------
-    # Concurrency-analysis hooks (no-ops unless a monitor is installed)
+    # Concurrency analysis (a no-op unless a monitor is installed)
     # ------------------------------------------------------------------
     def sync_region(self, key: Any, label: Optional[str] = None):
         """A virtual lock region for the installed monitor.
@@ -462,18 +462,6 @@ class Simulator:
         if monitor is None:
             return _NULL_REGION
         return monitor.region(key, label)
-
-    def race_read(self, name: str, detail: Optional[str] = None) -> None:
-        """Record a read of the named shared variable (monitor only)."""
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_access(name, False, detail)
-
-    def race_write(self, name: str, detail: Optional[str] = None) -> None:
-        """Record a write of the named shared variable (monitor only)."""
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_access(name, True, detail)
 
     # ------------------------------------------------------------------
     # Tracing

@@ -392,77 +392,6 @@ def test_rpc003_clean_on_generator_attribute_named_random(make_pkg):
 
 
 # ---------------------------------------------------------------------------
-# RPC004 — race-instrumentation coverage
-# ---------------------------------------------------------------------------
-
-RACY_CLASS = """
-class Queue:
-    def __init__(self, sim):
-        self.sim = sim
-        self.items = []
-
-    def guarded_push(self, x):
-        self.sim.race_write("queue.items")
-        self.items.append(x)
-
-    def bare_push(self, x):
-        self.items.append(x)
-"""
-
-
-def test_uninstrumented_shared_write_detected(make_pkg):
-    found = check(make_pkg, {"a.py": RACY_CLASS})
-    [v] = [v for v in found if v.code == "RPC004"]
-    assert "bare_push" in v.message and "self.items.append" in v.message
-
-
-def test_write_covered_by_instrumented_callers_passes(make_pkg):
-    found = check(make_pkg, {"a.py": RACY_CLASS + """
-
-    def produce(self, x):
-        self.sim.race_write("queue.items")
-        self.bare_push(x)
-"""})
-    assert "RPC004" not in codes_of(found)
-
-
-def test_write_covered_only_from_another_class_is_flagged(make_pkg):
-    # coverage is per class: an instrumented caller elsewhere does not
-    # count, so a cross-class path needs its own hook or a pragma
-    found = check(make_pkg, {"a.py": RACY_CLASS + """
-
-def producer(q):
-    q.sim.race_write("queue.items")
-    q.bare_push(1)
-"""})
-    [v] = [v for v in found if v.code == "RPC004"]
-    assert "bare_push" in v.message
-
-
-def test_one_uninstrumented_same_class_caller_is_flagged(make_pkg):
-    found = check(make_pkg, {"a.py": RACY_CLASS + """
-
-    def produce(self, x):
-        self.sim.race_write("queue.items")
-        self.bare_push(x)
-
-    def refill(self, x):
-        self.bare_push(x)
-"""})
-    [v] = [v for v in found if v.code == "RPC004"]
-    assert "bare_push" in v.message
-
-
-def test_uninstrumented_class_is_out_of_scope(make_pkg):
-    found = check(make_pkg, {"a.py": """
-        class Plain:
-            def push(self, x):
-                self.items.append(x)
-        """})
-    assert "RPC004" not in codes_of(found)
-
-
-# ---------------------------------------------------------------------------
 # RPC005 / RPC006 — taxonomy round-trip
 # ---------------------------------------------------------------------------
 
@@ -752,19 +681,6 @@ def stamp():
 
 def jitter():
     return random.random()                 # RPC003
-
-
-class Queue:
-    def __init__(self, sim):
-        self.sim = sim
-        self.items = []
-
-    def guarded_push(self, x):
-        self.sim.race_write("queue.items")
-        self.items.append(x)
-
-    def bare_push(self, x):
-        self.items.append(x)               # RPC004
 
 
 def emit(sim):

@@ -1,11 +1,18 @@
 """Race detector: happens-before semantics, presets, and the CLI."""
 
+import os
+
 import pytest
 
 from repro import config
 from repro.analysis.race import RaceDetector, run_race, run_racy_demo
+from repro.analysis.race.watch import WATCHED
 from repro.cli import main
 from repro.simulator import Channel, Semaphore, Simulator
+from repro.simulator.engine import _NULL_REGION
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def make_sim():
@@ -23,11 +30,11 @@ def test_unsynchronized_tasks_race():
 
     def writer():
         yield sim.timeout(1e-6)
-        sim.race_write("shared")
+        det.write("shared")
 
     def reader():
         yield sim.timeout(2e-6)
-        sim.race_read("shared")
+        det.read("shared")
 
     sim.spawn(writer(), name="writer")
     sim.spawn(reader(), name="reader")
@@ -46,12 +53,12 @@ def test_event_completion_orders_accesses():
 
     def writer():
         yield sim.timeout(1e-6)
-        sim.race_write("shared")
+        det.write("shared")
         done.succeed()
 
     def reader():
         yield done
-        sim.race_read("shared")
+        det.read("shared")
 
     sim.spawn(writer(), name="writer")
     sim.spawn(reader(), name="reader")
@@ -65,12 +72,12 @@ def test_sync_region_serializes_same_key():
     def writer():
         yield sim.timeout(1e-6)
         with sim.sync_region(("node", 0), "writer"):
-            sim.race_write("shared")
+            det.write("shared")
 
     def reader():
         yield sim.timeout(2e-6)
         with sim.sync_region(("node", 0), "reader"):
-            sim.race_read("shared")
+            det.read("shared")
 
     sim.spawn(writer(), name="writer")
     sim.spawn(reader(), name="reader")
@@ -84,12 +91,12 @@ def test_different_region_keys_still_race():
     def writer():
         yield sim.timeout(1e-6)
         with sim.sync_region(("node", 0), "writer"):
-            sim.race_write("shared")
+            det.write("shared")
 
     def reader():
         yield sim.timeout(2e-6)
         with sim.sync_region(("node", 1), "reader"):
-            sim.race_read("shared")
+            det.read("shared")
 
     sim.spawn(writer(), name="writer")
     sim.spawn(reader(), name="reader")
@@ -104,14 +111,14 @@ def test_region_held_across_suspension_resyncs():
 
     def holder():
         with sim.sync_region(("node", 0), "holder"):
-            sim.race_write("shared")
+            det.write("shared")
             yield sim.timeout(2e-6)
-            sim.race_write("shared")
+            det.write("shared")
 
     def interloper():
         yield sim.timeout(1e-6)
         with sim.sync_region(("node", 0), "interloper"):
-            sim.race_read("shared")
+            det.read("shared")
 
     sim.spawn(holder(), name="holder")
     sim.spawn(interloper(), name="interloper")
@@ -128,11 +135,11 @@ def test_inline_timer_wakeup_carries_the_fork_edge():
 
     def waiter(_evt):
         contexts.append(det.current)
-        sim.race_read("shared")
+        det.read("shared")
 
     def arm():
         contexts.append(det.current)
-        sim.race_write("shared")
+        det.write("shared")
         sim.timeout(1e-6).add_done_callback(waiter)
 
     sim.schedule(1e-6, arm)
@@ -151,12 +158,12 @@ def test_semaphore_handoff_orders_accesses():
 
     def producer():
         yield sim.timeout(1e-6)
-        sim.race_write("shared")
+        det.write("shared")
         sem.release()
 
     def consumer():
         yield sem.acquire()
-        sim.race_read("shared")
+        det.read("shared")
 
     sim.spawn(producer(), name="producer")
     sim.spawn(consumer(), name="consumer")
@@ -170,13 +177,13 @@ def test_channel_handoff_orders_accesses():
 
     def producer():
         yield sim.timeout(1e-6)
-        sim.race_write("shared")
+        det.write("shared")
         chan.put("item")
 
     def consumer():
         yield sim.timeout(2e-6)
         assert chan.try_get() == "item"
-        sim.race_read("shared")
+        det.read("shared")
 
     sim.spawn(producer(), name="producer")
     sim.spawn(consumer(), name="consumer")
@@ -189,10 +196,10 @@ def test_rogue_callback_races_with_task():
 
     def worker():
         yield sim.timeout(1e-6)
-        sim.race_write("shared")
+        det.write("shared")
 
     sim.spawn(worker(), name="worker")
-    sim.schedule(2e-6, lambda: sim.race_read("shared"))
+    sim.schedule(2e-6, lambda: det.read("shared"))
     sim.run()
     report = det.report()
     assert len(report.races) == 1
@@ -203,9 +210,9 @@ def test_rogue_callback_races_with_task():
 def test_no_monitor_means_no_overhead_paths():
     sim = Simulator()
     assert sim.monitor is None
-    sim.race_write("anything")            # no-op
-    with sim.sync_region(("node", 0)):    # null region
-        sim.race_read("anything")
+    with sim.sync_region(("node", 0)) as region:    # null region
+        pass
+    assert sim.sync_region(("node", 1), "other") is region
 
 
 # ----------------------------------------------------------------------
@@ -219,36 +226,83 @@ def test_presets_are_race_free(preset):
     assert report.clean, report.format_text()
 
 
-#: (spec, run_race overrides, (accesses, contexts, sync edges) the
-#: detector must see)
+def _two_rail_pioman():
+    return config.mpich2_nmad_pioman(rails=("ib", "mx"), progress="pioman")
+
+
+#: (spec, run_race overrides, (accesses, contexts, sync edges,
+#: variables) the detector must see)
 _ACCESS_COUNTS = {
-    "mpich2_nmad": (config.mpich2_nmad, {}, (264, 111, 106)),
-    "mpich2_nmad_256B": (config.mpich2_nmad, {"size": 256}, (114, 57, 58)),
-    "mpich2_nmad_pioman_ib_mx": (
-        lambda: config.mpich2_nmad_pioman(rails=("ib", "mx"),
-                                          progress="pioman"), {},
-        (252, 219, 184)),
+    "mpich2_nmad": (config.mpich2_nmad, {}, (546, 111, 106, 16)),
+    "mpich2_nmad_256B": (config.mpich2_nmad, {"size": 256},
+                         (246, 57, 58, 14)),
+    "mpich2_nmad_pioman_ib_mx": (_two_rail_pioman, {},
+                                 (576, 219, 184, 16)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ACCESS_COUNTS))
-def test_guarded_hooks_still_report_every_access(case):
-    """Hot paths call the race hooks only under a monitor; a guard that
-    drops a hook shows up here as a lower access count, and a change to
-    who runs where or what synchronizes as a moved context or sync
-    count."""
+def test_watched_containers_report_every_access(case):
+    """A container dropped from the watch table, or an operation the
+    recording subclass misses, shows up here as a lower access or
+    variable count; a change to who runs where or what synchronizes as
+    a moved context or sync count."""
     make_spec, overrides, counts = _ACCESS_COUNTS[case]
     report = run_race(make_spec(), **overrides)
     assert report.clean, report.format_text()
-    assert (report.accesses, report.contexts, report.syncs) == counts
+    assert (report.accesses, report.contexts, report.syncs,
+            report.variables) == counts
+
+
+#: case -> (sync-region label prefix knocked out, spec, run_race
+#: overrides, the exact set of variables the detector must flag)
+_KNOCKOUTS = {
+    "nmad.injected": (
+        "nmad.injected", config.mpich2_nmad, {},
+        {"nmad.pending@r0:ib", "nmad.pending@r1:ib",
+         "nmad.strategy@r0", "nmad.strategy@r1"}),
+    "net.route": ("net.route", config.mpich2_nmad, {},
+                  {"mpich2.inbox@r0", "mpich2.inbox@r1"}),
+    "net.route_256B": ("net.route", config.mpich2_nmad, {"size": 256},
+                       {"mpich2.inbox@r0", "mpich2.inbox@r1"}),
+    "pioman.ltask": ("pioman.ltask", _two_rail_pioman, {},
+                     {"pioman.queue@n0", "pioman.queue@n1"}),
+    "mpich2.progress": ("mpich2.progress", config.mpich2_nmad, {}, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KNOCKOUTS))
+def test_sync_region_knockout_flags_what_it_guarded(case, monkeypatch):
+    """Remove one kind of virtual lock region and the detector must flag
+    exactly the shared state that region ordered: the detector's power,
+    pinned per region."""
+    prefix, make_spec, overrides, expected = _KNOCKOUTS[case]
+    region = Simulator.sync_region
+
+    def knocked_out(sim, key, label=None):
+        if label is not None and label.startswith(prefix):
+            return _NULL_REGION
+        return region(sim, key, label)
+
+    monkeypatch.setattr(Simulator, "sync_region", knocked_out)
+    report = run_race(make_spec(), **overrides)
+    assert not report.dropped
+    assert {race.var for race in report.races} == expected
+
+
+def test_analysis_doc_lists_every_watched_variable():
+    with open(os.path.join(ROOT, "docs", "ANALYSIS.md")) as fh:
+        doc = fh.read()
+    for var, _paths in WATCHED:
+        assert f"`{var}<" in doc, var
 
 
 def test_racy_demo_is_flagged():
     report = run_racy_demo()
     assert report.races, "seeded racy scenario was not detected"
-    assert any(r.var == "nmad.posted@r1" for r in report.races)
-    text = report.format_text()
-    assert "rogue monitor peek" in text
+    assert {r.var for r in report.races} == {"nmad.posted@r1"}
+    assert all("rogue_peek" in r.first.ctx_name
+               or "rogue_peek" in r.second.ctx_name for r in report.races)
 
 
 # ----------------------------------------------------------------------

@@ -48,10 +48,10 @@ def test_pragma_bare_allow_silences_all_codes():
 
 def test_comment_only_pragma_covers_next_line():
     pragmas = parse_pragmas([
-        "# repro-check: allow[RPC004] build-time wiring",
+        "# repro-check: allow[RPC007] build-time wiring",
         "self.stacks.append(stack)",
     ])
-    assert suppressed_by_pragma(pragmas, 2, "RPC004")
+    assert suppressed_by_pragma(pragmas, 2, "RPC007")
 
 
 def test_trailing_pragma_does_not_leak_to_next_line():

@@ -78,8 +78,8 @@ def _seeded_racy_run(engine_kind):
     done = sim.event()
 
     def racy_ltask():
-        sim.race_write("shared")               # racy: no edge to reader
-        sim.race_write("handed-off")
+        detector.write("shared")          # racy: no edge to reader
+        detector.write("handed-off")
         done.succeed()
         yield sim.timeout(0)
 
@@ -93,11 +93,11 @@ def _seeded_racy_run(engine_kind):
 
     def reader():
         yield sim.timeout(2e-6)
-        sim.race_read("shared")
+        detector.read("shared")
 
     def follower():
         yield done                             # ordered: via the event
-        sim.race_read("handed-off")
+        detector.read("handed-off")
 
     sim.spawn(submitter(), name="submitter")
     sim.spawn(poller(), name="poller")

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import config
-from repro.analysis.race import RaceDetector
+from repro.analysis.race import RaceDetector, watch_runtime
 from repro.observability.determinism import fresh_id_space
 from repro.runtime import MPIRuntime
 from repro.simulator import Semaphore, Simulator, Trace
@@ -170,9 +170,13 @@ def test_a_bare_delay_takes_the_timers_slot(programs) -> None:
 # the traced stack presets
 # ----------------------------------------------------------------------
 #: case -> stack factory; the two-rail PIOMan stack runs the
-#: split_balance strategy over IB and MX
+#: split_balance strategy over IB and MX, and the other engines and the
+#: netmod path put their own containers under the monitored drive
 TRACED_PRESETS = {
     "mpich2_nmad": config.mpich2_nmad,
+    "mpich2_nmad_dedicated": config.STACKS["mpich2_nmad_dedicated"],
+    "mpich2_nmad_manual_poll": config.STACKS["mpich2_nmad_manual_poll"],
+    "mpich2_nmad_netmod": config.mpich2_nmad_netmod,
     "mpich2_nmad_pioman": config.mpich2_nmad_pioman,
     "mpich2_nmad_pioman_ib_mx": partial(config.mpich2_nmad_pioman,
                                         rails=("ib", "mx")),
@@ -186,6 +190,8 @@ def _run_preset(preset: str, size: int, traced: bool,
     runtime = MPIRuntime(2, TRACED_PRESETS[preset](),
                          cluster=config.xeon_pair(), trace=trace)
     _attach(runtime.sim, sliced, monitored, window=0.7e-6)
+    if monitored:     # the recording containers must change no dispatch
+        watch_runtime(runtime.sim.monitor, runtime)
     result = runtime.run(pingpong(size, reps=3, warmup=1))
     return result, trace, runtime.sim.events_executed
 
