@@ -203,12 +203,6 @@ class NativeStack(BaseStack):
     # ------------------------------------------------------------------
     # progress
     # ------------------------------------------------------------------
-    def probe_unexpected(self, src, tag):
-        env = self.unexpected.peek(src, tag)
-        if env is not None:
-            return (env.src, env.size)
-        return None
-
     def _flush_tx(self) -> None:
         """Library progress: push out deferred eager frames."""
         while self._pending_tx:

@@ -20,7 +20,6 @@ binomial/dissemination/pairwise algorithms.
 
 from repro.mpi.api import Communicator, Message
 from repro.mpi.datatypes import Datatype, CONTIGUOUS, vector
-from repro.mpi.rma import Window, GetHandle
 from repro.mpich2.request import ANY_SOURCE, ANY_TAG
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "Datatype",
     "CONTIGUOUS",
     "vector",
-    "Window",
-    "GetHandle",
     "ANY_SOURCE",
     "ANY_TAG",
 ]

@@ -27,7 +27,7 @@ from repro.mpich2.request import ANY_SOURCE, ANY_TAG, MPIRequest
 from repro.mpich2.stackbase import BaseStack
 from repro.mpich2.nemesis.netmod import NewmadNetmod
 from repro.mpich2.vc import VirtualConnection
-from repro.nmad.core import ANY as NM_ANY, NmadCore
+from repro.nmad.core import NmadCore
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class CH3Stack(BaseStack):
         # region labels of the synchronized CH3 entry points
         self._lbl_isend = f"mpich2.isend@r{rank}"
         self._lbl_irecv = f"mpich2.irecv@r{rank}"
-        self._lbl_probe = f"mpich2.probe@r{rank}"
         self.vcs: Dict[int, VirtualConnection] = {}
         self._ch3_rdv_ctr = itertools.count()
         self._ch3_rdv_send: Dict[int, MPIRequest] = {}
@@ -340,21 +339,6 @@ class CH3Stack(BaseStack):
             if kind != "rts":
                 raise RuntimeError(f"unexpected envelope protocol {env.proto!r}")
             yield from self._ch3_grant(req, src, rid, env)
-
-    # ------------------------------------------------------------------
-    # probing
-    # ------------------------------------------------------------------
-    def probe_unexpected(self, src, tag):
-        with self.sim.sync_region(self._region, self._lbl_probe):
-            env = self.unexpected.peek(src, tag)
-            if env is not None:
-                return (env.src, env.size)
-            if self.mode == "direct":
-                nm_src = NM_ANY if src is ANY_SOURCE else src
-                hit = self.core.probe(("mpi", tag), src=nm_src)
-                if hit is not None:
-                    return hit
-            return None
 
     # ------------------------------------------------------------------
     # progress: incoming items

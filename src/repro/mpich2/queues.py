@@ -117,12 +117,5 @@ class UnexpectedQueue:
                 return self._envs.pop(i)
         return None
 
-    def peek(self, src: Any, tag: Any) -> Optional[Envelope]:
-        """Like :meth:`match` but non-destructive (MPI_Probe)."""
-        for env in self._envs:
-            if _sources_match(src, env.src) and _tags_match(tag, env.tag):
-                return env
-        return None
-
     def __iter__(self):
         return iter(self._envs)

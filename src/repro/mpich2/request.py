@@ -60,7 +60,7 @@ class MPIRequest(Event):
         #: synchronous-send flag (MPI_Ssend semantics)
         self._sync = False
         #: wake-up event of the thread parked on this request in
-        #: ``BaseStack.wait``/``waitany`` (None = nobody parked)
+        #: ``BaseStack.wait`` (None = nobody parked)
         self._waiter: Optional[Event] = None
 
     @property

@@ -76,8 +76,8 @@ class BaseStack:
                                rank=self.rank)
         else:
             self.inbox.append(item)
-        if self._signal is not None:   # probe loops listen for arrivals too
-            _fire(self._signal)
+            if self._signal is not None:   # wake a parked active-mode wait
+                _fire(self._signal)
 
     def _progress_item(self, item: Any):
         if self.sim.monitor is None:
@@ -123,39 +123,6 @@ class BaseStack:
         for req in list(reqs):
             yield from self.wait(req)
 
-    def waitany(self, reqs):
-        """Block until any request completes; returns its index."""
-        reqs = list(reqs)
-        if not reqs:
-            raise ValueError("waitany needs at least one request")
-
-        def first_done():
-            for i, r in enumerate(reqs):
-                if r.complete:
-                    return i
-            return None
-
-        if self.pioman is not None:
-            i = first_done()
-            if i is None:
-                parked = self.sim.event()
-                for r in reqs:
-                    r._waiter = parked
-                yield from self.pioman.semaphore_wait(parked)
-                i = first_done()
-            return i
-        yield from self._drain()
-        while True:
-            i = first_done()
-            if i is not None:
-                return i
-            if not self.inbox:
-                parked = self._signal = self.sim.event()
-                for r in reqs:
-                    r._waiter = parked
-                yield parked
-            yield from self._drain()
-
     def _drain(self):
         """Process everything pending in the inbox (active mode)."""
         with self.sim.sync_region(self._region, self._lbl_progress):
@@ -163,45 +130,6 @@ class BaseStack:
                 item = self.inbox.popleft()
                 yield from self._handle_item(item)
             yield from self._progress_hook()
-
-    # ------------------------------------------------------------------
-    # probing (MPI_Probe / MPI_Iprobe support)
-    # ------------------------------------------------------------------
-    def probe_unexpected(self, src: Any, tag: Any):
-        """Non-consuming check for a matching arrived message.
-
-        Returns ``(source, size)`` or None.  Subclass responsibility.
-        """
-        raise NotImplementedError
-
-    def progress_once(self):
-        """Run the progress engine once (generator)."""
-        if self.pioman is None:
-            yield from self._drain()
-        else:
-            # background engines make this a no-op; manual_poll drains
-            # its ltask queue on the calling thread here
-            yield from self.pioman.progress()
-
-    def iprobe(self, src: Any, tag: Any):
-        """Nonblocking probe; generator returning (source, size) or None."""
-        yield from self.progress_once()
-        return self.probe_unexpected(src, tag)
-
-    def probe(self, src: Any, tag: Any):
-        """Blocking probe; generator returning (source, size)."""
-        while True:
-            parked = self._signal = self.sim.event()
-            yield from self.progress_once()
-            hit = self.probe_unexpected(src, tag)
-            if hit is not None:
-                return hit
-            if self.pioman is not None and self.pioman.background:
-                # background progress: re-check shortly after any arrival
-                self.sim.schedule(2e-6, _fire, parked)
-            # else active mode / manual_poll: a new arrival re-enters the
-            # drain via the signal, nothing progresses without us
-            yield parked
 
     # ------------------------------------------------------------------
     # helpers

@@ -14,7 +14,7 @@ pluggable :class:`ProgressEngine` contract and adds two of them:
 
 ``manual_poll``
     No progress thread at all: ltasks only run when a rank is *inside*
-    an MPI call (``wait``/``probe``/``progress_once``).  Zero per-message
+    an MPI call (its ``wait``).  Zero per-message
     synchronization cost (``sync_cost`` is 0) and zero detection latency
     once inside the library — but no overlap: progress stops dead while
     the application computes.
@@ -34,13 +34,9 @@ Engine contract (duck-typed; ``PIOMan`` is the reference implementation):
 
 * ``kind`` — registry name; ``params`` — :class:`PIOManParams`;
   ``ltasks_run`` — dispatch counter.
-* ``background`` — True if progress happens without application
-  involvement (drives the stack's probe/wait strategy).
 * ``submit(work, rank=0)`` — queue an ltask (generator factory).
 * ``semaphore_wait(event)`` — generator: block the caller on ``event``
   (core held on entry and on return).
-* ``progress()`` — generator: make progress on the *calling* thread
-  (no-op for background engines).
 * ``sync_cost(shm)`` — per-message synchronization overhead charged by
   the stack on each send/recv half.  A pure function of the frozen
   ``params``: the stack reads both halves once, when it is built.
@@ -59,12 +55,11 @@ from repro.threads.marcel import MarcelScheduler
 class ProgressEngine:
     """Base for the alternative engines (PIOMan predates it, duck-typed).
 
-    Subclasses must set :attr:`kind`/:attr:`background` and implement
-    :meth:`submit`, :meth:`semaphore_wait` and :meth:`progress`.
+    Subclasses must set :attr:`kind` and implement :meth:`submit` and
+    :meth:`semaphore_wait`.
     """
 
     kind = "abstract"
-    background = True
 
     def __init__(self, sim: Simulator, scheduler: MarcelScheduler,
                  params: PIOManParams = PIOManParams()):
@@ -79,11 +74,6 @@ class ProgressEngine:
 
     def semaphore_wait(self, event: Event) -> Generator:
         raise NotImplementedError
-
-    def progress(self) -> Generator:
-        """Run queued ltasks on the calling thread; no-op if background."""
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def sync_cost(self, shm: bool) -> float:
         """Per-message synchronization overhead (one half, send or recv)."""
@@ -122,13 +112,12 @@ class ManualPollEngine(ProgressEngine):
 
     The application thread itself drains the ltask queue whenever it
     enters the library, holding its own core the whole time (spin
-    semantics).  There is no shared progress state to lock, so
+    semantics).  There is no progress thread to synchronize with, so
     :meth:`sync_cost` is zero — the engine trades all overlap away for
     the lowest possible per-message overhead.
     """
 
     kind = "manual_poll"
-    background = False
 
     def __init__(self, sim: Simulator, scheduler: MarcelScheduler,
                  params: PIOManParams = PIOManParams()):
@@ -143,15 +132,25 @@ class ManualPollEngine(ProgressEngine):
 
     def progress(self) -> Generator:
         """Drain every queued ltask on the calling thread."""
-        if self._queue and self.sim.tracing:
+        if self.sim.tracing and self._queue:
             self.sim.record("pioman.engine.poll",
                             node=self.scheduler.node_id,
                             engine=self.kind, pending=len(self._queue))
-        while self._queue:
-            # drain runs on the calling thread; each pop is serialized
-            # by _run_ltask's progression lock
-            work = self._queue.popleft()
-            yield from self._run_ltask(work, pending=len(self._queue))
+        if self.sim.monitor is None:
+            while self._queue:
+                work = self._queue.popleft()
+                yield from self._run_ltask(work, pending=len(self._queue))
+            return
+        # several ranks' threads drain this one queue: each empty test
+        # and pop takes the node's progression lock, like the ltask
+        region = ("node", self.scheduler.node_id)
+        while True:
+            with self.sim.sync_region(region, "pioman.ltask"):
+                if not self._queue:
+                    return
+                work = self._queue.popleft()
+                pending = len(self._queue)
+            yield from self._run_ltask(work, pending=pending)
 
     def _arrival_signal(self) -> Event:
         # one shared event, re-armed only once it has fired: with several
@@ -187,7 +186,6 @@ class DedicatedThreadEngine(ProgressEngine):
     """
 
     kind = "dedicated_thread"
-    background = True
 
     def __init__(self, sim: Simulator, scheduler: MarcelScheduler,
                  params: PIOManParams = PIOManParams()):

@@ -59,8 +59,6 @@ class PIOMan:
 
     #: registry name in :data:`repro.pioman.engines.ENGINE_KINDS`
     kind = "pioman"
-    #: progress happens on a background worker, without the application
-    background = True
 
     def __init__(self, sim: Simulator, scheduler: MarcelScheduler,
                  params: PIOManParams = PIOManParams()):
@@ -157,11 +155,6 @@ class PIOMan:
             yield self.scheduler.acquire_core()
 
     # -- engine contract (see repro.pioman.engines) ------------------------
-    def progress(self) -> Generator:
-        """Background engine: application-side progress is a no-op."""
-        return
-        yield  # pragma: no cover - makes this a generator
-
     def sync_cost(self, shm: bool) -> float:
         """Per-message synchronization overhead (one half, send or recv)."""
         return (self.params.sync_shm if shm else self.params.sync_net) / 2.0

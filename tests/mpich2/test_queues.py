@@ -84,11 +84,10 @@ def test_posted_queue_remove():
     assert q.match(1, "t") is None
 
 
-def test_unexpected_queue_match_and_peek():
+def test_unexpected_queue_match_consumes():
     q = UnexpectedQueue()
     env = Envelope(src=2, tag="t", size=10)
     q.add(env)
-    assert q.peek(2, "t") is env
     assert len(q) == 1
     assert q.match(2, "t") is env
     assert len(q) == 0
@@ -108,4 +107,4 @@ def test_unexpected_queue_no_match():
     q = UnexpectedQueue()
     q.add(Envelope(src=1, tag="x", size=1))
     assert q.match(1, "y") is None
-    assert q.peek(2, "x") is None
+    assert q.match(2, "x") is None

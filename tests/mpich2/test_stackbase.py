@@ -20,23 +20,17 @@ class StubStack(BaseStack):
         self.handled = []
         self.handle_cost = handle_cost
         self.hook_runs = 0
-        self._unexpected = {}
 
     def _handle_item(self, item):
         yield self.sim.timeout(self.handle_cost)
         self.handled.append((self.sim.now, item))
         if isinstance(item, tuple) and item[0] == "complete":
             item[1]._finish(self.sim)
-        if isinstance(item, tuple) and item[0] == "unexpected":
-            self._unexpected[item[1]] = item[2]
 
     def _progress_hook(self):
         self.hook_runs += 1
         return
         yield
-
-    def probe_unexpected(self, src, tag):
-        return self._unexpected.get(tag)
 
 
 def build(pioman=False):
@@ -139,37 +133,6 @@ def test_waitall_handles_mixed_completion_order():
     sim.run()
     assert all(r.complete for r in reqs)
     assert task.value >= 30e-6
-
-
-def test_probe_blocking_waits_for_unexpected():
-    sim, sched, stack = build()
-
-    def app():
-        yield sched.acquire_core()
-        hit = yield from stack.probe(1, "tag")
-        sched.release_core()
-        return (sim.now, hit)
-
-    task = sim.spawn(app())
-    sim.schedule(40e-6, stack.deliver, ("unexpected", "tag", (1, 64)))
-    sim.run()
-    t, hit = task.value
-    assert hit == (1, 64)
-    assert t >= 40e-6
-
-
-def test_iprobe_returns_none_without_match():
-    sim, sched, stack = build()
-
-    def app():
-        yield sched.acquire_core()
-        hit = yield from stack.iprobe(1, "nothing")
-        sched.release_core()
-        return hit
-
-    task = sim.spawn(app())
-    sim.run()
-    assert task.value is None
 
 
 def test_base_handle_item_abstract():

@@ -169,13 +169,6 @@ def make_engine_under_test(kind, cores=2, **param_overrides):
     return sim, sched, make_engine(kind, sim, sched, params)
 
 
-def test_reference_progress_is_a_noop():
-    """Background engines do nothing on application-side progress."""
-    sim, sched, pm = make_pioman()
-    assert list(pm.progress()) == []
-    assert pm.ltasks_run == 0
-
-
 def test_manual_poll_empty_queue_progress_completes():
     """Polling an empty ltask queue must terminate without charges."""
     sim, sched, engine = make_engine_under_test("manual_poll")

@@ -166,3 +166,23 @@ def test_the_scan_sees_paths_and_modules() -> None:
         [m for span in spans for m in _MODULE.findall(span)]
     assert not _path_exists("tests/simulator/test_no_such_file.py")
     assert not _resolves("repro.simulator.no_such_module")
+
+
+def test_readme_api_paragraph_names_every_communicator_method() -> None:
+    """README's API paragraph lists exactly the public methods of
+    ``Communicator``: every lowercase name in its code spans (split on
+    ``/``) is one, and every one is named."""
+    from repro.mpi import Communicator
+
+    text = _read("README.md")
+    start = text.index("Rank programs are generator functions over a "
+                       "`Communicator`")
+    paragraph = text[start:text.index("\n\n", start)]
+    named = {word for span in _SPAN.findall(paragraph)
+             for word in span.split("/")
+             if re.fullmatch(r"[a-z_][a-z0-9_]*", word)}
+    public = {name for name, member in vars(Communicator).items()
+              if callable(member) and not name.startswith("_")}
+    assert named == public, (
+        f"README lists {sorted(named - public)} that Communicator lacks "
+        f"and omits {sorted(public - named)}")
