@@ -59,15 +59,19 @@ def _exec_nas(params: Dict[str, Any]) -> Dict[str, Any]:
 
         KERNELS[kernel] = _contiguous_is()
         registered_variant = True
+    sim_iters = params.get("sim_iters")
     try:
+        # run to steady state unless the point forces a fixed count
         res = run_kernel(kernel, params["cls"], params["procs"], spec,
-                         sim_iters=params.get("sim_iters"))
+                         sim_iters=sim_iters, steady=sim_iters is None)
     finally:
         if registered_variant:
             KERNELS.pop(kernel, None)
     return {"time_seconds": res.time_seconds,
             "simulated_iters": res.simulated_iters,
-            "total_iters": res.total_iters}
+            "total_iters": res.total_iters,
+            "period": res.period,
+            "capped": res.capped}
 
 
 def _exec_stencil(params: Dict[str, Any]) -> Dict[str, Any]:

@@ -187,12 +187,20 @@ def cmd_nas(args) -> int:
 
     spec = config.stack(args.stack)
     procs = adjust_procs(args.kernel, args.procs)
+    # steady state unless --sim-iters forces a fixed count
     res = run_kernel(args.kernel, args.cls, procs, spec,
-                     sim_iters=args.sim_iters)
+                     sim_iters=args.sim_iters, steady=args.sim_iters is None)
+    if res.capped:
+        how = "capped"
+    elif res.period:
+        how = f"steady, period {res.period}"
+    else:
+        how = "fixed count"
     print(f"{args.kernel.upper()} class {args.cls}, {procs} processes, "
           f"{spec.name}")
-    print(f"projected execution time: {res.time_seconds:.1f} s "
-          f"({res.simulated_iters}/{res.total_iters} iterations simulated)")
+    print(f"projected execution time: {res.time_seconds:.1f} s")
+    print(f"{res.simulated_iters}/{res.total_iters} iterations simulated "
+          f"({how})")
     return 0
 
 
@@ -549,7 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cls", default="A", choices=["A", "B", "C"])
     p.add_argument("--procs", type=_positive_int, default=8)
     p.add_argument("--stack", type=_stack_name, default="mpich2_nmad")
-    p.add_argument("--sim-iters", type=_positive_int, default=None)
+    p.add_argument("--sim-iters", type=_positive_int, default=None,
+                   help="simulate exactly N iterations (default: until "
+                        "the iteration times repeat)")
     p.set_defaults(fn=cmd_nas)
 
     p = sub.add_parser("trace", help="trace a workload; export Perfetto "

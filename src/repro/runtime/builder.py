@@ -183,8 +183,15 @@ class MPIRuntime:
                 self.stacks[rank].deliver(("net", frame))
 
     # ------------------------------------------------------------------
-    def run(self, program: Callable, until: Optional[float] = None) -> RunResult:
-        """Run ``program(comm)`` on every rank to completion."""
+    def run(self, program: Callable, until: Optional[float] = None,
+            halted: Optional[Callable[[], bool]] = None) -> RunResult:
+        """Run ``program(comm)`` on every rank to completion.
+
+        ``halted`` is asked once, after the queue drains, whether the
+        program stopped its ranks early on purpose.  If it says so, ranks
+        still blocked (on peers that returned) are not an error; their
+        results stay None and their times -1.
+        """
         results: List[Any] = [None] * self.nprocs
         times: List[float] = [-1.0] * self.nprocs
 
@@ -206,7 +213,7 @@ class MPIRuntime:
         self.sim.run(until=until)
 
         stuck = [r for r, t in enumerate(times) if t < 0]
-        if stuck:
+        if stuck and not (halted is not None and halted()):
             raise RuntimeError(
                 f"MPI job did not complete: ranks {stuck} still blocked at "
                 f"t={self.sim.now:.6f}s (deadlock or truncated run)")

@@ -6,8 +6,10 @@ pipelines, transposes, halo exchanges, all-to-alls) with message sizes
 derived from the NPB problem classes, plus per-iteration compute time
 derived from the official operation counts and a per-kernel effective
 rate calibrated to 2009-era Opterons.  A handful of representative
-iterations are simulated and scaled to the full iteration count (the
-coarsening documented in DESIGN.md).
+iterations are simulated and scaled to the full iteration count; the
+campaign's points (``steady=True``) instead stop once the iteration
+times repeat and project the rest (the coarsening documented in
+DESIGN.md).
 
 The paper runs BT, CG, EP, FT, SP, MG and LU (IS is excluded there for
 lack of datatype support; we provide it as an extension).

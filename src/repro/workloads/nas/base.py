@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import ClusterSpec, StackSpec, grid5000
-from repro.runtime import run_mpi
+from repro.runtime import MPIRuntime
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,10 @@ class NasRunResult:
     time_seconds: float        # projected full-run execution time
     simulated_iters: int
     total_iters: int
+    #: steady runs: the repeat period the stop was judged on (0 otherwise)
+    period: int = 0
+    #: steady runs: True when the times never repeated within the cap
+    capped: bool = False
 
 
 def default_nas_cluster(p: int) -> Tuple[ClusterSpec, int]:
@@ -162,11 +166,87 @@ def parallel_efficiency(results) -> Dict[int, float]:
     return {p: base / (t * p) for p, t in sorted(by_p.items())}
 
 
+class SteadyBoard:
+    """Host-side record of each rank's iteration times in a steady run.
+
+    After every iteration a rank posts its delta (simulated seconds since
+    its previous iteration boundary).  Posting schedules no simulated
+    event and no synchronisation, so it cannot move simulated time.  The
+    board is done at the first iteration count ``k`` at which every
+    rank's last ``2 * P`` deltas repeat for some period ``P`` in
+    ``PERIODS`` (relative tolerance ``RTOL``).  A count of ranks per
+    iteration count keeps each post O(1).
+    """
+
+    PERIODS = (1, 2)
+    RTOL = 1e-9
+
+    def __init__(self, nprocs: int):
+        self.nprocs = nprocs
+        self.deltas = [[] for _ in range(nprocs)]
+        self.k: Optional[int] = None   # iterations judged; None until done
+        self._periodic: Dict[int, int] = {}   # count k -> ranks periodic at k
+
+    @property
+    def done(self) -> bool:
+        return self.k is not None
+
+    def period_at(self, rank: int, k: int) -> int:
+        """Smallest P whose last 2P deltas before ``k`` repeat, else 0."""
+        d = self.deltas[rank]
+        for p in self.PERIODS:
+            if k >= 2 * p and all(
+                    math.isclose(d[j], d[j - p], rel_tol=self.RTOL)
+                    for j in range(k - p, k)):
+                return p
+        return 0
+
+    def post(self, rank: int, delta: float) -> bool:
+        """Record one delta of ``rank``; True once the board is done."""
+        if self.k is None:
+            d = self.deltas[rank]
+            d.append(delta)
+            k = len(d)
+            if self.period_at(rank, k):
+                count = self._periodic.get(k, 0) + 1
+                self._periodic[k] = count
+                if count == self.nprocs:
+                    self.k = k
+        return self.k is not None
+
+    def projection(self, iters: int) -> Tuple[float, int]:
+        """(projected run time, largest period) once the board is done.
+
+        Each rank's total is its first ``k`` deltas plus the remaining
+        ``iters - k`` iterations at its period's mean; the run time is
+        the largest total.
+        """
+        k = self.k
+        longest, period = 0.0, 0
+        for rank, d in enumerate(self.deltas):
+            p = self.period_at(rank, k)
+            total = sum(d[:k]) + (iters - k) * (sum(d[k - p:k]) / p)
+            longest = max(longest, total)
+            period = max(period, p)
+        return longest, period
+
+
 def run_kernel(kernel_name: str, cls: str, nprocs: int, stack: StackSpec,
                cluster: Optional[ClusterSpec] = None,
                ranks_per_node: Optional[int] = None,
-               sim_iters: Optional[int] = None) -> NasRunResult:
-    """Simulate one NAS kernel run and project the full execution time."""
+               sim_iters: Optional[int] = None,
+               steady: bool = False) -> NasRunResult:
+    """Simulate one NAS kernel run and project the full execution time.
+
+    The run simulates ``min(iters, sim_iters or default_sim_iters)``
+    iterations, ends them with a barrier and scales the elapsed time
+    linearly.  With ``steady=True`` that count is only the cap: ranks
+    post their iteration times to a :class:`SteadyBoard`, each rank
+    returns at its first iteration boundary after the board is done, and
+    the board projects the total.  Ranks left blocked on peers that
+    returned are abandoned, and the partial iterations are discarded.  A
+    steady run that reaches the cap ends exactly like the fixed count.
+    """
     spec = KERNELS[kernel_name]
     spec.validate_procs(nprocs)
     kcls = spec.classes[cls]
@@ -175,6 +255,7 @@ def run_kernel(kernel_name: str, cls: str, nprocs: int, stack: StackSpec,
         cluster = cluster.covering(stack)
     n_sim = min(kcls.iters, sim_iters or spec.default_sim_iters)
     compute_per_iter = spec.cpu_seconds(cls) / nprocs / kcls.iters
+    board = SteadyBoard(nprocs) if steady else None
 
     def program(comm):
         ctx = KernelContext(kernel=spec, cls=kcls, p=nprocs,
@@ -183,14 +264,35 @@ def run_kernel(kernel_name: str, cls: str, nprocs: int, stack: StackSpec,
             yield from spec.setup(comm, ctx)
         yield from comm.barrier()
         t0 = comm.sim.now
-        for i in range(n_sim):
-            yield from spec.iteration(comm, ctx, i)
+        if board is None:
+            for i in range(n_sim):
+                yield from spec.iteration(comm, ctx, i)
+        else:
+            t = t0
+            for i in range(n_sim - 1):
+                yield from spec.iteration(comm, ctx, i)
+                now = comm.sim.now
+                if board.post(comm.rank, now - t):
+                    return None
+                t = now
+            # the cap's last iteration is not posted: the run ends as
+            # the fixed count does
+            yield from spec.iteration(comm, ctx, n_sim - 1)
         yield from comm.barrier()
         return (comm.sim.now - t0) * (kcls.iters / n_sim)
 
-    result = run_mpi(program, nprocs, stack, cluster=cluster,
-                     ranks_per_node=ranks_per_node)
-    time_seconds = max(result.rank_results)
+    runtime = MPIRuntime(nprocs, stack, cluster=cluster,
+                         ranks_per_node=ranks_per_node)
+    result = runtime.run(program,
+                         halted=None if board is None else lambda: board.done)
+    period = 0
+    if board is not None and board.done:
+        time_seconds, period = board.projection(kcls.iters)
+        n_sim = board.k
+    else:
+        time_seconds = max(result.rank_results)
     return NasRunResult(kernel=kernel_name, cls=cls, nprocs=nprocs,
                         stack=stack.name, time_seconds=time_seconds,
-                        simulated_iters=n_sim, total_iters=kcls.iters)
+                        simulated_iters=n_sim, total_iters=kcls.iters,
+                        period=period,
+                        capped=board is not None and not board.done)

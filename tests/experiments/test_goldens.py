@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from tests.experiments.campaign_data import module_data, shared_cache
+from tests.experiments.campaign_data import module_data, point_result
 
 GOLDEN_DIR = Path(__file__).parents[1] / "goldens"
 
@@ -57,26 +57,12 @@ def _figure_data(stem: str) -> Any:
     # points mode: execute only the listed subset of the module's points
     import importlib
 
-    from repro.campaign import campaign_key, execute_point
-
     mod = importlib.import_module(f"repro.experiments.{golden['module']}")
     wanted = set(golden["point_keys"])
     points = [p for p in mod.points(fast=golden["fast"]) if p.key in wanted]
     missing = wanted - {p.key for p in points}
     assert not missing, f"golden {stem} names unknown point keys: {missing}"
-    cache = shared_cache()
-    results = {}
-    for point in points:
-        key = campaign_key(point.config()) if cache is not None else ""
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            results[point.key] = hit[0]
-            continue
-        result = execute_point(point.config())
-        results[point.key] = result
-        if cache is not None:
-            cache.put(key, point.config(), result, 0.0)
-    return results
+    return {point.key: point_result(point.config()) for point in points}
 
 
 def _resolve(data: Any, path: List[Any]) -> Any:

@@ -53,6 +53,18 @@ def test_cli_nas(capsys):
     assert "projected execution time" in out
 
 
+def test_cli_nas_runs_steady_unless_a_count_is_forced(capsys):
+    assert main(["nas", "--kernel", "cg", "--procs", "8"]) == 0
+    assert "2/15 iterations simulated (steady, period 1)" in \
+        capsys.readouterr().out
+    assert main(["nas", "--kernel", "ep", "--procs", "4"]) == 0
+    assert "1/1 iterations simulated (capped)" in capsys.readouterr().out
+    assert main(["nas", "--kernel", "cg", "--procs", "8",
+                 "--sim-iters", "4"]) == 0
+    assert "4/15 iterations simulated (fixed count)" in \
+        capsys.readouterr().out
+
+
 def test_cli_nas_square_adjustment(capsys):
     assert main(["nas", "--kernel", "bt", "--cls", "A", "--procs", "8"]) == 0
     assert "9 processes" in capsys.readouterr().out

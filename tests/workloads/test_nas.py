@@ -1,10 +1,17 @@
-"""NAS skeleton behaviour: registry, scaling, kernel structure."""
+"""NAS skeleton behaviour: registry, scaling, kernel structure, and the
+steady-state runs the campaign's NAS points use."""
+
+import dataclasses
 
 import pytest
 
 from repro import config
+from repro.experiments import ext_is_datatypes, fig8_nas
+from repro.runtime import MPIRuntime
 from repro.workloads.nas import KERNELS, adjust_procs, run_kernel
-from repro.workloads.nas.base import grid_2d, grid_3d, square_side
+from repro.workloads.nas.base import (KernelClass, KernelSpec, grid_2d,
+                                      grid_3d, square_side)
+from tests.experiments.campaign_data import point_result
 
 
 def test_all_paper_kernels_registered():
@@ -135,3 +142,144 @@ def test_comm_bound_kernel_efficiency_drops():
     ]
     eff = parallel_efficiency(results)
     assert eff[16] < 1.0
+
+
+# ---------------------------------------------------------------------------
+# steady-state runs (the campaign's ``nas`` points)
+# ---------------------------------------------------------------------------
+
+FAST_NAS_POINTS = [p for mod in (fig8_nas, ext_is_datatypes)
+                   for p in mod.points(fast=True)]
+NMAD_POINTS = [p for p in FAST_NAS_POINTS
+               if p.params["stack"]["preset"]
+               in ("mpich2_nmad", "mpich2_nmad_pioman")]
+
+
+def _fixed_count_twin(point):
+    """The same point forced to its kernel's fixed simulated count."""
+    kernel = point.params["kernel"]
+    cap = KERNELS["is" if kernel == "is-contig" else kernel].default_sim_iters
+    return dataclasses.replace(point, params=dict(point.params,
+                                                  sim_iters=cap))
+
+
+@pytest.mark.parametrize("point", NMAD_POINTS, ids=lambda p: p.point_id)
+def test_steady_projection_matches_fixed_count_on_nmad_points(point):
+    steady = point_result(point.config())
+    fixed = point_result(_fixed_count_twin(point).config())
+    assert steady["total_iters"] == fixed["total_iters"]
+    assert steady["simulated_iters"] <= fixed["simulated_iters"]
+    assert steady["time_seconds"] == pytest.approx(fixed["time_seconds"],
+                                                   rel=1e-4)
+
+
+#: simulated iterations of each fast fig8 point, by kernel in the order
+#: bt cg ep ft lu mg sp (None: the paper has no PIOMan MG/LU run)
+FIG8_FAST_STOPS = {
+    "8/MVAPICH2": (3, 3, 1, 3, 3, 3, 3),
+    "8/Open_MPI": (3, 3, 1, 3, 3, 3, 3),
+    "8/MPICH2-NMad_NO_PIOMan": (2, 2, 1, 2, 3, 2, 2),
+    "8/MPICH2-NMad_with_PIOMan": (2, 2, 1, 2, None, None, 2),
+    "16/MVAPICH2": (3, 5, 1, 3, 3, 3, 3),
+    "16/Open_MPI": (3, 5, 1, 3, 3, 3, 3),
+    "16/MPICH2-NMad_NO_PIOMan": (3, 5, 1, 3, 3, 3, 3),
+    "16/MPICH2-NMad_with_PIOMan": (3, 5, 1, 3, None, None, 3),
+}
+IS_FAST_STOPS = {
+    "strided (datatypes)/4": 2, "strided (datatypes)/8": 2,
+    "contiguous/4": 2, "contiguous/8": 2,
+    "strided, MVAPICH2/4": 3, "strided, MVAPICH2/8": 3,
+}
+
+
+def test_fast_campaign_nas_stop_iterations_are_pinned():
+    """A model change that makes a kernel aperiodic must show up here.
+
+    The fixed counts simulate 398 iterations over these 58 points.
+    """
+    expected = {f"ext_is_datatypes:{key}": n
+                for key, n in IS_FAST_STOPS.items()}
+    for row, stops in FIG8_FAST_STOPS.items():
+        for kernel, n in zip(("bt", "cg", "ep", "ft", "lu", "mg", "sp"),
+                             stops):
+            if n is not None:
+                expected[f"fig8_nas:{row}/{kernel}"] = n
+    got = {p.point_id: point_result(p.config())["simulated_iters"]
+           for p in FAST_NAS_POINTS}
+    assert got == expected
+    assert sum(got.values()) == 153
+
+
+@pytest.fixture
+def scratch_kernel():
+    """Register throw-away kernels under test names; drop them after."""
+    names = []
+
+    def register(name, iteration):
+        KERNELS[name] = KernelSpec(
+            name=name, rate_gflops=1.0, default_sim_iters=6,
+            classes={"A": KernelClass("A", gop=40.0, iters=40, grid=(1,))},
+            iteration=iteration)
+        names.append(name)
+        return name
+
+    yield register
+    for name in names:
+        KERNELS.pop(name, None)
+
+
+def test_aperiodic_kernel_hits_the_cap_bit_identically(scratch_kernel):
+    def iteration(comm, ctx, i):
+        yield from comm.compute(ctx.compute_per_iter * (1 + i))
+        yield from comm.allreduce(size=64)
+
+    name = scratch_kernel("aperiodic", iteration)
+    fixed = run_kernel(name, "A", 4, config.mpich2_nmad())
+    steady = run_kernel(name, "A", 4, config.mpich2_nmad(), steady=True)
+    assert steady.capped and steady.period == 0
+    assert not fixed.capped
+    assert steady.simulated_iters == fixed.simulated_iters == 6
+    assert steady.time_seconds == fixed.time_seconds
+
+
+def test_periodic_kernel_stops_early(scratch_kernel):
+    def iteration(comm, ctx, i):
+        yield from comm.compute(ctx.compute_per_iter)
+        yield from comm.allreduce(size=64)
+
+    name = scratch_kernel("periodic", iteration)
+    fixed = run_kernel(name, "A", 4, config.mpich2_nmad())
+    steady = run_kernel(name, "A", 4, config.mpich2_nmad(), steady=True)
+    assert not steady.capped and steady.period == 1
+    assert steady.simulated_iters < fixed.simulated_iters
+    assert steady.time_seconds == pytest.approx(fixed.time_seconds, rel=1e-4)
+
+
+def test_steady_run_still_reports_a_real_deadlock(scratch_kernel):
+    def iteration(comm, ctx, i):
+        yield from comm.compute(ctx.compute_per_iter)
+        if comm.rank == 0:
+            yield from comm.send(1, tag=("step", i), size=64)
+        else:
+            # iteration 1 waits on a tag rank 0 never sends
+            yield from comm.recv(src=0, tag=("step", i + (i == 1)))
+
+    name = scratch_kernel("deadlock", iteration)
+    with pytest.raises(RuntimeError, match="did not complete"):
+        run_kernel(name, "A", 2, config.mpich2_nmad(), steady=True)
+
+
+def test_halted_run_abandons_blocked_ranks():
+    def program(comm):
+        if comm.rank == 1:
+            yield from comm.recv(src=0, tag=1)   # never sent
+        return comm.rank
+        yield  # pragma: no cover
+
+    res = MPIRuntime(2, config.mpich2_nmad()).run(program,
+                                                  halted=lambda: True)
+    assert res.rank_results == [0, None]
+    assert res.rank_times[1] == -1.0
+    with pytest.raises(RuntimeError, match="did not complete"):
+        MPIRuntime(2, config.mpich2_nmad()).run(program,
+                                                halted=lambda: False)
