@@ -9,8 +9,8 @@ from repro import config
 from repro.experiments import ext_is_datatypes, fig8_nas
 from repro.runtime import MPIRuntime
 from repro.workloads.nas import KERNELS, adjust_procs, run_kernel
-from repro.workloads.nas.base import (KernelClass, KernelSpec, grid_2d,
-                                      grid_3d, square_side)
+from repro.workloads.nas.base import (KernelClass, KernelSpec, SteadyBoard,
+                                      grid_2d, grid_3d, square_side)
 from tests.experiments.campaign_data import point_result
 
 
@@ -155,10 +155,14 @@ NMAD_POINTS = [p for p in FAST_NAS_POINTS
                in ("mpich2_nmad", "mpich2_nmad_pioman")]
 
 
+def _kernel_spec(point):
+    kernel = point.params["kernel"]
+    return KERNELS["is" if kernel == "is-contig" else kernel]
+
+
 def _fixed_count_twin(point):
     """The same point forced to its kernel's fixed simulated count."""
-    kernel = point.params["kernel"]
-    cap = KERNELS["is" if kernel == "is-contig" else kernel].default_sim_iters
+    cap = _kernel_spec(point).default_sim_iters
     return dataclasses.replace(point, params=dict(point.params,
                                                   sim_iters=cap))
 
@@ -192,22 +196,70 @@ IS_FAST_STOPS = {
 }
 
 
-def test_fast_campaign_nas_stop_iterations_are_pinned():
-    """A model change that makes a kernel aperiodic must show up here.
-
-    The fixed counts simulate 398 iterations over these 58 points.
-    """
-    expected = {f"ext_is_datatypes:{key}": n
-                for key, n in IS_FAST_STOPS.items()}
-    for row, stops in FIG8_FAST_STOPS.items():
+def _expected_stops():
+    """Both tables keyed by point id."""
+    stops = {f"ext_is_datatypes:{key}": n for key, n in IS_FAST_STOPS.items()}
+    for row, row_stops in FIG8_FAST_STOPS.items():
         for kernel, n in zip(("bt", "cg", "ep", "ft", "lu", "mg", "sp"),
-                             stops):
+                             row_stops):
             if n is not None:
-                expected[f"fig8_nas:{row}/{kernel}"] = n
-    got = {p.point_id: point_result(p.config())["simulated_iters"]
-           for p in FAST_NAS_POINTS}
-    assert got == expected
-    assert sum(got.values()) == 153
+                stops[f"fig8_nas:{row}/{kernel}"] = n
+    return stops
+
+
+EXPECTED_STOPS = _expected_stops()
+
+
+def test_fast_campaign_nas_stop_iterations_are_pinned():
+    """The stop table names every fast NAS point: 153 iterations, not 398."""
+    assert {p.point_id for p in FAST_NAS_POINTS} == set(EXPECTED_STOPS)
+    assert sum(EXPECTED_STOPS.values()) == 153
+    fixed = sum(min(_kernel_spec(p).classes[p.params["cls"]].iters,
+                    _kernel_spec(p).default_sim_iters)
+                for p in FAST_NAS_POINTS)
+    assert fixed == 398
+
+
+@pytest.mark.parametrize("point", FAST_NAS_POINTS, ids=lambda p: p.point_id)
+def test_fast_campaign_nas_point_stops_where_pinned(point):
+    """A model change that makes a kernel aperiodic must show up here."""
+    result = point_result(point.config())
+    assert result["simulated_iters"] == EXPECTED_STOPS[point.point_id]
+
+
+def test_board_waits_for_every_rank_then_projects_each_rank():
+    board = SteadyBoard(2)
+    for delta in (5.0, 1.0, 1.0):
+        assert not board.post(0, delta)
+    # rank 0 repeats from its third delta on; rank 1 only from its fourth
+    for delta in (5.0, 2.0, 3.0):
+        assert not board.post(1, delta)
+    assert not board.post(0, 1.0)
+    assert board.post(1, 3.0)
+    assert board.k == 4
+    # a post after the stop changes nothing
+    assert board.post(0, 99.0) and board.k == 4
+    total, period = board.projection(10)
+    assert period == 1
+    assert total == max(5.0 + 3 * 1.0 + 6 * 1.0, 5.0 + 2.0 + 3.0 + 3.0
+                        + 6 * 3.0)
+
+
+def test_board_finds_a_period_of_two():
+    board = SteadyBoard(1)
+    done = [board.post(0, d) for d in (4.0, 1.0, 2.0, 1.0, 2.0)]
+    assert done == [False, False, False, False, True]
+    assert board.k == 5 and board.period_at(0, 5) == 2
+    total, period = board.projection(9)
+    assert period == 2
+    assert total == pytest.approx(4.0 + 1.0 + 2.0 + 1.0 + 2.0 + 4 * 1.5)
+
+
+def test_default_run_is_the_fixed_count():
+    """run_kernel's default simulates default_sim_iters, posting nothing."""
+    result = run_kernel("lu", "A", 16, config.mpich2_nmad())
+    assert result.simulated_iters == KERNELS["lu"].default_sim_iters == 8
+    assert result.period == 0 and not result.capped
 
 
 @pytest.fixture
