@@ -17,10 +17,16 @@ Per-point timing lands in a
 * ``campaign.point_time[<module>]`` — histogram of executed-point wall
   seconds (cache hits observe the miss-time recorded at fill time under
   ``campaign.cached_point_time[<module>]``).
+
+With a cache, each run's telemetry line also carries per-point rows:
+``elapsed`` seconds and ``gc_collections``, the cyclic collector's
+passes during the point (0 for a hit).  Neither enters results, cache
+keys or reports, so cold and warm runs stay byte-identical.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
@@ -108,11 +114,17 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _worker(point_config: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-    """Top-level (picklable) worker: execute one point, time it."""
-    t0 = host_clock()
+def _gc_collections() -> int:
+    """Cyclic-collector passes so far, summed over the generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
+def _worker(point_config: Dict[str, Any]) -> Tuple[Dict[str, Any], float, int]:
+    """Top-level (picklable) worker: execute one point; time it and count
+    the collector passes it set off."""
+    t0, gc0 = host_clock(), _gc_collections()
     result = execute_point(point_config)
-    return result, host_clock() - t0
+    return result, host_clock() - t0, _gc_collections() - gc0
 
 
 def run_campaign(modules: Optional[Sequence[str]] = None,
@@ -177,7 +189,7 @@ def run_campaign(modules: Optional[Sequence[str]] = None,
                            for _name, point, _k in pending]
                 # collected in submission order: deterministic merge
                 timed = [future.result() for future in futures]
-        for (name, point, key), (result, elapsed) in zip(pending, timed):
+        for (name, point, key), (result, elapsed, _gc) in zip(pending, timed):
             results[name][point.key] = result
             per_module[name]["executed_seconds"] += elapsed
             misses += 1
@@ -193,16 +205,16 @@ def run_campaign(modules: Optional[Sequence[str]] = None,
     telemetry_path = None
     if cache is not None:
         point_rows = []
-        pending_elapsed = {(name, point.key): elapsed
-                           for (name, point, _k), (_r, elapsed)
-                           in zip(pending, timed)} if pending else {}
+        executed = {(name, point.key): (elapsed, collections)
+                    for (name, point, _k), (_r, elapsed, collections)
+                    in zip(pending, timed)} if pending else {}
         for name, point, key in plan:
-            hit = (name, point.key) not in pending_elapsed
+            hit = (name, point.key) not in executed
+            elapsed, collections = executed.get((name, point.key), (0.0, 0))
             point_rows.append({
                 "module": name, "point": str(point.key), "key": key,
-                "cached": hit,
-                "elapsed": (0.0 if hit
-                            else pending_elapsed[(name, point.key)]),
+                "cached": hit, "elapsed": elapsed,
+                "gc_collections": collections,
             })
         telemetry_path = _append_telemetry(
             cache, run_started=t_start, wall_seconds=wall, fast=fast,

@@ -4,8 +4,9 @@ A :class:`Fabric` is one rail: a full-bisection switch connecting one
 :class:`NIC` per node.  Sending occupies the source NIC's transmit
 engine for the injection time (per-message gap + size/bandwidth [+ DMA
 setup]), then the frame arrives at the destination NIC ``wire_latency``
-later and is appended to its receive queue.  Receive-side software polls
-that queue.
+later.  There it is handed to the NIC's ``rx_notify`` callback (the
+runtime's frame router in MPI runs) or, when none is set, appended to
+its receive queue for receive-side software to poll.
 
 Frames model *network-level* messages (NewMadeleine packet wrappers,
 native-stack protocol messages), not MPI messages: one MPI message may
@@ -49,10 +50,12 @@ class Frame:
 class NIC:
     """One rail endpoint on a node.
 
-    The transmit engine is a FIFO: injections serialize.  The
-    ``rx_queue`` is a :class:`~repro.simulator.resources.Channel` of
-    delivered frames; an optional ``rx_notify`` callback fires on each
-    delivery so progress engines can react without busy polling.
+    The transmit engine is a FIFO: injections serialize.  Each delivered
+    frame goes to exactly one consumer: the ``rx_notify`` callback when
+    one is set (progress engines react without busy polling), else the
+    ``rx_queue``, a :class:`~repro.simulator.resources.Channel` that a
+    polling loop reads (standalone ``nm_sr``).  A notified frame is not
+    queued, so a NIC keeps no frame after its handler is done with it.
     """
 
     def __init__(self, sim: Simulator, node_id: int, params: NICParams, fabric: "Fabric"):
@@ -61,7 +64,8 @@ class NIC:
         self.params = params
         self.fabric = fabric
         self.rx_queue = Channel(sim)
-        #: called as ``rx_notify(frame)`` at delivery time (may be None)
+        #: called as ``rx_notify(frame)`` at delivery time; None queues
+        #: the frame on ``rx_queue`` instead
         self.rx_notify = None
         self._tx_free_at = 0.0
         # running stats
@@ -116,9 +120,10 @@ class NIC:
                 src=frame.src, size=frame.size, kind=frame.kind,
                 frame=frame.frame_id,
             )
-        self.rx_queue.put(frame)
         if self.rx_notify is not None:
             self.rx_notify(frame)
+        else:
+            self.rx_queue.put(frame)
 
 
 class Fabric:

@@ -28,8 +28,9 @@ _req_ids = itertools.count()
 class MPIRequest(Event):
     """One MPI communication operation tracked by the stack.
 
-    The request is its own completion event: it succeeds, with itself as
-    value, when the operation completes.  The ``nmad_req`` field is the
+    The request is its own completion event: it succeeds, with no value,
+    when the operation completes (a value of itself would make every
+    request a reference cycle).  The ``nmad_req`` field is the
     request-association mechanism of paper Section 3.1.1: a pointer from
     the MPICH2 request to the corresponding NewMadeleine request.
     """
@@ -79,7 +80,7 @@ class MPIRequest(Event):
             self.status_source = source
         if tag is not None:
             self.status_tag = tag
-        self.succeed(self)
+        self.succeed()
         waiter = self._waiter
         if waiter is not None and waiter._state == _PENDING:
             waiter.succeed()

@@ -19,8 +19,14 @@ _req_ids = itertools.count()
 
 
 class NmadRequest(Event):
-    """One pending send or receive operation inside NewMadeleine; the
-    request is its own completion event (its value is itself)."""
+    """One pending send or receive operation inside NewMadeleine.
+
+    The request is its own completion event; it succeeds with no value,
+    so it holds no reference to itself.  ``on_complete`` is one-shot:
+    it is cleared before it is called, so a callback that closes over
+    the owner of this request (CH3's ``req.nmad_req = nm``) forms no
+    reference cycle.
+    """
 
     __slots__ = (
         "req_id", "kind", "peer", "tag", "size", "data",
@@ -58,9 +64,11 @@ class NmadRequest(Event):
             self.data = data
         if size is not None:
             self.size = size
-        self.succeed(self)
-        if self.on_complete is not None:
-            self.on_complete(self)
+        self.succeed()
+        on_complete = self.on_complete
+        if on_complete is not None:
+            self.on_complete = None
+            on_complete(self)
 
     def __repr__(self) -> str:
         state = "done" if self.complete else "pending"

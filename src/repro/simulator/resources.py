@@ -97,8 +97,10 @@ class Channel:
     """Unbounded FIFO channel of items.
 
     ``get()`` returns an event carrying the next item; getters are served
-    in FIFO order.  This is the shape of the Nemesis receive queue and of
-    NIC completion queues.
+    in FIFO order.  This is the shape of a NIC receive queue read by a
+    polling loop (the standalone ``nm_sr`` pumps).  An item stays queued
+    until a getter takes it: a channel that nobody reads keeps alive
+    everything put into it.
     """
 
     def __init__(self, sim):

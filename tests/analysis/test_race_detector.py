@@ -233,11 +233,11 @@ def _two_rail_pioman():
 #: (spec, run_race overrides, (accesses, contexts, sync edges,
 #: variables) the detector must see)
 _ACCESS_COUNTS = {
-    "mpich2_nmad": (config.mpich2_nmad, {}, (546, 111, 106, 16)),
+    "mpich2_nmad": (config.mpich2_nmad, {}, (546, 111, 88, 16)),
     "mpich2_nmad_256B": (config.mpich2_nmad, {"size": 256},
-                         (246, 57, 58, 14)),
+                         (246, 57, 52, 14)),
     "mpich2_nmad_pioman_ib_mx": (_two_rail_pioman, {},
-                                 (576, 219, 184, 16)),
+                                 (576, 219, 166, 16)),
 }
 
 

@@ -1,8 +1,10 @@
 """Per-run campaign telemetry lands beside the content-addressed cache."""
 
+import gc
 import json
 
 from repro.campaign import ResultCache, run_campaign
+from repro.campaign import runner
 from repro.cli import main
 
 
@@ -29,6 +31,8 @@ def test_campaign_appends_telemetry(tmp_path):
     assert not first["cached"]
     assert first["elapsed"] > 0
     assert entry["executed_seconds"] >= first["elapsed"]
+    assert all(type(p["gc_collections"]) is int and p["gc_collections"] >= 0
+               for p in entry["per_point"])
 
 
 def test_warm_rerun_appends_hit_entry(tmp_path):
@@ -44,6 +48,24 @@ def test_warm_rerun_appends_hit_entry(tmp_path):
     assert entry["cache_misses"] == 0
     assert entry["executed_seconds"] == 0.0
     assert all(p["cached"] for p in entry["per_point"])
+    assert all(p["gc_collections"] == 0 for p in entry["per_point"])
+
+
+def test_worker_counts_the_collections_a_point_sets_off(monkeypatch):
+    def two_collections(point_config):
+        gc.collect()
+        gc.collect(0)
+        return {"point": point_config["id"]}
+
+    monkeypatch.setattr(runner, "execute_point", two_collections)
+    gc.disable()     # no automatic pass may land inside the window
+    try:
+        result, elapsed, collections = runner._worker({"id": 7})
+    finally:
+        gc.enable()
+    assert result == {"point": 7}
+    assert elapsed >= 0.0
+    assert collections == 2
 
 
 def test_no_cache_means_no_telemetry():
