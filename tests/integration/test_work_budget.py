@@ -119,6 +119,15 @@ _CASES: Dict[str, Tuple] = {
     "eager_256B_shm": (2, config.mpich2_nmad,
                        lambda: config.ClusterSpec(n_nodes=1),
                        _pingpong(256), 2, _ROUNDS),
+    # the unmodified network-module path: queue-cell copies both ways
+    "eager_256B_netmod": (2, config.mpich2_nmad_netmod, config.xeon_pair,
+                          _pingpong(256), 2, _ROUNDS),
+    # a native comparator: BaseStack.wait's active polling, no nmad
+    "eager_256B_mvapich2": (2, config.mvapich2, config.xeon_pair,
+                            _pingpong(256), 2, _ROUNDS),
+    "eager_256B_shm_mvapich2": (2, config.mvapich2,
+                                lambda: config.grid5000(1),
+                                _pingpong(256), 2, _ROUNDS),
     # data striped over two rails, every handler an ltask on a Marcel core
     "rdv_1MiB_ib_mx_pioman": (
         2, lambda: config.mpich2_nmad_pioman(rails=("ib", "mx"),
