@@ -23,12 +23,13 @@ sync
     ``Semaphore``/``Mutex``/``Channel`` operations: a release publishes
     the releaser's clock into the primitive, an acquire joins it.
 region
-    ``sim.sync_region(key)`` — the virtual locks the real stack takes
-    around progress-engine state (PIOMan's ``piom_lock``; the paper's
-    Section 3.3 synchronization).  All regions with the same key are
-    serialized: entering joins the region clock, leaving publishes to
-    it, and a region held across a task suspension re-synchronizes at
-    every slice boundary.
+    ``RaceDetector.region(key)`` — the virtual locks the real stack
+    takes around progress-engine state (PIOMan's ``piom_lock``; the
+    paper's Section 3.3 synchronization), installed on the protocol
+    methods by :data:`repro.analysis.race.watch.REGIONS`.  All regions
+    with the same key are serialized: entering joins the region clock,
+    leaving publishes to it, and a region held across a task suspension
+    re-synchronizes at every slice boundary.
 
 Execution contexts
 ------------------

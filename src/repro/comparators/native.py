@@ -211,10 +211,8 @@ class NativeStack(BaseStack):
             evt.add_done_callback(
                 lambda _e, r=req: r._finish(self.sim) if not r.complete else None)
 
-    def _progress_hook(self):
+    def _progress_hook(self) -> None:
         self._flush_tx()
-        return
-        yield  # pragma: no cover
 
     def _handle_item(self, item):
         kind, payload = item

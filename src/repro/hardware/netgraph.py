@@ -412,8 +412,7 @@ class RoutedFabric(Fabric):
         self._traverse(frame, route, 0, 0.0, self._complete)
 
     def _complete(self, frame: Frame, queued_total: float) -> None:
-        with self.sim.sync_region(("node", frame.src), "link.observe"):
-            self._observe(frame.src, queued_total)
+        self._observe(frame.src, queued_total)
         super().deliver(frame)
 
     def _discard(self, frame: Frame, queued_total: float) -> None:

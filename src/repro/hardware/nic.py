@@ -63,7 +63,7 @@ class NIC:
         self.node_id = node_id
         self.params = params
         self.fabric = fabric
-        self.rx_queue = Channel(sim)
+        self._rx_queue = None
         #: called as ``rx_notify(frame)`` at delivery time; None queues
         #: the frame on ``rx_queue`` instead
         self.rx_notify = None
@@ -111,6 +111,14 @@ class NIC:
         return max(self.sim.now, self._tx_free_at)
 
     # -- receiving -----------------------------------------------------
+    @property
+    def rx_queue(self) -> Channel:
+        """Frames delivered while no ``rx_notify`` is set, built on first
+        use: a notified NIC (every MPI run's) never needs one."""
+        if self._rx_queue is None:
+            self._rx_queue = Channel(self.sim)
+        return self._rx_queue
+
     def _deliver(self, frame: Frame) -> None:
         self.rx_frames += 1
         self.rx_bytes += frame.size

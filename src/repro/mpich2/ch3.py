@@ -86,9 +86,6 @@ class CH3Stack(BaseStack):
         self.posted = PostedQueue()
         self.unexpected = UnexpectedQueue()
         self.book = AnySourceBook(self)
-        # region labels of the synchronized CH3 entry points
-        self._lbl_isend = f"mpich2.isend@r{rank}"
-        self._lbl_irecv = f"mpich2.irecv@r{rank}"
         self.vcs: Dict[int, VirtualConnection] = {}
         self._ch3_rdv_ctr = itertools.count()
         self._ch3_rdv_send: Dict[int, MPIRequest] = {}
@@ -149,8 +146,7 @@ class CH3Stack(BaseStack):
                 "mpich2.send", src=self.rank, dst=dst, tag=tag, size=size,
                 path="shm" if vc.is_local else self.mode, sync=sync,
             )
-        with self.sim.sync_region(self._region, self._lbl_isend):
-            yield from vc.send_fn(req)
+        yield from vc.send_fn(req)
         return req
 
     def irecv(self, src: Any, tag: Any):
@@ -169,30 +165,14 @@ class CH3Stack(BaseStack):
                     "MPI_ANY_TAG on the CH3-direct network path is not "
                     "supported: NewMadeleine matches on exact tags")
         if src is ANY_SOURCE:
-            with self.sim.sync_region(self._region, self._lbl_irecv):
-                yield from self._post_any_source(req)
+            yield from self._post_any_source(req)
             return req
         vc = self.vcs[src]
-        if vc.is_local or self.mode == "netmod":
-            overhead = (self.costs.shm_recv_overhead if vc.is_local
-                        else self.costs.recv_overhead)
-            if overhead > 0.0:
-                yield overhead
-            with self.sim.sync_region(self._region, self._lbl_irecv):
-                env = self.unexpected.match(src, tag)
-                if env is not None:
-                    yield from self._deliver_env(req, env)
-                else:
-                    self.posted.post(req)
-        else:
-            if self.costs.recv_overhead > 0.0:
-                yield self.costs.recv_overhead
-            with self.sim.sync_region(self._region, self._lbl_irecv):
-                if self.book.has_pending(tag):
-                    # preserve matching order behind pending ANY_SOURCE
-                    self.book.defer_regular(tag, req)
-                else:
-                    yield from self._post_remote_recv(req)
+        overhead = (self.costs.shm_recv_overhead if vc.is_local
+                    else self.costs.recv_overhead)
+        if overhead > 0.0:
+            yield overhead
+        yield from self._post_recv(req, vc)
         return req
 
     # ------------------------------------------------------------------
@@ -270,6 +250,20 @@ class CH3Stack(BaseStack):
     # ------------------------------------------------------------------
     # receive helpers
     # ------------------------------------------------------------------
+    def _post_recv(self, req: MPIRequest, vc: VirtualConnection):
+        """Match or post a known-source receive (its CPU charge paid)."""
+        if vc.is_local or self.mode == "netmod":
+            env = self.unexpected.match(req.peer, req.tag)
+            if env is not None:
+                yield from self._deliver_env(req, env)
+            else:
+                self.posted.post(req)
+        elif self.book.has_pending(req.tag):
+            # preserve matching order behind pending ANY_SOURCE
+            self.book.defer_regular(req.tag, req)
+        else:
+            yield from self._post_remote_recv(req)
+
     def _post_remote_recv(self, req: MPIRequest):
         """Hand a known-source remote receive to NewMadeleine."""
         nm = yield from self.core.irecv(req.peer, ("mpi", req.tag))
@@ -366,7 +360,8 @@ class CH3Stack(BaseStack):
         # submit whatever accumulated in the strategy while computing
         self.core.strategy.pump()
         if self.mode == "direct" and self.book._lists:
-            yield from self.book.poll()
+            return self.book.poll()
+        return None
 
     def _offload_pump(self, size: int = 0) -> None:
         """With PIOMan, submission is offloaded to an idle core (paper

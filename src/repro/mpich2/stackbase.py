@@ -13,7 +13,10 @@ whole point of the paper's Section 3.3 / Fig. 7:
   waits block on semaphores and release their core.
 
 Subclasses implement ``_handle_item`` (protocol state machine) and may
-override ``_progress_hook`` (e.g. ANY_SOURCE probing).
+override ``_progress_hook`` (e.g. ANY_SOURCE probing).  The protocol
+code takes no virtual lock: the race detector wraps ``_drain`` and
+``_progress_item`` in the node's progress-lock region when it watches
+a runtime (:data:`repro.analysis.race.watch.REGIONS`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Deque, Iterable, Optional, Union
+from typing import Any, Deque, Generator, Iterable, Optional, Union
 
 from repro.mpich2.request import MPIRequest
 from repro.pioman import PIOMan, ProgressEngine
@@ -58,9 +61,6 @@ class BaseStack:
         self.pioman = pioman
         self.inbox: Deque[Any] = deque()
         self._signal = None
-        # virtual progress-lock region of this stack's node (race detector)
-        self._region = ("node", node.node_id)
-        self._lbl_progress = f"mpich2.progress@r{rank}"
         # stats
         self.messages_sent = 0
         self.messages_received = 0
@@ -80,13 +80,10 @@ class BaseStack:
                 _fire(self._signal)
 
     def _progress_item(self, item: Any):
-        if self.sim.monitor is None:
-            yield from self._handle_item(item)
-            yield from self._progress_hook()
-            return
-        with self.sim.sync_region(self._region, self._lbl_progress):
-            yield from self._handle_item(item)
-            yield from self._progress_hook()
+        yield from self._handle_item(item)
+        hook = self._progress_hook()
+        if hook is not None:
+            yield from hook
 
     # ------------------------------------------------------------------
     # protocol state machine (subclass responsibility)
@@ -95,10 +92,11 @@ class BaseStack:
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def _progress_hook(self):
-        """Extra work after each progress step (default: nothing)."""
-        return
-        yield  # pragma: no cover
+    def _progress_hook(self) -> Optional[Generator]:
+        """Extra work after each progress step: a plain call that returns
+        None, or a generator when the work needs CPU time (default:
+        nothing)."""
+        return None
 
     # ------------------------------------------------------------------
     # application-side waiting
@@ -125,11 +123,12 @@ class BaseStack:
 
     def _drain(self):
         """Process everything pending in the inbox (active mode)."""
-        with self.sim.sync_region(self._region, self._lbl_progress):
-            while self.inbox:
-                item = self.inbox.popleft()
-                yield from self._handle_item(item)
-            yield from self._progress_hook()
+        while self.inbox:
+            item = self.inbox.popleft()
+            yield from self._handle_item(item)
+        hook = self._progress_hook()
+        if hook is not None:
+            yield from hook
 
     # ------------------------------------------------------------------
     # helpers

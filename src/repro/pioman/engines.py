@@ -97,11 +97,7 @@ class ProgressEngine:
                             dur=self.params.ltask_cost)
         yield self.params.ltask_cost
         # same progression lock as the reference engine (piom_lock, §3.3)
-        if self.sim.monitor is None:
-            yield from work()
-        else:
-            with self.sim.sync_region(("node", node), "pioman.ltask"):
-                yield from work()
+        yield from work()
         if span_start is not None:
             self.sim.record("pioman.ltask.end", node=node,
                             dur=self.sim._now - span_start)
@@ -136,21 +132,23 @@ class ManualPollEngine(ProgressEngine):
             self.sim.record("pioman.engine.poll",
                             node=self.scheduler.node_id,
                             engine=self.kind, pending=len(self._queue))
-        if self.sim.monitor is None:
-            while self._queue:
-                work = self._queue.popleft()
-                yield from self._run_ltask(work, pending=len(self._queue))
-            return
-        # several ranks' threads drain this one queue: each empty test
-        # and pop takes the node's progression lock, like the ltask
-        region = ("node", self.scheduler.node_id)
         while True:
-            with self.sim.sync_region(region, "pioman.ltask"):
-                if not self._queue:
-                    return
-                work = self._queue.popleft()
-                pending = len(self._queue)
-            yield from self._run_ltask(work, pending=pending)
+            taken = self._take()
+            if taken is None:
+                return
+            yield from self._run_ltask(*taken)
+
+    def _take(self):
+        """Pop the next ltask and the count left behind it; None if empty.
+
+        Several ranks' threads drain this one queue, so each empty test
+        and pop runs under the node's progression lock, like the ltask
+        (a region the race detector installs).
+        """
+        if not self._queue:
+            return None
+        work = self._queue.popleft()
+        return work, len(self._queue)
 
     def _arrival_signal(self) -> Event:
         # one shared event, re-armed only once it has fired: with several

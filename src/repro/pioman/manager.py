@@ -115,14 +115,9 @@ class PIOMan:
                                     dur=self.params.ltask_cost)
                 yield self.params.ltask_cost
                 # the ltask runs under the node's progression lock (the
-                # piom_lock of Section 3.3); the race detector serializes
-                # every region sharing this key
-                if self.sim.monitor is None:
-                    yield from work()
-                else:
-                    with self.sim.sync_region(
-                            ("node", self.scheduler.node_id), "pioman.ltask"):
-                        yield from work()
+                # piom_lock of Section 3.3): the race detector's wrapped
+                # ``submit`` makes ``work()`` enter that region
+                yield from work()
                 if span_start is not None:
                     self.sim.record("pioman.ltask.end",
                                     node=self.scheduler.node_id,

@@ -172,15 +172,14 @@ class MPIRuntime:
     def _route_frame(self, frame) -> None:
         # rx callbacks fire from the NIC's timeline; deliveries touch
         # stack inboxes on the dst node, so the whole dispatch runs under
-        # that node's virtual lock
-        with self.sim.sync_region(("node", frame.dst), "net.route"):
-            payload = frame.payload
-            if isinstance(payload, PacketWrapper):
-                ranks = {e.dst_rank for e in payload.entries}
-            else:
-                ranks = {payload.dst_rank}
-            for rank in sorted(ranks):
-                self.stacks[rank].deliver(("net", frame))
+        # that node's progress lock (a region the race detector installs)
+        payload = frame.payload
+        if isinstance(payload, PacketWrapper):
+            ranks = {e.dst_rank for e in payload.entries}
+        else:
+            ranks = {payload.dst_rank}
+        for rank in sorted(ranks):
+            self.stacks[rank].deliver(("net", frame))
 
     # ------------------------------------------------------------------
     def run(self, program: Callable, until: Optional[float] = None,

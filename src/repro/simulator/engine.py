@@ -79,21 +79,6 @@ class ScheduledCallback:
             sim._compact()
 
 
-class _NullRegion:
-    """No-op stand-in for :meth:`Simulator.sync_region` without a monitor."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullRegion":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NULL_REGION = _NullRegion()
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -445,23 +430,6 @@ class Simulator:
             "events_per_sec": (executed / wall if wall > 0 else 0.0),
             "scheduler": "heap",
         }
-
-    # ------------------------------------------------------------------
-    # Concurrency analysis (a no-op unless a monitor is installed)
-    # ------------------------------------------------------------------
-    def sync_region(self, key: Any, label: Optional[str] = None):
-        """A virtual lock region for the installed monitor.
-
-        Models the locks the real stack takes around progress-engine
-        state (e.g. PIOMan's per-node progression lock).  Regions with
-        equal ``key`` are treated as one lock: the monitor serializes
-        them with release->acquire happens-before edges.  Without a
-        monitor this returns a shared no-op context manager.
-        """
-        monitor = self.monitor
-        if monitor is None:
-            return _NULL_REGION
-        return monitor.region(key, label)
 
     # ------------------------------------------------------------------
     # Tracing

@@ -1,15 +1,21 @@
 """Race detector: happens-before semantics, presets, and the CLI."""
 
+import contextlib
 import os
+from collections import Counter
 
 import pytest
 
 from repro import config
-from repro.analysis.race import RaceDetector, run_race, run_racy_demo
-from repro.analysis.race.watch import WATCHED
+from repro.analysis.race import (RaceDetector, run_race, run_racy_demo,
+                                 watch_runtime)
+from repro.analysis.race import watch
+from repro.analysis.race.watch import REGIONS, WATCHED, Region
 from repro.cli import main
+from repro.hardware.netgraph import ring
+from repro.mpich2.ch3 import CH3Stack
+from repro.runtime import MPIRuntime
 from repro.simulator import Channel, Semaphore, Simulator
-from repro.simulator.engine import _NULL_REGION
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -71,12 +77,12 @@ def test_sync_region_serializes_same_key():
 
     def writer():
         yield sim.timeout(1e-6)
-        with sim.sync_region(("node", 0), "writer"):
+        with det.region(("node", 0), "writer"):
             det.write("shared")
 
     def reader():
         yield sim.timeout(2e-6)
-        with sim.sync_region(("node", 0), "reader"):
+        with det.region(("node", 0), "reader"):
             det.read("shared")
 
     sim.spawn(writer(), name="writer")
@@ -90,12 +96,12 @@ def test_different_region_keys_still_race():
 
     def writer():
         yield sim.timeout(1e-6)
-        with sim.sync_region(("node", 0), "writer"):
+        with det.region(("node", 0), "writer"):
             det.write("shared")
 
     def reader():
         yield sim.timeout(2e-6)
-        with sim.sync_region(("node", 1), "reader"):
+        with det.region(("node", 1), "reader"):
             det.read("shared")
 
     sim.spawn(writer(), name="writer")
@@ -110,14 +116,14 @@ def test_region_held_across_suspension_resyncs():
     sim, det = make_sim()
 
     def holder():
-        with sim.sync_region(("node", 0), "holder"):
+        with det.region(("node", 0), "holder"):
             det.write("shared")
             yield sim.timeout(2e-6)
             det.write("shared")
 
     def interloper():
         yield sim.timeout(1e-6)
-        with sim.sync_region(("node", 0), "interloper"):
+        with det.region(("node", 0), "interloper"):
             det.read("shared")
 
     sim.spawn(holder(), name="holder")
@@ -208,11 +214,43 @@ def test_rogue_callback_races_with_task():
 
 
 def test_no_monitor_means_no_overhead_paths():
-    sim = Simulator()
-    assert sim.monitor is None
-    with sim.sync_region(("node", 0)) as region:    # null region
-        pass
-    assert sim.sync_region(("node", 1), "other") is region
+    """An unwatched runtime runs the protocol methods themselves: no
+    stack, driver, router, fabric or engine carries a region wrapper
+    until :func:`watch_runtime` installs them."""
+    methods = {region.method for region in REGIONS}
+    for preset in ("mpich2_nmad_pioman", "mpich2_nmad_manual_poll",
+                   "mpich2_nmad_dedicated", "mvapich2"):
+        runtime = MPIRuntime(2, config.stack(preset),
+                             cluster=config.ClusterSpec(n_nodes=4,
+                                                        topology=ring(4)))
+        assert runtime.sim.monitor is None
+        owners = list(watch._owners(runtime))
+        assert {"MPIRuntime", "RoutedFabric"} <= {type(o).__name__
+                                                  for o in owners}
+        for owner in owners:
+            assert not set(vars(owner)) & methods, (preset, owner)
+        nics = [nic for node in runtime.cluster.nodes
+                for nic in node.nics.values()]
+        assert all(nic.rx_notify.__func__ is MPIRuntime._route_frame
+                   for nic in nics)
+
+        watch_runtime(RaceDetector(), runtime)
+        for owner in owners:
+            assert set(vars(owner)) >= {region.method for region in REGIONS
+                                        if isinstance(owner, region.owner)}
+        assert all(nic.rx_notify is runtime._route_frame for nic in nics)
+
+
+def test_region_table_names_existing_methods(monkeypatch):
+    """A method renamed in the protocol code fails at watch time, naming
+    the table entry, instead of silently dropping its lock."""
+    runtime = MPIRuntime(2, config.mpich2_nmad(), cluster=config.xeon_pair())
+    stale = Region(CH3Stack, "_post_recv_renamed",
+                   lambda stack, *_: ("node", stack.node.node_id),
+                   "mpich2.irecv@r")
+    monkeypatch.setattr(watch, "REGIONS", REGIONS + (stale,))
+    with pytest.raises(ValueError, match=r"CH3Stack\._post_recv_renamed"):
+        watch_runtime(RaceDetector(), runtime)
 
 
 # ----------------------------------------------------------------------
@@ -241,20 +279,48 @@ _ACCESS_COUNTS = {
 }
 
 
+#: case -> region label prefix -> entries per node, on both nodes
+_REGION_ENTRIES = {
+    "mpich2_nmad": {"mpich2.isend": 3, "mpich2.irecv": 3,
+                    "mpich2.progress": 18, "net.route": 9,
+                    "nmad.injected": 9},
+    "mpich2_nmad_256B": {"mpich2.isend": 3, "mpich2.irecv": 3,
+                         "mpich2.progress": 12, "net.route": 3,
+                         "nmad.injected": 3},
+    "mpich2_nmad_pioman_ib_mx": {"mpich2.isend": 3, "mpich2.irecv": 3,
+                                 "mpich2.progress": 9, "net.route": 9,
+                                 "nmad.injected": 9, "pioman.ltask": 12},
+}
+
+
 @pytest.mark.parametrize("case", sorted(_ACCESS_COUNTS))
-def test_watched_containers_report_every_access(case):
+def test_watched_containers_report_every_access(case, monkeypatch):
     """A container dropped from the watch table, or an operation the
     recording subclass misses, shows up here as a lower access or
     variable count; a change to who runs where or what synchronizes as
-    a moved context or sync count."""
+    a moved context or sync count.  Region entries are counted per
+    label and key, so a region keyed to the wrong node (or labelled
+    with the wrong rank) moves them even where the counts hold."""
+    entries = Counter()
+    enter = RaceDetector.region_enter
+
+    def counted(det, key, label=None):
+        entries[label, key] += 1
+        enter(det, key, label)
+
+    monkeypatch.setattr(RaceDetector, "region_enter", counted)
     make_spec, overrides, counts = _ACCESS_COUNTS[case]
     report = run_race(make_spec(), **overrides)
     assert report.clean, report.format_text()
     assert (report.accesses, report.contexts, report.syncs,
             report.variables) == counts
+    assert entries == {
+        (prefix + (f"@r{node}" if prefix.startswith("mpich2.") else ""),
+         ("node", node)): n
+        for prefix, n in _REGION_ENTRIES[case].items() for node in (0, 1)}
 
 
-#: case -> (sync-region label prefix knocked out, spec, run_race
+#: case -> (region label prefix knocked out, spec, run_race
 #: overrides, the exact set of variables the detector must flag)
 _KNOCKOUTS = {
     "nmad.injected": (
@@ -282,14 +348,14 @@ def test_sync_region_knockout_flags_what_it_guarded(case, monkeypatch):
     exactly the shared state that region ordered: the detector's power,
     pinned per region."""
     prefix, make_spec, overrides, expected = _KNOCKOUTS[case]
-    region = Simulator.sync_region
+    region = RaceDetector.region
 
-    def knocked_out(sim, key, label=None):
+    def knocked_out(det, key, label=None):
         if label is not None and label.startswith(prefix):
-            return _NULL_REGION
-        return region(sim, key, label)
+            return contextlib.nullcontext()
+        return region(det, key, label)
 
-    monkeypatch.setattr(Simulator, "sync_region", knocked_out)
+    monkeypatch.setattr(RaceDetector, "region", knocked_out)
     report = run_race(make_spec(), **overrides)
     assert not report.dropped
     assert {race.var for race in report.races} == expected
@@ -300,6 +366,15 @@ def test_analysis_doc_lists_every_watched_variable():
         doc = fh.read()
     for var, _paths in WATCHED:
         assert f"`{var}<" in doc, var
+
+
+def test_analysis_doc_lists_every_region_label():
+    with open(os.path.join(ROOT, "docs", "ANALYSIS.md")) as fh:
+        doc = fh.read()
+    for region in REGIONS:
+        label = region.label
+        assert (f"`{label}<" if label.endswith("@r")
+                else f"`{label}`") in doc, label
 
 
 def test_racy_demo_is_flagged():

@@ -31,6 +31,7 @@ import pytest
 
 from repro import config
 from repro.runtime import MPIRuntime
+from repro.simulator import Channel
 from repro.workloads.netpipe import pingpong
 
 KiB = 1024
@@ -101,4 +102,7 @@ def test_nics_keep_no_delivered_frame(preset: str) -> None:
     nics = [nic for node in runtime.cluster.nodes
             for nic in node.nics.values()]
     assert sum(nic.rx_frames for nic in nics) > 0
+    # every NIC is notified, so none builds the receive queue it never reads
+    assert not [nic for nic in nics
+                if any(isinstance(v, Channel) for v in vars(nic).values())]
     assert [len(nic.rx_queue) for nic in nics] == [0] * len(nics)
