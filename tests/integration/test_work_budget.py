@@ -38,12 +38,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
 import repro
 from repro import config
+from repro.hardware.netgraph import parse_topology
 from repro.observability import MetricsRegistry, attach_metrics
 from repro.runtime import MPIRuntime
 from repro.simulator import RingTrace, Trace
@@ -136,6 +138,12 @@ _CASES: Dict[str, Tuple] = {
     # dissemination barrier: 2 rounds x 4 ranks = 8 eager messages
     "barrier_p4": (4, config.mpich2_nmad, lambda: config.grid5000(4),
                    _barriers, 1, _ROUNDS),
+    # the same barrier on a routed 2x2 torus: every frame crosses links
+    "barrier_p4_torus2d": (
+        4, config.mpich2_nmad,
+        lambda: replace(config.grid5000(4),
+                        topology=parse_topology("torus2d:2x2")),
+        _barriers, 1, _ROUNDS),
     # one op = one burst; aggregation coalesces it into a few wrappers
     "burst_64x2KiB_ib_default": _burst_case("default"),
     "burst_64x2KiB_ib_aggreg": _burst_case("aggreg"),
