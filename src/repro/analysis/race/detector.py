@@ -20,7 +20,7 @@ fork
     this (``Event.succeed`` schedules waiter callbacks), so join edges
     — waiter resumes after triggerer — come with it.
 sync
-    ``Semaphore``/``Mutex``/``Channel`` operations: a release publishes
+    ``Semaphore``/``Channel`` operations: a release publishes
     the releaser's clock into the primitive, an acquire joins it.
 region
     ``RaceDetector.region(key)`` — the virtual locks the real stack

@@ -13,8 +13,8 @@ self-contained and deterministic):
   primitive; tasks yield events to wait for them.
 * :class:`~repro.simulator.process.Task` drives a generator coroutine; a
   task is itself an event that triggers when the generator returns.
-* :mod:`~repro.simulator.resources` provides semaphores, mutexes and
-  channels built on events.
+* :mod:`~repro.simulator.resources` provides semaphores and channels
+  built on events.
 
 Determinism: ties in time are broken by a monotonically increasing
 sequence number, so two runs with the same inputs produce identical
@@ -23,10 +23,10 @@ streams seeded explicitly.
 """
 
 from repro.simulator.engine import Simulator, ScheduledCallback
-from repro.simulator.events import Event, AllOf, AnyOf
+from repro.simulator.events import Event, AnyOf
 from repro.simulator.process import Task
-from repro.simulator.resources import Semaphore, Mutex, Channel
-from repro.simulator.errors import SimulationError, Interrupt
+from repro.simulator.resources import Semaphore, Channel
+from repro.simulator.errors import SimulationError
 from repro.simulator.hostclock import host_clock
 from repro.simulator.tracing import (Trace, TraceRecord, TraceSampler,
                                      RingTrace, JsonlTrace, load_trace_jsonl)
@@ -36,14 +36,11 @@ __all__ = [
     "Simulator",
     "ScheduledCallback",
     "Event",
-    "AllOf",
     "AnyOf",
     "Task",
     "Semaphore",
-    "Mutex",
     "Channel",
     "SimulationError",
-    "Interrupt",
     "Trace",
     "TraceRecord",
     "TraceSampler",

@@ -1,36 +1,35 @@
 """The simulation event loop.
 
 Time is a ``float`` in **seconds**.  The engine keeps pending work in
-one binary heap (a plain list driven by :mod:`heapq`) ordered by
-``(time, seq)``; ``seq`` is a global monotonically increasing counter so
-that callbacks scheduled for the same instant run in FIFO order, which
-makes every simulation fully deterministic.
+one binary heap (a plain list driven by :mod:`heapq`) of
+``(time, seq, fn, args)`` entries ordered by ``(time, seq)``; ``seq`` is
+a global monotonically increasing counter so that callbacks scheduled
+for the same instant run in FIFO order, which makes every simulation
+fully deterministic.  ``seq`` is unique, so entry comparisons never
+reach ``fn``.
 
-Two kinds of entries coexist in the queue:
+Every push builds that one shape: :meth:`Simulator.at`,
+:meth:`Simulator.schedule`, the internal :meth:`Simulator._post` (event
+dispatch, task start, timeouts), :meth:`Simulator.timeout_at`, and a
+task that yields a ``float`` delay, which pushes its own wake-up
+(:meth:`~repro.simulator.process.Task._wake`).  Nothing is cancellable:
+no model schedules work it later withdraws, so an entry needs no
+handle object and the run loop no skip test.
 
-* ``(time, seq, handle)`` — cancellable, created by :meth:`Simulator.at`
-  / :meth:`Simulator.schedule`, which return the
-  :class:`ScheduledCallback` handle;
-* ``(time, seq, fn, args)`` — slim non-cancellable entries created by
-  the internal :meth:`Simulator._post` fast path (event dispatch, task
-  start, timeouts), and by a task that yields a ``float`` delay, which
-  pushes its own wake-up (:meth:`~repro.simulator.process.Task._wake`).
-  They carry no handle object, which keeps the hottest scheduling
-  operations allocation-light.
+Under a monitor (the race detector) an entry's ``fn`` is
+:meth:`Simulator._slice` and its one argument the
+:class:`ScheduledCallback` record the monitor keeps its fork edge on;
+the slice brackets the callback with the monitor's hooks.  The run
+loops themselves do not know about monitors.
 
-``seq`` is unique, so entry comparisons never reach the third element of
-either tuple shape.
-
-Cancellation is O(1) lazy deletion: the handle is flagged and skipped
-when dispatched.  Long-lived simulations that cancel many far-future
-timers (e.g. per-frame retransmission timeouts) would otherwise
-accumulate dead entries, so the engine compacts the queue in one
-batched pass when cancelled entries outnumber live ones.
+A time or delay that is not ``>= now`` / ``>= 0`` (negative or NaN)
+raises :class:`SimulationError` before it reaches the heap: a NaN entry
+would fire out of order and set the clock to NaN.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, NoReturn, Optional, Tuple
 
 from repro.simulator.errors import DeadlockError, SimulationError
@@ -40,43 +39,23 @@ from repro.simulator.tracing import Trace
 
 __all__ = ["ScheduledCallback", "Simulator"]
 
-#: queue entries are (time, seq, handle) or (time, seq, fn, args)
-_HeapEntry = Tuple[Any, ...]
-
-#: start compacting only past this many cancelled entries (tiny queues
-#: are cheaper to drain lazily than to rebuild)
-_COMPACT_MIN_CANCELLED = 64
+#: queue entries are (time, seq, fn, args)
+_HeapEntry = Tuple[float, int, Callable, tuple]
 
 
 class ScheduledCallback:
-    """Handle for a callback sitting in the event queue.
+    """A monitor's record of one scheduled callback.
 
-    Supports :meth:`cancel`, which is O(1): the entry is flagged and the
-    event loop skips it when dispatched (lazy deletion).  The owning
-    simulator batches a compaction pass when flagged entries pile up.
+    Built only under a monitor: it carries the callback to the
+    monitor's ``before_step`` and, in ``origin``, the scheduler's
+    vector-clock snapshot that ``on_schedule`` attaches.
     """
 
-    __slots__ = ("sim", "time", "fn", "args", "cancelled", "origin")
+    __slots__ = ("fn", "args", "origin")
 
-    def __init__(self, sim: "Simulator", time: float, fn: Callable, args: tuple):
-        self.sim = sim
-        self.time = time
+    def __init__(self, fn: Callable, args: tuple):
         self.fn = fn
         self.args = args
-        self.cancelled = False
-        # ``origin`` (scheduler's vector-clock snapshot) is attached by an
-        # installed monitor; absent in normal runs to keep handles small.
-
-    def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self.sim
-        sim._cancelled += 1
-        if (sim._cancelled >= _COMPACT_MIN_CANCELLED
-                and sim._cancelled * 2 >= len(sim._queue)):
-            sim._compact()
 
 
 class Simulator:
@@ -110,13 +89,11 @@ class Simulator:
         self._queue: List[_HeapEntry] = []
         self._seq = 0
         self._now = 0.0
-        self._cancelled = 0          # cancelled handles still queued
         self._running_tasks = 0
         self._failed_tasks: list = []
-        #: ``"run()"`` / ``"step()"`` while that call dispatches, else
-        #: None: callbacks, subscribers and ltasks run inside it and must
-        #: not re-enter the scheduler
-        self._dispatching: Optional[str] = None
+        #: True while :meth:`run` dispatches: callbacks, subscribers and
+        #: ltasks run inside it and must not re-enter the scheduler
+        self._dispatching = False
         self._trace: Optional[Trace] = None
         #: truthy fast-path flag: hot call sites check this before even
         #: building the kwargs dict for :attr:`record`
@@ -143,44 +120,63 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCallback:
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
-        handle = ScheduledCallback(self, time, fn, args)
+        if not delay >= 0.0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         if self.monitor is not None:
-            self.monitor.on_schedule(handle)
-        self._seq += 1
-        heappush(self._queue, (time, self._seq, handle))
-        return handle
-
-    def at(self, time: float, fn: Callable, *args: Any) -> ScheduledCallback:
-        """Run ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past (now={self._now!r}, time={time!r})"
-            )
-        handle = ScheduledCallback(self, time, fn, args)
-        if self.monitor is not None:
-            self.monitor.on_schedule(handle)
-        self._seq += 1
-        heappush(self._queue, (time, self._seq, handle))
-        return handle
-
-    def _post(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Internal non-cancellable scheduling fast path.
-
-        Pushes a slim ``(time, seq, fn, args)`` entry — no handle
-        object.  Used by the hottest call sites (event dispatch, task
-        start, timeouts), which never cancel.  With a monitor installed
-        it falls back to :meth:`at` so happens-before edges are kept.
-        """
-        if self.monitor is not None:
-            self.at(self._now + delay, fn, *args)
+            self._push_monitored(self._now + delay, fn, args)
             return
         self._seq += 1
         heappush(self._queue, (self._now + delay, self._seq, fn, args))
+
+    def at(self, time: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated ``time``."""
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule in the past or at NaN "
+                f"(now={self._now!r}, time={time!r})")
+        if self.monitor is not None:
+            self._push_monitored(time, fn, args)
+            return
+        self._seq += 1
+        heappush(self._queue, (time, self._seq, fn, args))
+
+    def _post(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Internal scheduling fast path: :meth:`schedule` unchecked.
+
+        For call sites whose delay is ``0.0`` or already checked (event
+        dispatch, task start, :meth:`timeout`).
+        """
+        if self.monitor is not None:
+            self._push_monitored(self._now + delay, fn, args)
+            return
+        self._seq += 1
+        heappush(self._queue, (self._now + delay, self._seq, fn, args))
+
+    def _monitored(self, fn: Callable, args: tuple) -> ScheduledCallback:
+        """The monitor's record of a callback, with its fork edge taken.
+
+        ``on_schedule`` runs before ``seq`` moves, as for every push.
+        """
+        handle = ScheduledCallback(fn, args)
+        self.monitor.on_schedule(handle)
+        return handle
+
+    def _push_monitored(self, time: float, fn: Callable, args: tuple) -> None:
+        """Queue ``fn(*args)`` at ``time`` as a monitored slice."""
+        handle = self._monitored(fn, args)
+        self._seq += 1
+        heappush(self._queue, (time, self._seq, self._slice, (handle,)))
+
+    def _slice(self, handle: ScheduledCallback) -> None:
+        """Run one monitored callback between the monitor's hooks."""
+        monitor = self.monitor
+        monitor.before_step(handle)
+        try:
+            handle.fn(*handle.args)
+        finally:
+            monitor.after_step(handle)
 
     def _run_slices(self, callbacks: Iterable[Callable], evt: "Event") -> None:
         """Monitored inline wake-up: each waiter is its own nested slice.
@@ -189,27 +185,8 @@ class Simulator:
         fork edge from the running context, then the waiter's slice in
         the waiter's own context — without a second queue entry.
         """
-        monitor = self.monitor
         for fn in callbacks:
-            handle = ScheduledCallback(self, self._now, fn, (evt,))
-            monitor.on_schedule(handle)
-            monitor.before_step(handle)
-            try:
-                fn(evt)
-            finally:
-                monitor.after_step(handle)
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the queue in one batched pass.
-
-        In place: a running :meth:`run` loop holds the same list.
-        """
-        queue = self._queue
-        queue[:] = [entry for entry in queue
-                    if not (type(entry[2]) is ScheduledCallback
-                            and entry[2].cancelled)]
-        heapify(queue)
-        self._cancelled = 0
+            self._slice(self._monitored(fn, (evt,)))
 
     # ------------------------------------------------------------------
     # Events & tasks (factories live here so user code needs only `sim`)
@@ -224,17 +201,21 @@ class Simulator:
         For a wait that is composed or stored.  A task that just sleeps
         yields the ``float`` delay itself: one heap entry, no Event.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0.0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         evt = Event(self)
         self._post(delay, evt._expire, value)
         return evt
 
     def timeout_at(self, time: float, value: Any = None) -> "Event":
         """An event that succeeds at absolute simulated ``time``."""
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule in the past or at NaN "
+                f"(now={self._now!r}, time={time!r})")
         evt = Event(self)
-        if self.monitor is not None or time < self._now:
-            self.at(time, evt._expire, value)   # monitored, or raises: past
+        if self.monitor is not None:
+            self._push_monitored(time, evt._expire, (value,))
         else:
             self._seq += 1
             heappush(self._queue, (time, self._seq, evt._expire, (value,)))
@@ -248,14 +229,10 @@ class Simulator:
         nothing observable in between: no shared-state access, no trace
         record, no branch on shared state.
         """
-        if first < 0 or second < 0:
-            raise SimulationError(f"negative delay in {(first, second)!r}")
+        if not (first >= 0.0 and second >= 0.0):
+            raise SimulationError(
+                f"negative or NaN delay in {(first, second)!r}")
         return self.timeout_at((self._now + first) + second)
-
-    def all_of(self, events: Iterable["Event"]) -> "Event":
-        from repro.simulator.events import AllOf
-
-        return AllOf(self, list(events))
 
     def any_of(self, events: Iterable["Event"]) -> "Event":
         from repro.simulator.events import AnyOf
@@ -271,56 +248,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending callback.  Returns False when empty."""
-        if self._dispatching is not None:
-            self._reentered("step()")
-        self._dispatching = "step()"
-        try:
-            return self._step()
-        finally:
-            self._dispatching = None
-
-    def _reentered(self, call: str) -> NoReturn:
+    def _reentered(self) -> NoReturn:
         raise SimulationError(
-            f"Simulator.{call} re-entered while Simulator."
-            f"{self._dispatching} is dispatching at t={self._now}: a "
-            f"callback, trace subscriber or ltask must not drive the "
-            f"scheduler")
-
-    def _step(self) -> bool:
-        """:meth:`step` without the re-entry guard (``run`` holds it)."""
-        queue = self._queue
-        while True:
-            pending = len(queue)
-            if pending == 0:
-                return False
-            if pending > self.queue_peak:
-                self.queue_peak = pending
-            entry = heappop(queue)
-            item = entry[2]
-            if type(item) is ScheduledCallback:
-                if item.cancelled:
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    continue
-                self._now = entry[0]
-                self.events_executed += 1
-                monitor = self.monitor
-                if monitor is None:
-                    item.fn(*item.args)
-                else:
-                    monitor.before_step(item)
-                    try:
-                        item.fn(*item.args)
-                    finally:
-                        monitor.after_step(item)
-                return True
-            # slim non-cancellable entry: (time, seq, fn, args)
-            self._now = entry[0]
-            self.events_executed += 1
-            item(*entry[3])
-            return True
+            f"Simulator.run() re-entered while Simulator.run() is "
+            f"dispatching at t={self._now}: a callback, trace subscriber "
+            f"or ltask must not drive the scheduler")
 
     def run(self, until: Optional[float] = None,
             detect_deadlock: bool = False) -> float:
@@ -329,17 +261,17 @@ class Simulator:
         Returns the final simulation time.  With ``detect_deadlock=True``
         a :class:`DeadlockError` is raised if live tasks remain when the
         queue drains (tasks blocked on events nobody will trigger).
+        An exception out of a callback leaves every later entry queued.
         """
-        if self._dispatching is not None:
-            self._reentered("run()")
-        self._dispatching = "run()"
+        if self._dispatching:
+            self._reentered()
+        self._dispatching = True
         queue = self._queue
         wall_start = host_clock()
-        if until is None and self.monitor is None:
+        if until is None:
             # hot path: one entry per lap; the clock is written only when
             # the timestamp changes, and each change counts as a batch.
-            # Telemetry stays in locals and is flushed once on exit.  An
-            # exception out of a callback leaves every later entry queued.
+            # Telemetry stays in locals and is flushed once on exit.
             executed = 0
             batches = 0
             peak = self.queue_peak
@@ -349,41 +281,37 @@ class Simulator:
                     pending = len(queue)
                     if pending > peak:
                         peak = pending
-                    entry = heappop(queue)
-                    if entry[0] != now:  # repro-check: allow[RPC008]
-                        now = self._now = entry[0]
+                    time, _, fn, args = heappop(queue)
+                    if time != now:  # repro-check: allow[RPC008]
+                        now = self._now = time
                         batches += 1
-                    item = entry[2]
-                    if type(item) is ScheduledCallback:
-                        if item.cancelled:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        executed += 1
-                        item.fn(*item.args)
-                    else:
-                        executed += 1
-                        item(*entry[3])
+                    executed += 1
+                    fn(*args)
             finally:
                 self.events_executed += executed
                 self.batches_executed += batches
                 self.queue_peak = peak
                 self.run_wall_seconds += host_clock() - wall_start
-                self._dispatching = None
+                self._dispatching = False
         else:
             try:
                 while queue:
-                    time = queue[0][0]
-                    if until is not None and time > until:
+                    if queue[0][0] > until:
                         # never backwards: an earlier run may have
                         # stopped at a later ``until``
                         self._now = max(self._now, until)
                         self._raise_unobserved_failures()
                         return self._now
-                    self._step()
+                    pending = len(queue)
+                    if pending > self.queue_peak:
+                        self.queue_peak = pending
+                    time, _, fn, args = heappop(queue)
+                    self._now = time
+                    self.events_executed += 1
+                    fn(*args)
             finally:
                 self.run_wall_seconds += host_clock() - wall_start
-                self._dispatching = None
+                self._dispatching = False
         self._raise_unobserved_failures()
         if detect_deadlock and self._running_tasks > 0:
             raise DeadlockError(
@@ -408,11 +336,11 @@ class Simulator:
     def perf_stats(self) -> dict:
         """Host-side run-loop telemetry, accumulated across ``run`` calls.
 
-        ``events_executed`` counts dispatched callbacks (cancelled
-        entries skipped at dispatch are not events), ``queue_peak`` is
-        the high-water pending-entry count (sampled before every pop),
-        ``batches_executed`` the number of times the unbounded run loop
-        moved the clock to a new timestamp, ``wall_seconds`` the host
+        ``events_executed`` counts dispatched callbacks, ``queue_peak``
+        is the high-water pending-entry count (sampled before every
+        pop), ``batches_executed`` the number of times the unbounded run
+        loop moved the clock to a new timestamp (monitored runs
+        included), ``wall_seconds`` the host
         time spent inside :meth:`run`, and ``events_per_sec`` their
         ratio.  ``scheduler`` names the event-queue structure, always
         ``"heap"``.  Wall time is the one host-dependent quantity in the

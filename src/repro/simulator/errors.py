@@ -13,14 +13,3 @@ class DeadlockError(SimulationError):
     MPI deadlock (e.g. two ranks both in a blocking receive).
     """
 
-
-class Interrupt(Exception):
-    """Thrown into a task's generator by :meth:`Task.interrupt`.
-
-    Carries an arbitrary ``cause`` describing why the task was
-    interrupted (used e.g. by timer-driven preemption models).
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause

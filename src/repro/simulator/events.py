@@ -11,7 +11,7 @@ paying a second dispatch per sleeper.
 This module is on the engine's innermost dispatch path (every task
 switch triggers at least one event), so the hot methods trade a little
 repetition for fewer Python frames: callback dispatch is inlined into
-:meth:`Event.succeed` / :meth:`Event.fail`, and the combinators read
+:meth:`Event.succeed` / :meth:`Event.fail`, and :class:`AnyOf` reads
 ``_state`` / ``_value`` directly instead of going through the
 properties.
 """
@@ -118,35 +118,6 @@ class Event:
             self.sim._post(0.0, fn, self)
         else:
             callbacks.append(fn)
-
-
-class AllOf(Event):
-    """Succeeds once all child events succeed; value is the list of values.
-
-    Fails as soon as any child fails (first failure wins).
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim, events):
-        super().__init__(sim)
-        self._children = events
-        self._remaining = len(events)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for evt in events:
-            evt.add_done_callback(self._on_child)
-
-    def _on_child(self, evt: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if evt._state != _SUCCEEDED:
-            self.fail(evt._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e._value for e in self._children])
 
 
 class AnyOf(Event):

@@ -1,21 +1,20 @@
-"""Blocking resources built on events: semaphores, mutexes, channels.
+"""Blocking resources built on events: semaphores and channels.
 
 These model the synchronization objects the paper's stack needs:
 semaphore-style completion waits (PIOMan replaces busy-wait loops with
-semaphores, Section 3.3.2), mutual exclusion around non-thread-safe
-network drivers, and FIFO message channels (Nemesis queues, NIC request
-queues).
+semaphores, Section 3.3.2) and FIFO message channels (Nemesis queues,
+NIC request queues).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.simulator.errors import SimulationError
 from repro.simulator.events import Event
 
-__all__ = ["Semaphore", "Mutex", "Channel"]
+__all__ = ["Semaphore", "Channel"]
 
 
 class Semaphore:
@@ -75,24 +74,6 @@ class Semaphore:
                 self._value += 1
 
 
-class Mutex(Semaphore):
-    """Binary semaphore starting unlocked.
-
-    Models locks protecting non-thread-safe drivers and request lists
-    (the source of PIOMan's network-path synchronization overhead).
-    """
-
-    def __init__(self, sim):
-        super().__init__(sim, value=1)
-
-    def release(self, units: int = 1) -> None:
-        if units != 1:
-            raise SimulationError("mutex release must be one unit")
-        if self._value >= 1 and not self._waiters:
-            raise SimulationError("mutex released while not held")
-        super().release()
-
-
 class Channel:
     """Unbounded FIFO channel of items.
 
@@ -128,20 +109,6 @@ class Channel:
         else:
             self._getters.append(evt)
         return evt
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; None when empty."""
-        if self._items:
-            self._observe()
-            return self._items.popleft()
-        return None
-
-    def peek(self) -> Optional[Any]:
-        """Look at the head item without removing it; None when empty."""
-        if self._items:
-            self._observe()
-            return self._items[0]
-        return None
 
     def _observe(self) -> None:
         """Join the putters' published clock into the current context."""

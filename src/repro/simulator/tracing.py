@@ -23,8 +23,8 @@ categories.  A subscriber that raises is detached (and the error kept
 in :attr:`Trace.subscriber_errors`) instead of poisoning every
 subsequent record — except for a
 :class:`~repro.simulator.errors.SimulationError` (e.g. a subscriber
-re-entering ``Simulator.run()``/``step()``), which propagates out of
-the run as it does from an event's done-callback.
+re-entering ``Simulator.run()``), which propagates out of the run as
+it does from an event's done-callback.
 
 Every sink admits records through one path, :meth:`Trace.append`:
 category filter, sampler, the sink's own store (a list, a ring, a

@@ -192,7 +192,7 @@ def test_category_routed_registration_is_captured(make_pkg):
 
 def test_trace_metrics_feed_is_a_callback_root():
     # the live metrics feed and every other registration on the tree:
-    # four named callables, and AnyOf's child callback through the
+    # three named callables, and AnyOf's child callback through the
     # lambda that calls it
     regs = {(r.via, r.callback)
             for mod in parse_package(os.path.dirname(repro.__file__))
@@ -201,7 +201,6 @@ def test_trace_metrics_feed_is_a_callback_root():
     assert named == {
         ("subscribe", "repro.observability.metrics.TraceMetrics.on_record"),
         ("subscribe", "repro.observability.profile.SpanProfiler.on_record"),
-        ("add_done_callback", "repro.simulator.events.AllOf._on_child"),
         ("add_done_callback", "repro.simulator.process.Task._on_event"),
     }
     assert any(via == "add_done_callback"

@@ -188,7 +188,7 @@ def test_channel_handoff_orders_accesses():
 
     def consumer():
         yield sim.timeout(2e-6)
-        assert chan.try_get() == "item"
+        assert (yield chan.get()) == "item"
         det.read("shared")
 
     sim.spawn(producer(), name="producer")

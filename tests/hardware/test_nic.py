@@ -93,7 +93,7 @@ def test_rx_queue_holds_frames_without_notify():
     nic0.post_send(Frame(src=0, dst=1, size=10, kind="eager", payload="hi"))
     sim.run()
     assert len(nic1.rx_queue) == 1
-    frame = nic1.rx_queue.try_get()
+    frame = nic1.rx_queue.get().value
     assert frame.payload == "hi"
     assert frame.kind == "eager"
     assert frame.rail == "test"

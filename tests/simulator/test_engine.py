@@ -52,21 +52,41 @@ def test_schedule_in_past_rejected():
         sim.at(1.0, lambda: None)
 
 
-def test_cancelled_callback_does_not_run():
-    sim = Simulator()
-    seen = []
-    handle = sim.schedule(1.0, seen.append, "x")
-    handle.cancel()
-    sim.run()
-    assert seen == []
+_NAN = float("nan")
 
 
-def test_cancel_is_idempotent():
+@pytest.mark.parametrize("push", [
+    lambda sim: sim.schedule(_NAN, lambda: None),
+    lambda sim: sim.at(_NAN, lambda: None),
+    lambda sim: sim.timeout(_NAN),
+    lambda sim: sim.timeout_at(_NAN),
+    lambda sim: sim.charge(_NAN, 1.0),
+    lambda sim: sim.charge(1.0, _NAN),
+], ids=["schedule", "at", "timeout", "timeout_at", "charge_first",
+        "charge_second"])
+@pytest.mark.parametrize("monitored", [False, True],
+                         ids=["bare", "monitored"])
+def test_nan_never_enters_the_queue(push, monitored):
     sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    if monitored:
+        from repro.analysis.race import RaceDetector
+        RaceDetector().install(sim)
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="NaN"):
+        push(sim)
+    assert len(sim._queue) == 1
+    assert sim.run() == 1.0           # the clock never reads NaN
+
+
+def test_timeout_at_in_past_and_negative_charge_rejected():
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
     sim.run()
+    with pytest.raises(SimulationError, match="past"):
+        sim.timeout_at(1.0)
+    with pytest.raises(SimulationError, match="negative"):
+        sim.charge(1.0, -1.0)
+    assert not sim._queue
 
 
 def test_run_until_stops_clock():
@@ -152,11 +172,6 @@ def test_no_deadlock_when_tasks_finish():
     sim.run(detect_deadlock=True)
 
 
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 def test_raising_callback_leaves_the_rest_queued():
     sim = Simulator()
     seen = []
@@ -180,39 +195,44 @@ def test_raising_callback_leaves_the_rest_queued():
 
 
 # ---------------------------------------------------------------------------
-# scheduler re-entry: callbacks run inside run()/step() and must not drive it
+# scheduler re-entry: callbacks run inside run() and must not drive it
 # ---------------------------------------------------------------------------
 
-def _reentering(sim, call):
+def _reentering(sim, until):
     def reenter(*_args):
-        getattr(sim, call)()
+        sim.run(until=until)
     return reenter
 
 
-@pytest.mark.parametrize("call", ["run", "step"])
-@pytest.mark.parametrize("driver", ["run", "step"])
+#: the re-entering call and the driving call: the unbounded loop or
+#: the ``until``-bounded one
+_LOOPS = {"run": None, "until": 5.0}
+
+
+@pytest.mark.parametrize("call", sorted(_LOOPS))
+@pytest.mark.parametrize("driver", sorted(_LOOPS))
 def test_subscriber_reentering_the_scheduler_raises(call, driver):
     trace = Trace()
     sim = Simulator(trace)
-    trace.subscribe(_reentering(sim, call))
+    trace.subscribe(_reentering(sim, _LOOPS[call]))
     sim.schedule(1.0, lambda: sim.record("nic.tx", size=4))
     sim.schedule(2.0, lambda: sim.record("nic.tx", size=4))
     # the scheduler's own error is not a subscriber fault: it propagates
     # out of the dispatch, as it does from a done-callback
-    with pytest.raises(SimulationError, match=rf"Simulator\.{call}\(\) "
-                                              rf"re-entered while Simulator"
-                                              rf"\.{driver}\(\) is "
+    with pytest.raises(SimulationError, match=r"Simulator\.run\(\) "
+                                              r"re-entered while Simulator"
+                                              r"\.run\(\) is "
                                               r"dispatching at t=1\.0"):
-        getattr(sim, driver)()
+        sim.run(until=_LOOPS[driver])
     assert trace.subscriber_errors == [] and len(trace) == 1
 
 
-@pytest.mark.parametrize("call", ["run", "step"])
+@pytest.mark.parametrize("call", sorted(_LOOPS))
 def test_done_callback_reentering_the_scheduler_raises(call):
     sim = Simulator()
     evt = sim.timeout(1.0)
-    evt.add_done_callback(_reentering(sim, call))
-    with pytest.raises(SimulationError, match=rf"Simulator\.{call}\(\) "
+    evt.add_done_callback(_reentering(sim, _LOOPS[call]))
+    with pytest.raises(SimulationError, match=r"Simulator\.run\(\) "
                                               r"re-entered .* at t=1\.0"):
         sim.run(until=5.0)
 
@@ -222,5 +242,6 @@ def test_run_after_run_is_not_reentry():
     sim.schedule(1.0, lambda: None)
     assert sim.run() == 1.0
     sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.run() == 2.0
+    sim.at(3.0, lambda: None)
+    assert sim.run(until=2.5) == 2.5
+    assert sim.run() == 3.0

@@ -1,34 +1,59 @@
-"""The engine's hot-path machinery: slim entries, compaction, tracing.
+"""The engine's hot-path machinery: one entry shape, monitors, tracing.
 
 These pin the behaviours the benchmark-driven rewrites introduced:
 
-* ``_post`` entries interleave with handle entries in strict
-  ``(time, seq)`` order (FIFO at equal times);
-* lazy-deleted (cancelled) handles are compacted in batches once they
-  dominate the queue, without disturbing live entries;
-* with a monitor installed ``_post`` degrades to a monitored handle so
-  happens-before edges survive;
+* every push site builds one ``(time, seq, fn, args)`` entry and
+  returns nothing, and ``schedule`` / ``at`` / ``_post`` interleave in
+  strict ``(time, seq)`` order (FIFO at equal times);
+* with a monitor installed each entry becomes a slice,
+  ``(time, seq, sim._slice, (handle,))``, so happens-before edges
+  survive;
 * ``record`` is a no-op without a trace and appends with one.
 """
 
 from __future__ import annotations
 
 from repro.simulator import Simulator, Trace
-from repro.simulator.engine import _COMPACT_MIN_CANCELLED, ScheduledCallback
+from repro.simulator.engine import ScheduledCallback
 
 
 def test_post_and_schedule_interleave_fifo() -> None:
     sim = Simulator()
     seen = []
-    sim.schedule(1.0, seen.append, "handle-a")
-    sim._post(1.0, seen.append, "slim-b")
-    sim.schedule(1.0, seen.append, "handle-c")
-    sim._post(0.5, seen.append, "slim-first")
+    sim.schedule(1.0, seen.append, "sched-a")
+    sim._post(1.0, seen.append, "post-b")
+    sim.at(1.0, seen.append, "at-c")
+    sim._post(0.5, seen.append, "post-first")
     sim.run()
-    assert seen == ["slim-first", "handle-a", "slim-b", "handle-c"]
+    assert seen == ["post-first", "sched-a", "post-b", "at-c"]
 
 
-def test_timeout_uses_slim_entries_and_fires() -> None:
+def test_every_push_site_builds_one_entry_shape() -> None:
+    sim = Simulator()
+
+    def prog():
+        yield 1.5                       # a bare delay: Task._wake
+        yield sim.timeout(0.0)
+
+    assert sim.schedule(1.0, print) is None
+    assert sim.at(2.0, print, "x") is None
+    assert sim._post(0.5, print) is None
+    sim.timeout(3.0)
+    sim.timeout_at(4.0)
+    sim.charge(1e-6, 2e-6)
+    task = sim.spawn(prog())
+    sim.run(until=0.0)                  # the task starts and sleeps
+    assert len(sim._queue) == 7
+    for entry in sim._queue:
+        time, seq, fn, args = entry
+        assert type(time) is float and type(seq) is int
+        assert callable(fn) and type(args) is tuple
+        assert not any(type(a) is ScheduledCallback for a in args)
+    assert (1.5, task._wake, ()) in [(t, fn, args)
+                                     for t, _, fn, args in sim._queue]
+
+
+def test_timeout_fires() -> None:
     sim = Simulator()
 
     def prog():
@@ -38,34 +63,6 @@ def test_timeout_uses_slim_entries_and_fires() -> None:
     task = sim.spawn(prog())
     assert sim.run() == 2.5
     assert task.value == "v"
-    assert not any(type(e[2]) is ScheduledCallback
-                   for e in sim._queue)
-
-
-def test_cancel_is_lazy_and_batched_compaction_kicks_in() -> None:
-    sim = Simulator()
-    fired = []
-    total = 4 * _COMPACT_MIN_CANCELLED
-    handles = [sim.schedule(10.0, fired.append, i) for i in range(total)]
-    live = handles[:: 4]
-    for handle in handles:
-        if handle not in live:
-            handle.cancel()
-    # 3/4 cancelled -> the batched pass must have compacted the queue
-    assert len(sim._queue) < total
-    assert sim._cancelled < _COMPACT_MIN_CANCELLED
-    sim.run()
-    assert fired == [i for i in range(total) if i % 4 == 0]
-
-
-def test_cancel_is_idempotent_in_the_counter() -> None:
-    sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert sim._cancelled == 1
-    sim.run()
-    assert sim._cancelled == 0
 
 
 def test_run_until_sees_slim_entries() -> None:
@@ -94,16 +91,21 @@ class _RecordingMonitor:
         pass
 
 
-def test_post_degrades_to_handles_under_a_monitor() -> None:
+def test_entries_become_slices_under_a_monitor() -> None:
     sim = Simulator()
     monitor = _RecordingMonitor()
     sim.monitor = monitor
-    sim.timeout(1.0)          # goes through _post -> at()
+    sim.timeout(1.0)          # goes through _post
     sim.schedule(2.0, lambda: None)
-    assert len(monitor.scheduled) == 2
+    sim.at(3.0, lambda: None)
+    sim.timeout_at(4.0)
+    assert len(monitor.scheduled) == 4
     assert all(type(h) is ScheduledCallback for h in monitor.scheduled)
+    assert [(fn, args) for _, _, fn, args in sorted(sim._queue)] == [
+        (sim._slice, (h,)) for h in monitor.scheduled]
     sim.run()
-    assert len(monitor.steps) == 2
+    assert monitor.steps == monitor.scheduled
+    assert sim.perf_stats()["batches_executed"] == 4
 
 
 def test_monitored_and_bare_runs_order_identically() -> None:

@@ -1,4 +1,4 @@
-"""Unit tests for events, AllOf/AnyOf combinators."""
+"""Unit tests for events and the AnyOf combinator."""
 
 import pytest
 
@@ -52,24 +52,6 @@ def test_timeout_value():
     assert evt.value == "hello"
 
 
-def test_all_of_waits_for_everything():
-    sim = Simulator()
-    e1, e2 = sim.timeout(1.0, "a"), sim.timeout(3.0, "b")
-    combined = sim.all_of([e1, e2])
-    done_at = []
-    combined.add_done_callback(lambda e: done_at.append(sim.now))
-    sim.run()
-    assert combined.value == ["a", "b"]
-    assert done_at == [3.0]
-
-
-def test_all_of_empty_succeeds_immediately():
-    sim = Simulator()
-    combined = sim.all_of([])
-    assert combined.triggered
-    assert combined.value == []
-
-
 def test_any_of_fires_on_first():
     sim = Simulator()
     e1, e2 = sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")
@@ -87,7 +69,7 @@ def test_any_of_requires_children():
         sim.any_of([])
 
 
-def test_all_of_propagates_failure():
+def test_any_of_propagates_failure():
     sim = Simulator()
 
     def failing():
@@ -95,7 +77,7 @@ def test_all_of_propagates_failure():
         raise ValueError("boom")
 
     task = sim.spawn(failing())
-    combined = sim.all_of([task, sim.timeout(10.0)])
+    combined = sim.any_of([task, sim.timeout(10.0)])
     outcome = []
     combined.add_done_callback(lambda e: outcome.append((e.ok, e.value)))
     sim.run()

@@ -3,15 +3,14 @@
 A timer runs its waiters inside its own queue entry, so the order of
 same-timestamp entries is the sharpest thing that could now depend on
 *how* a simulation is driven.  It must not: a bare run, a traced run, a
-run chopped into ``run(until=)`` windows and single ``step()`` calls,
-and a run under the race detector have to dispatch identically.
+run chopped into ``run(until=)`` windows, and a run under the race
+detector have to dispatch identically.
 
 Two zoom levels:
 
 * a Hypothesis generator of tie-heavy programs (equal-delay timers and
-  bare ``float`` delays mixed, zero-delay posts, cancels, ``any_of`` /
-  ``all_of``, a semaphore) whose every action is logged with its
-  timestamp;
+  bare ``float`` delays mixed, zero-delay posts, ``any_of``, a
+  semaphore) whose every action is logged with its timestamp;
 * the traced stack presets, compared record by record with
   :meth:`Trace.first_divergence`.
 """
@@ -38,13 +37,19 @@ _DRIVES = [("bare", False, False, False), ("traced", True, False, False),
 
 
 def _slice_runs(sim: Simulator, window: float) -> None:
-    """Make ``sim.run()`` alternate single steps and ``until`` windows."""
+    """Make ``sim.run()`` alternate instant and ``window`` wide windows.
+
+    ``run(until=sim.now)`` drains the current timestamp only, and
+    ``run(until=sim.now + window)`` stops on a window edge that may fall
+    between two entries or onto one.
+    """
     whole_run = sim.run
 
     def run(until: Optional[float] = None,
             detect_deadlock: bool = False) -> float:
         assert until is None
-        while sim.step():
+        while sim._queue:
+            whole_run(until=sim.now)
             whole_run(until=sim.now + window)
         return whole_run(detect_deadlock=detect_deadlock)
 
@@ -72,9 +77,7 @@ _OP = st.one_of(
     st.tuples(st.just("nap"), _DELAY),
     st.tuples(st.just("nap"), _DELAY),
     st.tuples(st.just("post"), _DELAY),
-    st.tuples(st.just("cancel"), st.none()),
     st.tuples(st.just("any"), st.tuples(_DELAY, _DELAY)),
-    st.tuples(st.just("all"), st.tuples(_DELAY, _DELAY)),
     st.tuples(st.just("sem"), _DELAY),
     st.tuples(st.just("fire"), st.integers(0, 1)),
     st.tuples(st.just("await"), st.tuples(st.integers(0, 1), _DELAY)),
@@ -105,23 +108,16 @@ def _run_toy(programs, traced: bool, sliced: bool, monitored: bool,
         return units * _UNIT
 
     def task(tid: int, ops):
-        handles = []
         for i, (op, arg) in enumerate(ops):
             if op == "sleep":
                 yield sim.timeout(arg * _UNIT)
             elif op == "nap":
                 yield charge(arg)
             elif op == "post":
-                handles.append(
-                    sim.schedule(arg * _UNIT, note, "posted", tid, i))
-            elif op == "cancel":
-                if handles:
-                    handles.pop().cancel()
+                sim.schedule(arg * _UNIT, note, "posted", tid, i)
             elif op == "any":
                 yield sim.any_of([sim.timeout(d * _UNIT, value=d)
                                   for d in arg])
-            elif op == "all":
-                yield sim.all_of([sim.timeout(d * _UNIT) for d in arg])
             elif op == "sem":
                 yield sem.acquire()
                 note("held", tid, i)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simulator import Simulator, SimulationError
-from repro.simulator.errors import Interrupt
 
 
 def test_task_advances_time():
@@ -138,64 +137,6 @@ def test_spawn_requires_generator():
         sim.spawn(not_a_generator)
 
 
-def test_interrupt_wakes_blocked_task():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    task = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        task.interrupt("wake up")
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_finished_task_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    task = sim.spawn(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        task.interrupt()
-
-
-def test_stale_event_after_interrupt_is_ignored():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(10.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(100.0)
-        log.append(sim.now)
-
-    task = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1.0)
-        task.interrupt()
-
-    sim.spawn(interrupter())
-    sim.run()
-    # The original 10.0 timeout firing must not resume the task early:
-    # it continues sleeping its 100s from t=1.
-    assert log == [101.0]
-
-
 def test_is_alive():
     sim = Simulator()
 
@@ -267,27 +208,3 @@ def test_int_and_bool_are_not_delays(target):
     sim.spawn(proc())
     with pytest.raises(SimulationError, match="must yield Events"):
         sim.run()
-
-
-def test_interrupting_a_float_sleep_ignores_the_stale_wake_up():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 10.0
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-        yield 100.0
-        log.append(("woke", sim.now))
-
-    task = sim.spawn(sleeper())
-
-    def interrupter():
-        yield 1.0
-        task.interrupt("now")
-
-    sim.spawn(interrupter())
-    sim.run()
-    # the wake-up due at t=10 is stale: the task sleeps 100 s from t=1
-    assert log == [("interrupted", 1.0, "now"), ("woke", 101.0)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator import Channel, Mutex, Semaphore, SimulationError, Simulator
+from repro.simulator import Channel, Semaphore, SimulationError, Simulator
 
 
 def test_semaphore_immediate_acquire():
@@ -73,33 +73,6 @@ def test_negative_initial_value_rejected():
         Semaphore(sim, value=-1)
 
 
-def test_mutex_exclusion():
-    sim = Simulator()
-    mtx = Mutex(sim)
-    log = []
-
-    def critical(name, hold):
-        yield mtx.acquire()
-        log.append((name, "in", sim.now))
-        yield sim.timeout(hold)
-        log.append((name, "out", sim.now))
-        mtx.release()
-
-    sim.spawn(critical("a", 2.0))
-    sim.spawn(critical("b", 1.0))
-    sim.run()
-    assert log == [
-        ("a", "in", 0.0), ("a", "out", 2.0), ("b", "in", 2.0), ("b", "out", 3.0),
-    ]
-
-
-def test_mutex_release_unheld_rejected():
-    sim = Simulator()
-    mtx = Mutex(sim)
-    with pytest.raises(SimulationError):
-        mtx.release()
-
-
 def test_channel_put_then_get():
     sim = Simulator()
     chan = Channel(sim)
@@ -151,13 +124,11 @@ def test_channel_preserves_fifo():
     assert got == [0, 1, 2, 3, 4]
 
 
-def test_channel_try_get_and_peek():
+def test_channel_len_counts_unclaimed_items():
     sim = Simulator()
     chan = Channel(sim)
-    assert chan.try_get() is None
-    assert chan.peek() is None
+    assert len(chan) == 0
     chan.put(7)
-    assert chan.peek() == 7
     assert len(chan) == 1
-    assert chan.try_get() == 7
+    assert chan.get().value == 7     # an item is there: granted at once
     assert len(chan) == 0
