@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.race import RaceDetector
 from repro.simulator import Simulator, SimulationError, Trace
 from repro.simulator.errors import DeadlockError
 
@@ -69,7 +70,6 @@ _NAN = float("nan")
 def test_nan_never_enters_the_queue(push, monitored):
     sim = Simulator()
     if monitored:
-        from repro.analysis.race import RaceDetector
         RaceDetector().install(sim)
     sim.schedule(1.0, lambda: None)
     with pytest.raises(SimulationError, match="NaN"):
